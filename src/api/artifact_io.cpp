@@ -1,6 +1,9 @@
 #include "api/artifact_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <exception>
+#include <string_view>
 #include <utility>
 
 #include "util/json.hpp"
@@ -80,7 +83,7 @@ std::string topology_artifact_payload(const TopologyArtifact& t,
     s.set("trace", std::move(trace));
     o.set("synth", std::move(s));
   }
-  return o.dump();
+  return o.dump_compact();
 }
 
 bool restore_topology_artifact(const std::string& payload, bool analytic,
@@ -178,6 +181,69 @@ util::Matrix<int> matrix_from_json(const JsonValue& o) {
   return m;
 }
 
+// Packed integer lists: the plan's bulk arrays (routing table, per-flow VC)
+// travel as one JSON string each instead of one JSON number per element.
+// A list is its integers separated by single spaces; the empty list is "".
+void append_ints(std::string& out, const std::vector<int>& v) {
+  char buf[16];
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    if (k) out += ' ';
+    const auto res = std::to_chars(buf, buf + sizeof buf, v[k]);
+    out.append(buf, res.ptr);
+  }
+}
+
+// Decodes a packed list into `out`; false on any malformed token or value
+// outside [lo, hi).
+bool unpack_ints(std::string_view s, int lo, int hi, std::vector<int>& out) {
+  if (s.empty()) {
+    out.clear();
+    return true;
+  }
+  out.resize(static_cast<std::size_t>(std::count(s.begin(), s.end(), ' ')) +
+             1);
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    if (k && (p == end || *p++ != ' ')) return false;
+    const auto [next, ec] = std::from_chars(p, end, out[k]);
+    if (ec != std::errc() || out[k] < lo || out[k] >= hi) return false;
+    p = next;
+  }
+  return p == end;
+}
+
+// Routing table, flow-major (s * n + d): routes joined by ';', each route a
+// packed list of its routers (empty for the absent s == d flows).
+std::string pack_table(const routing::RoutingTable& t) {
+  const int n = t.num_nodes();
+  std::string out;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      if (s || d) out += ';';
+      append_ints(out, t.path(s, d));
+    }
+  return out;
+}
+
+// Decodes an n-router table; every hop must name a router in [0, n), so
+// consistent_with never indexes the graph out of range.
+bool unpack_table(std::string_view text, int n, routing::RoutingTable& t) {
+  const auto seps = std::count(text.begin(), text.end(), ';');
+  if (static_cast<std::size_t>(seps) + 1 != static_cast<std::size_t>(n) * n)
+    return false;
+  t = routing::RoutingTable(n);
+  std::size_t pos = 0;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      const std::size_t stop = std::min(text.find(';', pos), text.size());
+      if (!unpack_ints(text.substr(pos, stop - pos), 0, n, t.path(s, d)))
+        return false;
+      pos = stop + 1;
+    }
+  return true;
+}
+
 }  // namespace
 
 std::string plan_artifact_payload(const PlanArtifact& p) {
@@ -191,17 +257,13 @@ std::string plan_artifact_payload(const PlanArtifact& p) {
   o.set("vc_layers", JsonValue::integer(plan.vc_layers));
   o.set("ndbt_fallback_flows", JsonValue::integer(plan.ndbt_fallback_flows));
   o.set("graph", JsonValue::string(plan.graph.to_string()));
-  // Routing table, flow-major (s * n + d): each route as its router
-  // sequence; absent flows (s == d) as empty arrays.
-  const int n = plan.table.num_nodes();
-  JsonValue table = JsonValue::array();
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) table.push_back(int_array(plan.table.path(s, d)));
-  o.set("table", std::move(table));
+  o.set("table", JsonValue::string(pack_table(plan.table)));
   JsonValue vc = JsonValue::object();
   vc.set("num_vcs", JsonValue::integer(plan.vc_map.num_vcs));
   vc.set("num_layers", JsonValue::integer(plan.vc_map.num_layers));
-  vc.set("vc", int_array(plan.vc_map.vc));
+  std::string packed_vc;
+  append_ints(packed_vc, plan.vc_map.vc);
+  vc.set("vc", JsonValue::string(std::move(packed_vc)));
   vc.set("layer_of_vc", int_array(plan.vc_map.layer_of_vc));
   JsonValue weights = JsonValue::array();
   for (double w : plan.vc_map.weight_of_vc)
@@ -219,7 +281,7 @@ std::string plan_artifact_payload(const PlanArtifact& p) {
     sys.set("noi_layout", layout_to_json(p.system.noi_layout));
     o.set("system", std::move(sys));
   }
-  return o.dump();
+  return o.dump_compact();
 }
 
 bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
@@ -245,20 +307,16 @@ bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
     if (plan.seed != p.seed) return false;
     plan.graph = topo::DiGraph::from_string(doc.at("graph").as_string());
     const int n = plan.graph.num_nodes();
-    const auto& table = doc.at("table").items();
-    if (table.size() != static_cast<std::size_t>(n) * n) return false;
-    plan.table = routing::RoutingTable(n);
-    for (int s = 0; s < n; ++s) {
-      for (int d = 0; d < n; ++d) {
-        const auto& route = table[static_cast<std::size_t>(s) * n + d];
-        plan.table.path(s, d) = as_int_vector(route);
-      }
-    }
-    if (!plan.table.consistent_with(plan.graph)) return false;
+    if (!unpack_table(doc.at("table").as_string(), n, plan.table) ||
+        !plan.table.consistent_with(plan.graph))
+      return false;
     const JsonValue& vc = doc.at("vc_map");
     plan.vc_map.num_vcs = static_cast<int>(vc.at("num_vcs").as_int());
     plan.vc_map.num_layers = static_cast<int>(vc.at("num_layers").as_int());
-    plan.vc_map.vc = as_int_vector(vc.at("vc"));
+    // Absent flows carry vc -1.
+    if (!unpack_ints(vc.at("vc").as_string(), -1, plan.vc_map.num_vcs,
+                     plan.vc_map.vc))
+      return false;
     plan.vc_map.layer_of_vc = as_int_vector(vc.at("layer_of_vc"));
     plan.vc_map.weight_of_vc.clear();
     for (const auto& w : vc.at("weight_of_vc").items())
@@ -314,7 +372,7 @@ std::string sweep_artifact_payload(const sim::SweepResult& r) {
     points.push_back(std::move(p));
   }
   o.set("points", std::move(points));
-  return o.dump();
+  return o.dump_compact();
 }
 
 bool restore_sweep_artifact(const std::string& payload, sim::SweepResult& r) {

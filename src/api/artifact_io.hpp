@@ -7,19 +7,26 @@
 //    bound, move count, progress trace) and the analytic metrics block.
 //  - plan: a complete core::NetworkPlan (graph, per-flow routing table, VC
 //    map, provenance scalars) plus the chiplet system when the plan wraps
-//    one.
+//    one. The two n*n bulk arrays are packed into one JSON string each:
+//    `table` joins the flow-major routes (s * n + d) with ';', each route
+//    its routers separated by single spaces (empty for s == d), and
+//    `vc_map.vc` is the per-flow VC list separated by single spaces (-1 for
+//    absent flows). Both decode with std::from_chars, no per-integer JSON
+//    node.
 //  - sweep: the report-facing projection of a sim::SweepResult — zero-load /
 //    saturation summaries and, per injection point, exactly the fields a
 //    SweepPointRow carries. Raw SimStats conservation counters are NOT kept;
 //    a cached sweep reproduces the report bytes, not the full simulator
 //    state.
 //
-// Payloads are self-describing JSON ({"artifact": kind, "schema": N, ...})
-// and restore_* validates shape, sizes and schema: ANY anomaly — parse
-// error, wrong kind, unknown schema, mismatched array lengths, adjacency
-// that contradicts the already-resolved topology — returns false so the
-// caller treats the entry as a cache miss and recomputes. restore_* never
-// throws.
+// Payloads are self-describing single-line JSON ({"artifact": kind,
+// "schema": N, ...}, written with dump_compact) and restore_* validates
+// shape, sizes, ranges and schema: ANY anomaly — parse error, wrong kind,
+// unknown schema, a plan whose seed differs from the slot's, mismatched
+// array lengths, a route hop outside [0, n) or a VC outside [-1, num_vcs),
+// a route that leaves the plan's graph, adjacency that contradicts the
+// already-resolved topology — returns false so the caller treats the entry
+// as a cache miss and recomputes. restore_* never throws.
 //
 // Round-trip contract (asserted in tests/test_serve.cpp): restoring a
 // payload into a fresh artifact slot reproduces every report-visible field
@@ -35,7 +42,8 @@ namespace netsmith::api {
 
 // Bumped when a payload layout changes; restore_* treats any other value as
 // a miss, so stores populated by older builds are silently re-filled.
-inline constexpr int kArtifactSchemaVersion = 1;
+// Schema 2: compact envelope, packed plan `table` and `vc_map.vc` strings.
+inline constexpr int kArtifactSchemaVersion = 2;
 
 // `analytic` records whether the metrics block is populated; the Study keys
 // cached topologies on it (";analytic=0|1" key suffix), so the payload flag

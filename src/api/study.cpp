@@ -230,9 +230,9 @@ void Study::expand() {
         break;
       }
       case TopologySource::kCatalog: {
-        auto cat = ts.catalog_routers == 48
-                       ? topologies::catalog_48()
-                       : topologies::catalog(ts.catalog_routers);
+        const auto& cat = ts.catalog_routers == 48
+                              ? topologies::catalog_48()
+                              : topologies::catalog(ts.catalog_routers);
         const std::string prefix =
             "catalog:" + std::to_string(ts.catalog_routers) + ":";
         if (!ts.name.empty()) {
@@ -240,13 +240,12 @@ void Study::expand() {
             throw std::invalid_argument(
                 "study: catalog row selector '" + ts.name +
                 "' cannot combine with include_baselines");
-          auto row = topologies::find(cat, ts.name);
-          add_ref(built(ts.source, std::move(row), prefix + ts.name), "");
+          add_ref(built(ts.source, topologies::find(cat, ts.name),
+                        prefix + ts.name),
+                  "");
         } else {
-          for (auto& row : cat) {
-            const std::string key = prefix + row.name;
-            add_ref(built(ts.source, std::move(row), key), "");
-          }
+          for (const auto& row : cat)
+            add_ref(built(ts.source, row, prefix + row.name), "");
           if (ts.include_baselines) {
             // Parametric rows are baseline artifacts (matching their cache
             // key), however they were reached.

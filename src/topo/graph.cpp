@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,20 +85,35 @@ std::string DiGraph::to_string() const {
 }
 
 DiGraph DiGraph::from_string(const std::string& s) {
-  const auto colon = s.find(':');
-  if (colon == std::string::npos) throw std::invalid_argument("DiGraph: missing ':'");
-  const int n = std::stoi(s.substr(0, colon));
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  auto read_int = [&] {
+    int v = 0;
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec != std::errc()) throw std::invalid_argument("DiGraph: expected an integer");
+    p = next;
+    return v;
+  };
+  auto expect = [&](char c) {
+    if (p == end || *p != c)
+      throw std::invalid_argument(std::string("DiGraph: expected '") + c + "'");
+    ++p;
+  };
+  const int n = read_int();
+  if (n < 0 || n > kMaxNodes) throw std::invalid_argument("DiGraph: node count out of range");
+  expect(':');
   DiGraph g(n);
-  std::size_t pos = colon + 1;
-  while (pos < s.size()) {
-    auto gt = s.find('>', pos);
-    if (gt == std::string::npos) throw std::invalid_argument("DiGraph: missing '>'");
-    auto comma = s.find(',', gt);
-    if (comma == std::string::npos) comma = s.size();
-    const int i = std::stoi(s.substr(pos, gt - pos));
-    const int j = std::stoi(s.substr(gt + 1, comma - gt - 1));
+  while (p != end) {
+    const int i = read_int();
+    expect('>');
+    const int j = read_int();
+    if (i < 0 || i >= n || j < 0 || j >= n)
+      throw std::invalid_argument("DiGraph: edge endpoint out of range");
     g.add_edge(i, j);
-    pos = comma + 1;
+    if (p != end) {
+      expect(',');
+      if (p == end) throw std::invalid_argument("DiGraph: trailing ','");
+    }
   }
   return g;
 }

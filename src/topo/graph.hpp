@@ -68,7 +68,14 @@ class DiGraph {
 
   // Compact textual form "n:i>j,i>j,..." for goldens/serialization.
   std::string to_string() const;
+  // Strict inverse of to_string: throws std::invalid_argument on a node
+  // count outside [0, kMaxNodes], an endpoint outside [0, n), or any stray
+  // character. Safe on untrusted input (artifact payloads, specs).
   static DiGraph from_string(const std::string& s);
+
+  // Largest node count from_string accepts: the dense adjacency matrix is
+  // n^2 bytes, so anything bigger is a corrupt header, not a topology.
+  static constexpr int kMaxNodes = 1 << 14;
 
  private:
   std::size_t idx(int i, int j) const {

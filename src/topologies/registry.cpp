@@ -344,7 +344,10 @@ std::string param_str(const Params& p, const std::string& key,
 
 // --------------------------------------------------------- catalogs -------
 
-std::vector<NamedTopology> catalog(int routers) {
+namespace {
+
+// The Table II rows for 20 routers, else for 30.
+std::vector<NamedTopology> build_catalog(int routers) {
   using topo::LinkClass;
   std::vector<NamedTopology> cat;
   if (routers == 20) {
@@ -369,23 +372,20 @@ std::vector<NamedTopology> catalog(int routers) {
     cat.push_back(ns("NS-SCOp-large-20", lay, LinkClass::kLarge));
     return cat;
   }
-  if (routers == 30) {
-    const auto lay = topo::Layout::noi_6x5();
-    cat.push_back(make_entry("Kite-small", lay, LinkClass::kSmall, kite(30, LinkClass::kSmall), false, false));
-    cat.push_back(ns("NS-LatOp-small-30", lay, LinkClass::kSmall));
-    cat.push_back(make_entry("FoldedTorus", lay, LinkClass::kMedium, topo::build_folded_torus(lay), false, false));
-    cat.push_back(make_entry("Kite-medium", lay, LinkClass::kMedium, kite(30, LinkClass::kMedium), false, false));
-    cat.push_back(ns("NS-LatOp-medium-30", lay, LinkClass::kMedium));
-    cat.push_back(make_entry("ButterDonut", lay, LinkClass::kLarge, butter_donut(30), false, false));
-    cat.push_back(make_entry("DoubleButterfly", lay, LinkClass::kLarge, double_butterfly(30), false, false));
-    cat.push_back(make_entry("Kite-large", lay, LinkClass::kLarge, kite(30, LinkClass::kLarge), false, false));
-    cat.push_back(ns("NS-LatOp-large-30", lay, LinkClass::kLarge));
-    return cat;
-  }
-  throw std::invalid_argument("catalog: only 20- and 30-router sets exist");
+  const auto lay = topo::Layout::noi_6x5();
+  cat.push_back(make_entry("Kite-small", lay, LinkClass::kSmall, kite(30, LinkClass::kSmall), false, false));
+  cat.push_back(ns("NS-LatOp-small-30", lay, LinkClass::kSmall));
+  cat.push_back(make_entry("FoldedTorus", lay, LinkClass::kMedium, topo::build_folded_torus(lay), false, false));
+  cat.push_back(make_entry("Kite-medium", lay, LinkClass::kMedium, kite(30, LinkClass::kMedium), false, false));
+  cat.push_back(ns("NS-LatOp-medium-30", lay, LinkClass::kMedium));
+  cat.push_back(make_entry("ButterDonut", lay, LinkClass::kLarge, butter_donut(30), false, false));
+  cat.push_back(make_entry("DoubleButterfly", lay, LinkClass::kLarge, double_butterfly(30), false, false));
+  cat.push_back(make_entry("Kite-large", lay, LinkClass::kLarge, kite(30, LinkClass::kLarge), false, false));
+  cat.push_back(ns("NS-LatOp-large-30", lay, LinkClass::kLarge));
+  return cat;
 }
 
-std::vector<NamedTopology> catalog_48() {
+std::vector<NamedTopology> build_catalog_48() {
   using topo::LinkClass;
   const auto lay = topo::Layout::noi_8x6();
   std::vector<NamedTopology> cat;
@@ -400,6 +400,26 @@ std::vector<NamedTopology> catalog_48() {
   cat.push_back(ns("NS-LatOp-small-48", lay, LinkClass::kSmall));
   cat.push_back(ns("NS-LatOp-medium-48", lay, LinkClass::kMedium));
   cat.push_back(ns("NS-LatOp-large-48", lay, LinkClass::kLarge));
+  return cat;
+}
+
+}  // namespace
+
+// Each set is built once, on first use, and shared read-only afterwards.
+const std::vector<NamedTopology>& catalog(int routers) {
+  if (routers == 20) {
+    static const std::vector<NamedTopology> cat = build_catalog(20);
+    return cat;
+  }
+  if (routers == 30) {
+    static const std::vector<NamedTopology> cat = build_catalog(30);
+    return cat;
+  }
+  throw std::invalid_argument("catalog: only 20- and 30-router sets exist");
+}
+
+const std::vector<NamedTopology>& catalog_48() {
+  static const std::vector<NamedTopology> cat = build_catalog_48();
   return cat;
 }
 

@@ -49,11 +49,15 @@ struct NamedTopology {
 
 // ------------------------------------------------------------- catalogs ---
 
-// All Table II rows for the given router count (20 or 30), in paper order.
-std::vector<NamedTopology> catalog(int routers);
+// The frozen sets are built once, on first use, and returned by reference
+// to the shared read-only table; callers copy the rows they keep.
+
+// All Table II rows for the given router count (20 or 30), in paper order;
+// throws std::invalid_argument for any other count.
+const std::vector<NamedTopology>& catalog(int routers);
 
 // The 48-router (8x6) scalability study set (paper SV-E, Fig. 11).
-std::vector<NamedTopology> catalog_48();
+const std::vector<NamedTopology>& catalog_48();
 
 // The parametric baseline families (Dragonfly, CMesh, HammingMesh) at the
 // standard router counts (20/30/48 or any count their generators accept),

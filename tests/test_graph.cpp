@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 namespace netsmith::topo {
 namespace {
@@ -119,6 +120,39 @@ TEST(DiGraph, SerializationEmptyGraph) {
 TEST(DiGraph, FromStringRejectsGarbage) {
   EXPECT_THROW(DiGraph::from_string("nope"), std::invalid_argument);
   EXPECT_THROW(DiGraph::from_string("3:12"), std::invalid_argument);
+}
+
+// from_string parses untrusted bytes (artifact payloads, explicit specs):
+// every malformed input must throw, never reach add_edge out of range.
+TEST(DiGraph, FromStringRejectsBadNodeCount) {
+  EXPECT_THROW(DiGraph::from_string("-1:"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("99999999999:"), std::invalid_argument);
+  EXPECT_THROW(
+      DiGraph::from_string(std::to_string(DiGraph::kMaxNodes + 1) + ":"),
+      std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string(":0>1"), std::invalid_argument);
+  EXPECT_EQ(DiGraph::from_string("0:").num_nodes(), 0);
+}
+
+TEST(DiGraph, FromStringRejectsOutOfRangeEndpoints) {
+  EXPECT_THROW(DiGraph::from_string("3:0>7"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("3:7>0"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("3:0>3"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("3:-1>0"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("3:0>-2"), std::invalid_argument);
+  EXPECT_THROW(DiGraph::from_string("3:0>99999999999"), std::invalid_argument);
+}
+
+TEST(DiGraph, FromStringRejectsStrayCharacters) {
+  for (const char* bad :
+       {"3:0>1,", "3:0>1,,1>2", "3:0>1;1>2", "3:0>1 ", " 3:0>1", "3: 0>1",
+        "3:0>>1", "3:0>1x", "3:+0>1", "3x:0>1", "3", "3:0", "3:0>", "3:>1"}) {
+    EXPECT_THROW(DiGraph::from_string(bad), std::invalid_argument) << bad;
+  }
+  // The strict grammar still accepts everything to_string emits.
+  const auto g = DiGraph::from_string("3:0>1,1>2,2>0");
+  EXPECT_EQ(g.num_directed_edges(), 3);
+  EXPECT_EQ(g.to_string(), "3:0>1,1>2,2>0");
 }
 
 TEST(DiGraph, EqualityIsStructural) {

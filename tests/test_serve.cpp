@@ -22,6 +22,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -34,9 +35,12 @@
 #include "api/report.hpp"
 #include "api/spec.hpp"
 #include "api/study.hpp"
+#include "core/netsmith.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
+#include "system/chiplet.hpp"
+#include "topologies/registry.hpp"
 #include "util/json.hpp"
 
 namespace netsmith {
@@ -241,6 +245,93 @@ TEST(ArtifactPayloads, SweepRoundTripIsExact) {
   const api::Report warm = api::run_experiment(spec, with_cache);
   EXPECT_EQ(api::report_to_json(rep), api::report_to_json(cold));
   EXPECT_EQ(api::report_to_json(cold), api::report_to_json(warm));
+}
+
+// A plan artifact over a 20-router catalog row, optionally wrapped into the
+// chiplet full system first (as a chiplet_system study plans it).
+api::PlanArtifact catalog_plan(const std::string& row,
+                               core::RoutingPolicy policy, bool chiplet) {
+  const auto& t = topologies::find(topologies::catalog(20), row);
+  api::PlanArtifact p;
+  p.seed = 7;
+  if (chiplet) {
+    p.system = system::build_chiplet_system(t.graph, t.layout);
+    p.has_system = true;
+  }
+  p.plan = core::plan_network(chiplet ? p.system.graph : t.graph, t.layout,
+                              policy, 6, p.seed);
+  return p;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ArtifactPayloads, PlanRoundTripIsExact) {
+  const struct {
+    const char* row;
+    core::RoutingPolicy policy;
+    bool chiplet;
+  } cases[] = {{"NS-LatOp-small-20", core::RoutingPolicy::kMclb, false},
+               {"Kite-small", core::RoutingPolicy::kNdbt, false},
+               {"Kite-small", core::RoutingPolicy::kNdbt, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.row) + (c.chiplet ? " (chiplet)" : ""));
+    const api::PlanArtifact orig = catalog_plan(c.row, c.policy, c.chiplet);
+    const std::string payload = api::plan_artifact_payload(orig);
+    EXPECT_EQ(payload.find('\n'), std::string::npos) << "compact envelope";
+
+    api::PlanArtifact got;
+    got.seed = orig.seed;
+    ASSERT_TRUE(api::restore_plan_artifact(payload, got));
+    const auto& a = orig.plan;
+    const auto& b = got.plan;
+    EXPECT_EQ(a.graph, b.graph);
+    const int n = a.table.num_nodes();
+    ASSERT_EQ(b.table.num_nodes(), n);
+    for (int s = 0; s < n; ++s)
+      for (int d = 0; d < n; ++d)
+        ASSERT_EQ(a.table.path(s, d), b.table.path(s, d)) << s << "->" << d;
+    EXPECT_EQ(a.vc_map.vc, b.vc_map.vc);
+    EXPECT_EQ(std::count(b.vc_map.vc.begin(), b.vc_map.vc.end(), -1), n)
+        << "absent s == d flows keep their -1 sentinel";
+    EXPECT_EQ(a.vc_map.num_vcs, b.vc_map.num_vcs);
+    EXPECT_EQ(a.vc_map.num_layers, b.vc_map.num_layers);
+    EXPECT_EQ(a.vc_map.layer_of_vc, b.vc_map.layer_of_vc);
+    EXPECT_TRUE(bits_equal(a.vc_map.weight_of_vc, b.vc_map.weight_of_vc));
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.num_vcs, b.num_vcs);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.max_paths_per_flow, b.max_paths_per_flow);
+    EXPECT_EQ(std::memcmp(&a.max_channel_load, &b.max_channel_load,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(a.vc_layers, b.vc_layers);
+    EXPECT_EQ(a.ndbt_fallback_flows, b.ndbt_fallback_flows);
+    ASSERT_EQ(got.has_system, orig.has_system);
+    if (orig.has_system) {
+      EXPECT_EQ(got.system.graph, orig.system.graph);
+      EXPECT_EQ(got.system.extra_delay, orig.system.extra_delay);
+      EXPECT_EQ(got.system.noi_n, orig.system.noi_n);
+      EXPECT_EQ(got.system.num_cores, orig.system.num_cores);
+      EXPECT_EQ(got.system.core_routers, orig.system.core_routers);
+      EXPECT_EQ(got.system.mc_routers, orig.system.mc_routers);
+      EXPECT_EQ(got.system.noi_layout.rows, orig.system.noi_layout.rows);
+      EXPECT_EQ(got.system.noi_layout.cols, orig.system.noi_layout.cols);
+      EXPECT_EQ(got.system.noi_layout.pitch_mm,
+                orig.system.noi_layout.pitch_mm);
+    }
+    // Re-serializing the restored plan reproduces the payload bytes.
+    EXPECT_EQ(api::plan_artifact_payload(got), payload);
+
+    // An entry written by a schema-1 build reads as a miss (and heals).
+    JsonValue old = JsonValue::parse(payload);
+    old.set("schema", JsonValue::integer(1));
+    api::PlanArtifact stale;
+    stale.seed = orig.seed;
+    EXPECT_FALSE(api::restore_plan_artifact(old.dump_compact(), stale));
+  }
 }
 
 // ------------------------------------------------------------ warm study --
@@ -550,9 +641,12 @@ TEST(ServeSpool, DirectoryModeProducesReports) {
 
   const api::ExperimentSpec spec = baseline_spec();
   {
-    std::ofstream f(dir + "/spool/job1.json", std::ios::binary);
+    // Write under a name the poller ignores, then rename into place, so the
+    // daemon never reads a half-written spec.
+    std::ofstream f(dir + "/spool/job1.json.tmp", std::ios::binary);
     f << api::serialize(spec);
   }
+  fs::rename(dir + "/spool/job1.json.tmp", dir + "/spool/job1.json");
   std::string report_path = dir + "/spool/job1.report.json";
   for (int i = 0; i < 500 && !fs::exists(dir + "/spool/job1.json.done"); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/spec.hpp"
+#include "api/study.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -130,6 +132,63 @@ TEST(Catalog48, ScalabilitySet) {
 TEST(Registry, FindThrowsOnUnknown) {
   EXPECT_THROW(find(catalog(20), "nope"), std::invalid_argument);
   EXPECT_THROW(catalog(21), std::invalid_argument);
+}
+
+// The frozen sets are built once and shared: repeated calls hand back the
+// same table, and a caller's copy is detached from it.
+TEST(Registry, CatalogsAreBuiltOnceAndShared) {
+  EXPECT_EQ(&catalog_48(), &catalog_48());
+  EXPECT_EQ(&catalog(20), &catalog(20));
+  EXPECT_EQ(&catalog(30), &catalog(30));
+
+  const std::vector<NamedTopology> copy = catalog_48();
+  const auto& shared = catalog_48();
+  ASSERT_EQ(copy.size(), shared.size());
+  for (std::size_t i = 0; i < copy.size(); ++i) {
+    EXPECT_EQ(copy[i].name, shared[i].name);
+    EXPECT_EQ(copy[i].graph, shared[i].graph) << copy[i].name;
+  }
+  const std::vector<NamedTopology> copy20 = catalog(20);
+  for (std::size_t i = 0; i < copy20.size(); ++i)
+    EXPECT_EQ(copy20[i].graph, catalog(20)[i].graph) << copy20[i].name;
+}
+
+TEST(Registry, StudyResolvesCatalogRowAfterCallerMutatesACopy) {
+  const std::string row = "NS-LatOp-medium-48";
+  const topo::DiGraph pristine = find(catalog_48(), row).graph;
+
+  // A caller copies the row and rewires its copy.
+  std::vector<NamedTopology> mine = catalog_48();
+  for (auto& t : mine) {
+    if (t.name != row) continue;
+    const auto [i, j] = t.graph.edges().front();
+    ASSERT_TRUE(t.graph.remove_edge(i, j));
+    t.name = "rewired";
+  }
+  ASSERT_NE(find(mine, "rewired").graph, pristine);
+
+  api::TopologySpec ts;
+  ts.source = api::TopologySource::kCatalog;
+  ts.catalog_routers = 48;
+  ts.name = row;
+  api::ExperimentSpec spec;
+  spec.topologies = {ts};
+  const api::Study study(spec);
+  ASSERT_EQ(study.topology_artifacts().size(), 1u);
+  EXPECT_EQ(study.topology_artifacts()[0].topo.name, row);
+  EXPECT_EQ(study.topology_artifacts()[0].topo.graph, pristine);
+  EXPECT_EQ(find(catalog_48(), row).graph, pristine);
+
+  // A whole-catalog entry resolves every row from the shared table too.
+  ts.name.clear();
+  spec.topologies = {ts};
+  const api::Study all(spec);
+  const auto& arts = all.topology_artifacts();
+  ASSERT_EQ(arts.size(), catalog_48().size());
+  for (std::size_t i = 0; i < arts.size(); ++i) {
+    EXPECT_EQ(arts[i].topo.name, catalog_48()[i].name);
+    EXPECT_EQ(arts[i].topo.graph, catalog_48()[i].graph);
+  }
 }
 
 TEST(Frozen, LookupAndErrors) {
