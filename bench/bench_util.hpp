@@ -42,8 +42,8 @@ inline sim::SimConfig sim_for(const topologies::NamedTopology& t) {
 // Catalog set + parametric baselines for one router count, in that order.
 inline std::vector<topologies::NamedTopology> with_baselines(
     std::vector<topologies::NamedTopology> cat, int routers) {
-  for (auto& t : topologies::baseline_catalog(routers))
-    cat.push_back(std::move(t));
+  const auto& baselines = topologies::baseline_catalog(routers);
+  cat.insert(cat.end(), baselines.begin(), baselines.end());
   return cat;
 }
 

@@ -249,12 +249,11 @@ void Study::expand() {
           if (ts.include_baselines) {
             // Parametric rows are baseline artifacts (matching their cache
             // key), however they were reached.
-            for (auto& row :
-                 topologies::baseline_catalog(ts.catalog_routers)) {
-              const std::string key = "baseline:" + row.spec;
-              add_ref(built(TopologySource::kBaseline, std::move(row), key),
+            for (const auto& row :
+                 topologies::baseline_catalog(ts.catalog_routers))
+              add_ref(built(TopologySource::kBaseline, row,
+                            "baseline:" + row.spec),
                       "");
-            }
           }
         }
         break;

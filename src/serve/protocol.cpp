@@ -133,16 +133,25 @@ bool write_line(int fd, const std::string& line) {
 
 bool LineReader::next(std::string& line) {
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
+    if (overflow_) return false;
+    const std::size_t nl = buf_.find('\n', scanned_);
+    const std::size_t len = nl == std::string::npos ? buf_.size() : nl;
+    if (max_line_ > 0 && len > max_line_) {
+      overflow_ = true;
+      return false;
+    }
     if (nl != std::string::npos) {
-      line = buf_.substr(0, nl);
+      line.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buf_.size();
     if (eof_) {
       if (buf_.empty()) return false;
       line = std::move(buf_);
       buf_.clear();
+      scanned_ = 0;
       return true;
     }
     char chunk[4096];

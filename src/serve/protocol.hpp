@@ -23,7 +23,12 @@
 //
 // Any failure produces {"event":"error","message":...} and the connection
 // stays open for the next request; protocol errors never kill the daemon.
+// The one exception is a request line over the daemon's size cap
+// (kMaxRequestBytes in serve/server.hpp): it is answered with an error
+// event, then that connection is closed, since the rest of the line was
+// never read.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -66,20 +71,31 @@ bool write_line(int fd, const std::string& line);
 // Incremental line splitter over a blocking fd. When the fd carries an
 // SO_RCVTIMEO, each timeout invokes `stop` (if set); a true return abandons
 // the read — this is how daemon connection handlers notice a shutdown while
-// parked on an idle client.
+// parked on an idle client. Each read's bytes are scanned for '\n' once, so
+// a long line costs linear time.
 class LineReader {
  public:
-  explicit LineReader(int fd, std::function<bool()> stop = {})
-      : fd_(fd), stop_(std::move(stop)) {}
-  // Next complete line (without '\n'); false on EOF or read error. A final
-  // unterminated chunk before EOF is returned as a line.
+  // max_line > 0 caps a line's length in bytes (excluding the '\n'); 0
+  // reads lines of any length.
+  explicit LineReader(int fd, std::function<bool()> stop = {},
+                      std::size_t max_line = 0)
+      : fd_(fd), stop_(std::move(stop)), max_line_(max_line) {}
+  // Next complete line (without '\n'); false on EOF, read error or an
+  // over-long line (see overflowed). A final unterminated chunk before EOF
+  // is returned as a line.
   bool next(std::string& line);
+  // True once a line longer than max_line was met. The reader stops there:
+  // the rest of that line is never read, so the stream cannot be resumed.
+  bool overflowed() const { return overflow_; }
 
  private:
   int fd_;
   std::function<bool()> stop_;
+  std::size_t max_line_;
   std::string buf_;
+  std::size_t scanned_ = 0;  // prefix of buf_ known to hold no '\n'
   bool eof_ = false;
+  bool overflow_ = false;
 };
 
 }  // namespace netsmith::serve

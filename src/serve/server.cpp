@@ -194,7 +194,8 @@ void Server::accept_loop() {
 }
 
 void Server::handle_connection(int fd) {
-  LineReader reader(fd, [this] { return stop_requested(); });
+  LineReader reader(fd, [this] { return stop_requested(); },
+                    kMaxRequestBytes);
   std::string line;
   while (reader.next(line)) {
     if (line.empty()) continue;
@@ -225,6 +226,16 @@ void Server::handle_connection(int fd) {
     } else {  // "run"
       handle_run(fd, req.spec);
     }
+  }
+  if (reader.overflowed()) {
+    // The rest of the line is unread, so the stream cannot resync: answer,
+    // then let the caller close the connection.
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    obs::counter("serve.requests").inc();
+    obs::counter("serve.requests_bad").inc();
+    write_line(fd, error_event("request line exceeds " +
+                               std::to_string(kMaxRequestBytes) +
+                               " bytes; closing the connection"));
   }
 }
 

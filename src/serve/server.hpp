@@ -57,6 +57,12 @@ class SharedPool final : public api::JobExecutor {
   bool stop_ = false;
 };
 
+// Largest request line the daemon reads, in bytes. Specs are small (an
+// explicit degree-8 adjacency for 4096 routers is about 0.3 MiB); a longer
+// line is answered with an error event and its connection closed, so one
+// client cannot make the daemon buffer without bound.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
+
 struct ServerOptions {
   std::string socket_path;  // empty = no socket listener
   std::string spool_dir;    // empty = no spool watcher

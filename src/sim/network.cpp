@@ -24,7 +24,7 @@ namespace netsmith::sim {
 namespace {
 
 // Activity-driven flit simulator. The per-cycle loop touches only
-//  (a) channels with a flit arriving now (per-channel arrival min-heap),
+//  (a) channels with a flit arriving now (per-channel arrival timing wheel),
 //  (b) routers in the active set (any buffered input flit or queued source
 //      packet; re-armed on arrival/injection, retired when both drain), and
 //  (c) sources whose pre-sampled geometric injection gap expires now.
@@ -156,10 +156,24 @@ class Simulator {
       channels_.push_back(std::move(ch));
     }
     out_rr_.assign(channels_.size(), 0);
-    // Per-router occupancy bitmask over (input k, vc) slots, so arbitration
-    // visits only non-empty slots. Usable when every slot index — including
-    // the injection input at k == in_degree — fits in one word.
-    buf_mask_.assign(n_, 0);
+    // Every arrival lies at most one channel latency ahead, so a ring of
+    // max latency + 1 buckets never files two different cycles together.
+    int max_latency = 1;
+    for (const Channel& ch : channels_)
+      max_latency = std::max(max_latency, ch.latency);
+    wheel_.resize(static_cast<std::size_t>(max_latency) + 1);
+    // Per-port request words (see req_mask_), laid out CSR-style: the
+    // out-edges of u in out_edges_ order, then u's ejection word. Usable when
+    // every slot index — including the injection input at k == in_degree —
+    // fits in one word.
+    port_base_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (int u = 0; u < n_; ++u) {
+      port_base_[u + 1] =
+          port_base_[u] + static_cast<int>(out_edges_[u].size()) + 1;
+      for (int id : out_edges_[u]) port_dst_.push_back(channels_[id].dst);
+      port_dst_.push_back(-1);
+    }
+    req_mask_.assign(port_dst_.size(), 0);
     mask_ok_.resize(n_);
     for (int u = 0; u < n_; ++u)
       mask_ok_[u] = (in_edges_[u].size() + 1) * cfg_.num_vcs <= 64;
@@ -335,6 +349,19 @@ class Simulator {
     active_words_[static_cast<std::size_t>(u) >> 6] |= 1ULL << (u & 63);
   }
 
+  // Re-derives u's active bit from the retire predicate. Fault events can
+  // empty a router (lossy purges) or find it with nothing to resume (router
+  // up) outside the switch pass, and the activity count relies on the active
+  // set being exactly the predicate-true set.
+  void sync_active(int u) {
+    auto& w = active_words_[static_cast<std::size_t>(u) >> 6];
+    const std::uint64_t bit = 1ULL << (u & 63);
+    if (in_buffered_[u] > 0 || !sources_[u].packets.empty())
+      w |= bit;
+    else
+      w &= ~bit;
+  }
+
   // --- Fault injection -----------------------------------------------------
   // Everything in this section runs only when faults_ is set; the fault-free
   // path never reaches it.
@@ -364,7 +391,8 @@ class Simulator {
           const int id = channel_id(e.a, e.b);
           if (id >= 0 && !link_down_[id]) {
             link_down_[id] = 1;
-            if (faults_->lossy) drop_wire_packets(id);
+            if (faults_->lossy && drop_wire_packets(id))
+              for (int u = 0; u < n_; ++u) sync_active(u);
           }
           break;
         }
@@ -373,11 +401,11 @@ class Simulator {
           if (id >= 0 && link_down_[id]) {
             link_down_[id] = 0;
             Channel& ch = channels_[id];
-            // Stranded flits resume: re-arm the arrival heap unless an entry
-            // for this channel is already pending.
+            // Stranded flits resume: re-arm the arrival wheel unless an
+            // entry for this channel is already pending. An overdue front
+            // files under this cycle, whose bucket delivery has not run yet.
             if (!ch.wire_empty() && !wire_armed_[id]) {
-              arrival_heap_.emplace(std::max(ch.wire_front().arrive, cycle),
-                                    id);
+              arm(std::max(ch.wire_front().arrive, cycle), id);
               wire_armed_[id] = 1;
             }
           }
@@ -387,8 +415,9 @@ class Simulator {
           router_down_[static_cast<std::size_t>(e.a)] = 1;
           break;
         case fault::FaultEventKind::kRouterUp:
+          // A down router keeps any refused injection/ejection work, so it
+          // was never retired; resuming needs no activation.
           router_down_[static_cast<std::size_t>(e.a)] = 0;
-          activate(e.a);  // resume refused injection/ejection work
           break;
       }
     }
@@ -401,10 +430,11 @@ class Simulator {
   // wire is purged whole — worm-granular, because dropping part of a worm
   // would leave downstream VC owners held forever. Flits are removed from
   // every wire and buffer in the network, their reserved credits returned,
-  // and the packet recycled; counts land in the dropped stats.
-  void drop_wire_packets(int id) {
+  // and the packet recycled; counts land in the dropped stats. Returns
+  // whether anything was purged.
+  bool drop_wire_packets(int id) {
     Channel& ch = channels_[id];
-    if (ch.wire_empty()) return;
+    if (ch.wire_empty()) return false;
     std::vector<Packet*> victims;
     for (int j = 0; j < ch.wire_count; ++j) {
       Packet* p =
@@ -427,6 +457,7 @@ class Simulator {
       p->dropped = false;
       freelist_.push_back(p);
     }
+    return true;
   }
 
   // Removes every flit of dropped packets from all wire and buffer rings,
@@ -449,8 +480,8 @@ class Simulator {
           }
         }
         ch.wire_count = kept;
-        // A now-stale heap entry self-corrects: its pop delivers nothing and
-        // re-arms from the surviving front (see deliver_arrivals).
+        // A now-stale wheel entry self-corrects: its pop delivers nothing
+        // and re-arms from the surviving front (see deliver_arrivals).
       }
       for (int vc = 0; vc < ch.vcs; ++vc) {
         if (ch.count[vc] > 0) {
@@ -471,60 +502,96 @@ class Simulator {
             }
           }
           ch.count[vc] = kept;
-          if (kept == 0 && mask_ok_[ch.dst])
-            buf_mask_[ch.dst] &=
-                ~(1ULL << (ch.k_at_dst * cfg_.num_vcs + vc));
         }
         if (ch.owner[vc] != nullptr && ch.owner[vc]->dropped)
           ch.owner[vc] = nullptr;
       }
     }
+    // Purges change heads anywhere in the network: rebuild every mask.
+    std::fill(req_mask_.begin(), req_mask_.end(), 0);
+    for (Channel& ch : channels_)
+      if (mask_ok_[ch.dst])
+        for (int vc = 0; vc < ch.vcs; ++vc)
+          if (!ch.empty(vc)) request_word(ch, vc) |= slot_bit(ch, vc);
   }
 
   // --- Flit movement -------------------------------------------------------
   // Event-driven delivery: instead of scanning every channel every cycle, a
-  // min-heap holds one (earliest in-flight arrival, channel) entry per
-  // channel with flits on the wire. Per-channel arrivals are monotone (FIFO
-  // wire, fixed latency), so the invariant "in the heap iff flight
-  // non-empty" survives pops and re-arms. Every delivery re-arms the
-  // downstream router's active bit.
+  // timing wheel holds one entry per channel with flits on the wire, filed
+  // under the cycle its front flit arrives. Per-channel arrivals are
+  // monotone (FIFO wire, fixed latency), so the invariant "on the wheel iff
+  // flight non-empty" survives pops and re-arms. Every arm lies in
+  // (cycle, cycle + max latency] — except a link-up re-arm at this very
+  // cycle, which runs before delivery — so one ring of max latency + 1
+  // buckets suffices. Deliveries due in one cycle commute (each moves flits
+  // of its own channel, then ORs mask bits and bumps counters at the
+  // destination), so bucket order gives the same state as any other order.
+  // Every delivery re-arms the downstream router's active bit.
+  void arm(long t, int id) {
+    wheel_[static_cast<std::size_t>(t) % wheel_.size()].push_back(id);
+  }
+
   void deliver_arrivals(long cycle) {
-    while (!arrival_heap_.empty() && arrival_heap_.top().first <= cycle) {
-      const int id = arrival_heap_.top().second;
-      arrival_heap_.pop();
+    // Re-arms land in other buckets, so `due` is stable while we walk it.
+    std::vector<int>& due =
+        wheel_[static_cast<std::size_t>(cycle) % wheel_.size()];
+    for (const int id : due) {
       ++stats_.arrival_heap_pops;
       Channel& ch = channels_[id];
       if (faults_) {
         wire_armed_[id] = 0;
         // A down link strands its in-flight flits: no delivery, no re-arm
-        // (kLinkUp re-arms). Drops the heap entry on the floor.
+        // (kLinkUp re-arms). Drops the wheel entry on the floor.
         if (link_down_[id]) continue;
       }
       bool delivered = false;
       while (!ch.wire_empty() && ch.wire_front().arrive <= cycle) {
         const InFlight& f = ch.wire_front();
         ch.push(f.vc, f.flit);
-        if (mask_ok_[ch.dst])
-          buf_mask_[ch.dst] |=
-              1ULL << (ch.k_at_dst * cfg_.num_vcs + f.vc);
+        if (ch.count[f.vc] == 1 && mask_ok_[ch.dst])
+          request_word(ch, f.vc) |= slot_bit(ch, f.vc);
         ch.wire_pop();
         ++in_buffered_[ch.dst];
         delivered = true;
       }
-      // Fault-free, every pop delivers (the heap invariant guarantees a due
+      // Fault-free, every pop delivers (the wheel invariant guarantees a due
       // front), so the guard never changes behavior; it exists for stale
       // entries left by lossy purges and link-up re-arms.
       if (delivered) activate(ch.dst);
       if (!ch.wire_empty()) {
-        arrival_heap_.emplace(ch.wire_front().arrive, id);
+        arm(ch.wire_front().arrive, id);
         if (faults_) wire_armed_[id] = 1;
       }
     }
+    due.clear();
+  }
+
+  // Per-port request masks. The head flit of input slot (k, vc) at router
+  // u = ch.dst requests one port (Flit::port); its bit lives in that port's
+  // word. Bits change only when a head changes: a flit landing in an empty
+  // VC, a pop, or a purge (which rebuilds them all).
+  std::uint64_t slot_bit(const Channel& ch, int vc) const {
+    return 1ULL << (ch.k_at_dst * cfg_.num_vcs + vc);
+  }
+  std::uint64_t& request_word(Channel& ch, int vc) {
+    return req_mask_[static_cast<std::size_t>(port_base_[ch.dst]) +
+                     static_cast<std::size_t>(ch.front(vc).port)];
+  }
+
+  // Port index at router u of the link towards `next`; the ejection word's
+  // index (the out-degree) for next == -1.
+  int port_of(int u, int next) const {
+    const int base = port_base_[u];
+    const int eject = port_base_[u + 1] - 1;
+    for (int w = base; w < eject; ++w)
+      if (port_dst_[w] == next) return w - base;
+    return eject - base;
   }
 
   void switch_router(int u, long cycle) {
     ejection(u, cycle);
-    for (int eid : out_edges_[u]) arbitrate_output(u, eid, cycle);
+    for (std::size_t j = 0; j < out_edges_[u].size(); ++j)
+      arbitrate_output(u, j, cycle);
   }
 
   // Per-cycle activity accounting. The SimStats sum is always maintained
@@ -625,9 +692,10 @@ class Simulator {
     const auto& ins = in_edges_[u];
     if (k < ins.size()) {
       Channel& ch = channels_[ins[k]];
+      if (mask_ok_[u]) request_word(ch, vc) &= ~slot_bit(ch, vc);
       ch.pop(vc);
-      if (ch.empty(vc) && mask_ok_[u])
-        buf_mask_[u] &= ~(1ULL << (ch.k_at_dst * cfg_.num_vcs + vc));
+      if (mask_ok_[u] && !ch.empty(vc))
+        request_word(ch, vc) |= slot_bit(ch, vc);
       ++ch.credits[vc];  // instantaneous credit return (simplification)
       --in_buffered_[u];
       last_input_pop_[ins[k]] = cycle;
@@ -656,7 +724,9 @@ class Simulator {
     return source_bw_free(sources_[u]);
   }
 
-  void arbitrate_output(int u, int eid, long cycle) {
+  // Output port j of router u (the link out_edges_[u][j]).
+  void arbitrate_output(int u, std::size_t j, long cycle) {
+    const int eid = out_edges_[u][j];
     if (faults_ && link_down_[eid]) return;  // down links accept no flits
     Channel& out = channels_[eid];
     const std::size_t num_inputs = in_edges_[u].size() + 1;
@@ -689,11 +759,12 @@ class Simulator {
       sent.next = p->dst == out.dst
                       ? -1
                       : table_for(p).next_hop(out.dst, p->src, p->dst);
+      sent.port = static_cast<std::int16_t>(port_of(out.dst, sent.next));
       pop(u, k, vc, cycle);
       --out.credits[vc];
       out.owner[vc] = sent.tail ? nullptr : p;
       if (out.wire_empty() && (!faults_ || !wire_armed_[eid])) {
-        arrival_heap_.emplace(cycle + out.latency, eid);
+        arm(cycle + out.latency, eid);
         if (faults_) wire_armed_[eid] = 1;
       }
       out.wire_push({cycle + out.latency, sent, vc});
@@ -702,12 +773,13 @@ class Simulator {
     };
 
     if (!cfg_.reference_mode && mask_ok_[u]) {
-      // Visit only occupied slots, in the same cyclic order the full scan
-      // uses — empty slots can never be granted, so grants (and hence the
-      // round-robin pointer) are identical.
-      std::uint64_t m = buf_mask_[u];
+      // Visit only slots whose head requests this output, in the same cyclic
+      // order the full scan uses. Every skipped slot — empty, or headed
+      // elsewhere — fails try_slot's next-hop test, which has no side
+      // effects, so grants (and hence the round-robin pointer) are identical.
+      std::uint64_t m = req_mask_[static_cast<std::size_t>(port_base_[u]) + j];
       const auto& sq = sources_[u];
-      if (!sq.packets.empty())
+      if (!sq.packets.empty() && sq.packets.front()->src_next == out.dst)
         m |= 1ULL << (in_edges_[u].size() * cfg_.num_vcs +
                       sq.packets.front()->vc);
       if (m == 0) return;
@@ -749,8 +821,10 @@ class Simulator {
     for (int granted = 0; granted < cfg_.io_flits_per_cycle; ++granted) {
       bool any = false;
       if (!cfg_.reference_mode && mask_ok_[u]) {
-        // Reload the mask each grant: the pop above may have emptied a slot.
-        const std::uint64_t m = buf_mask_[u];
+        // The ejection word holds exactly the slots whose head is addressed
+        // here; reload it each grant, since the pop changed a head.
+        const std::uint64_t m =
+            req_mask_[static_cast<std::size_t>(port_base_[u + 1]) - 1];
         const std::uint64_t below_rr = (1ULL << rr) - 1;
         for (std::uint64_t part : {m & ~below_rr, m & below_rr}) {
           while (part && !any) {
@@ -835,11 +909,10 @@ class Simulator {
   util::Rng rng_;
 
   std::vector<Channel> channels_;
-  // One (earliest arrival, channel id) entry per channel with in-flight
-  // flits; see deliver_arrivals.
-  std::priority_queue<std::pair<long, int>, std::vector<std::pair<long, int>>,
-                      std::greater<>>
-      arrival_heap_;
+  // Arrival timing wheel: bucket t % size holds the channels whose front
+  // flit arrives at cycle t; see deliver_arrivals. Buckets keep their
+  // capacity, so the steady state allocates nothing.
+  std::vector<std::vector<int>> wheel_;
   std::vector<std::vector<int>> out_edges_, in_edges_;
   std::vector<int> out_rr_, eject_rr_;
   std::vector<long> last_input_pop_;
@@ -859,9 +932,15 @@ class Simulator {
       static_cast<int>(sizeof(kOccBounds) / sizeof(kOccBounds[0])) + 1;
   bool metrics_on_ = false;
   long occ_counts_[kOccBuckets] = {};
-  // Per-router (input k, vc) slot occupancy for mask-driven arbitration;
-  // usable while the slot space fits one word (mask_ok_).
-  std::vector<std::uint64_t> buf_mask_;
+  // Per-port request masks for mask-driven arbitration: router u owns words
+  // port_base_[u] .. port_base_[u + 1] - 1, one per out-edge (out_edges_
+  // order) and a last one for ejection, and port_dst_ names each word's
+  // next hop (-1 for ejection). Bit (k, vc) of word p is set iff the head
+  // flit of input slot (k, vc) requests port p. Maintained only while the
+  // slot space fits one word (mask_ok_).
+  std::vector<int> port_base_;
+  std::vector<int> port_dst_;
+  std::vector<std::uint64_t> req_mask_;
   std::vector<bool> mask_ok_;
 
   // Injection schedule: next injection cycle per source index, mirrored in a
@@ -872,7 +951,7 @@ class Simulator {
       inject_heap_;
 
   // Fault state (sized only when a non-empty plan is attached). wire_armed_
-  // mirrors "this channel has an arrival-heap entry pending" — the fault
+  // mirrors "this channel has an arrival-wheel entry pending" — the fault
   // paths (stranding, purges, link-up re-arms) break the fault-free
   // invariant that an entry exists iff the wire is non-empty, so re-arming
   // needs an explicit flag to stay duplicate-free.

@@ -76,7 +76,7 @@ struct SimStats {
   // equivalence tests assert this): sum over cycles of the number of routers
   // with work pending at the start of the switch phase (buffered input flit
   // or queued source packet), and total arrival-event pops off the
-  // per-channel wire heap.
+  // per-channel arrival timing wheel (the name predates the wheel).
   long active_router_cycles = 0;
   long arrival_heap_pops = 0;
   // Fault accounting (all zero / identity on fault-free runs). With faults

@@ -28,10 +28,16 @@ struct Flit {
   Packet* pkt = nullptr;
   bool head = false;
   bool tail = false;
+  // Output port `next` leaves by at the router whose input buffer holds this
+  // flit: its index among that router's out-edges, or the out-degree for
+  // ejection. Set together with `next`; keys the per-port request masks.
+  std::int16_t port = 0;
   // Next hop from the router whose input buffer holds this flit (-1 = eject
   // here). Routed once when the flit is switched onto a link, so arbitration
   // never walks the routing table per candidate slot per cycle.
   int next = -1;
 };
+static_assert(sizeof(Flit) == sizeof(Packet*) + 2 * sizeof(int),
+              "port must fit the padding after head/tail");
 
 }  // namespace netsmith::sim

@@ -423,9 +423,26 @@ const std::vector<NamedTopology>& catalog_48() {
   return cat;
 }
 
-std::vector<NamedTopology> baseline_catalog(int routers) {
-  const Params p{{"routers", std::to_string(routers)}};
-  return {make("dragonfly", p), make("cmesh", p), make("hammingmesh", p)};
+const std::vector<NamedTopology>& baseline_catalog(int routers) {
+  const auto build = [](int r) {
+    const Params p{{"routers", std::to_string(r)}};
+    return std::vector<NamedTopology>{make("dragonfly", p), make("cmesh", p),
+                                      make("hammingmesh", p)};
+  };
+  if (routers == 20) {
+    static const std::vector<NamedTopology> cat = build(20);
+    return cat;
+  }
+  if (routers == 30) {
+    static const std::vector<NamedTopology> cat = build(30);
+    return cat;
+  }
+  if (routers == 48) {
+    static const std::vector<NamedTopology> cat = build(48);
+    return cat;
+  }
+  throw std::invalid_argument(
+      "baseline_catalog: only 20-, 30- and 48-router sets exist");
 }
 
 NamedTopology find(const std::vector<NamedTopology>& cat,

@@ -60,9 +60,10 @@ const std::vector<NamedTopology>& catalog(int routers);
 const std::vector<NamedTopology>& catalog_48();
 
 // The parametric baseline families (Dragonfly, CMesh, HammingMesh) at the
-// standard router counts (20/30/48 or any count their generators accept),
-// ready to run head-to-head against the catalog sets.
-std::vector<NamedTopology> baseline_catalog(int routers);
+// standard router counts (20, 30 or 48), ready to run head-to-head against
+// the catalog sets. Built from the factories on first use per count; throws
+// std::invalid_argument for any other count.
+const std::vector<NamedTopology>& baseline_catalog(int routers);
 
 // Lookup by exact name; throws if absent.
 NamedTopology find(const std::vector<NamedTopology>& cat, const std::string& name);

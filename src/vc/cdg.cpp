@@ -12,7 +12,7 @@ LinkIds::LinkIds(const topo::DiGraph& g) : n_(g.num_nodes()) {
   }
 }
 
-Cdg::Cdg(int num_links) : adj_(num_links) {}
+Cdg::Cdg(int num_links) : adj_(num_links), mark_(num_links, 0) {}
 
 bool Cdg::add_dep(int from, int to) {
   auto& a = adj_[from];
@@ -69,6 +69,28 @@ bool Cdg::has_cycle() const {
         color[u] = 2;
         stack.pop_back();
       }
+    }
+  }
+  return false;
+}
+
+bool Cdg::closes_cycle(const std::vector<std::pair<int, int>>& inserted) {
+  for (const auto& [a, b] : inserted) {
+    if (++epoch_ == 0) {  // wrapped: clear stale marks once
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
+    }
+    stack_.assign(1, b);
+    mark_[b] = epoch_;
+    while (!stack_.empty()) {
+      const int u = stack_.back();
+      stack_.pop_back();
+      if (u == a) return true;
+      for (const int v : adj_[u])
+        if (mark_[v] != epoch_) {
+          mark_[v] = epoch_;
+          stack_.push_back(v);
+        }
     }
   }
   return false;

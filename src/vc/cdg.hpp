@@ -4,6 +4,7 @@
 // consecutively. A routing subfunction is deadlock-free on a VC if the CDG
 // restricted to that VC's routes is acyclic (paper SII-F).
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -42,12 +43,23 @@ class Cdg {
   void remove_deps(const std::vector<std::pair<int, int>>& deps);
 
   bool has_cycle() const;
+  // Incremental form of has_cycle() for a graph that was acyclic before
+  // `inserted` went in: any new cycle runs through some new dependency
+  // (a, b), so one exists iff some b reaches its a. Costs one DFS per
+  // inserted pair over the part of the graph reachable from b, instead of a
+  // full rescan; the visited marks and DFS stack live here and are reused.
+  bool closes_cycle(const std::vector<std::pair<int, int>>& inserted);
   int num_deps() const { return deps_; }
   int num_links() const { return static_cast<int>(adj_.size()); }
 
  private:
   std::vector<std::vector<int>> adj_;
   int deps_ = 0;
+  // closes_cycle scratch: a link is visited in the current search iff its
+  // mark equals epoch_, so each search starts by bumping the epoch.
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t epoch_ = 0;
+  std::vector<int> stack_;
 };
 
 }  // namespace netsmith::vc

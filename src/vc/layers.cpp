@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace netsmith::vc {
 
 namespace {
@@ -29,7 +31,9 @@ VcAssignment try_assign(const routing::RoutingTable& rt, const topo::DiGraph& g,
     for (const auto& f : pending) {
       const auto& p = rt.path(f.s, f.d);
       const auto inserted = cdg.add_path(p, ids);
-      if (cdg.has_cycle()) {
+      // The layer's CDG is acyclic before every insertion (a cycle-closing
+      // path is rolled back below), so the incremental check is exact.
+      if (cdg.closes_cycle(inserted)) {
         // This path closes a cycle in the current layer: defer it. This is
         // the DFSSSP move of peeling the cycle-forming route into a new VC.
         cdg.remove_deps(inserted);
@@ -50,6 +54,7 @@ VcAssignment try_assign(const routing::RoutingTable& rt, const topo::DiGraph& g,
 VcAssignment assign_layers(const routing::RoutingTable& rt,
                            const topo::DiGraph& g, util::Rng& rng,
                            int restarts, int max_layers) {
+  obs::Span span("vc/assign_layers");
   const int n = rt.num_nodes();
   std::vector<FlowRef> flows;
   for (int s = 0; s < n; ++s)
@@ -58,7 +63,9 @@ VcAssignment assign_layers(const routing::RoutingTable& rt,
 
   VcAssignment best;
   best.num_layers = -1;
+  int tried = 0;
   for (int r = 0; r < restarts; ++r) {
+    ++tried;
     std::vector<FlowRef> order = flows;
     if (r > 0) rng.shuffle(order);
     const auto a = try_assign(rt, g, std::move(order), max_layers);
@@ -66,6 +73,9 @@ VcAssignment assign_layers(const routing::RoutingTable& rt,
     if (best.num_layers < 0 || a.num_layers < best.num_layers) best = a;
     if (best.num_layers == 1) break;
   }
+  span.arg("flows", static_cast<long>(flows.size()));
+  span.arg("layers", best.num_layers);
+  span.arg("restarts", tried);
   if (best.num_layers < 0)
     throw std::runtime_error("assign_layers: exceeded max_layers");
   return best;

@@ -21,6 +21,7 @@
 #include "routing/repair.hpp"
 #include "sim/network.hpp"
 #include "topo/builders.hpp"
+#include "sim_digest.hpp"
 
 namespace netsmith {
 namespace {
@@ -289,6 +290,8 @@ TEST(FaultSim, LosslessLinkFlapRecoversAndDrains) {
   const auto fp = fault::prepare_fault_plan(plan, sc, horizon(cfg));
   const auto s = run_both_modes(plan, coherence(0.02), cfg, fp);
   expect_quiesced(s);
+  // Recorded on the heap-scheduled simulator (see sim_digest.hpp).
+  EXPECT_EQ(sim::testing::stats_digest(s), 0x36615aa02dc65703ull);
   EXPECT_EQ(s.flits_dropped, 0);
   EXPECT_EQ(s.packets_dropped, 0);
   EXPECT_EQ(s.flits_injected, s.flits_ejected);
@@ -320,6 +323,32 @@ TEST(FaultSim, LossyPermanentFailureDropsAndConserves) {
   EXPECT_EQ(s.flits_injected, s.flits_ejected + s.flits_dropped);
   EXPECT_LT(s.delivered_fraction, 1.0);
   EXPECT_LE(s.latency_p50_cycles, s.latency_p99_cycles);
+}
+
+// A permanent lossy cut on long, uneven wires: purges leave stale arrival
+// entries behind, and the network never gets the links back.
+TEST(FaultSim, LossyPermanentCutMatchesRecordedDigest) {
+  const auto plan = mesh_plan();
+  SimConfig cfg = base_cfg(9);
+  const int n = plan.graph.num_nodes();
+  cfg.extra_edge_delay = util::Matrix<int>(n, n, 0);
+  for (int u = 0; u < n; ++u)
+    for (int v = 0; v < n; ++v) cfg.extra_edge_delay(u, v) = (u + 2 * v) % 6;
+  FaultScenarioSpec sc;
+  sc.mode = "targeted";
+  sc.k = 2;
+  sc.fail_at = 1500;
+  sc.recover_at = -1;
+  sc.lossy = true;
+  sc.repair = true;
+  const auto fp = fault::prepare_fault_plan(plan, sc, horizon(cfg));
+  const auto s = run_both_modes(plan, coherence(0.05), cfg, fp);
+  expect_fault_conservation(s);
+  EXPECT_GT(s.packets_dropped, 0);
+  // Recorded in reference mode on the heap-scheduled simulator (see
+  // sim_digest.hpp), whose optimized mode counted one active router-cycle
+  // too many here: a purge emptied a router without retiring it.
+  EXPECT_EQ(sim::testing::stats_digest(s), 0xbfd6a837279d239bull);
 }
 
 TEST(FaultSim, RouterDownQuiescesAndRecovers) {

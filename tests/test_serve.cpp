@@ -474,6 +474,16 @@ class ServeClient {
   }
   bool ok() const { return fd_ >= 0; }
   bool send(const std::string& line) { return serve::write_line(fd_, line); }
+  // Raw bytes, no newline; false (never SIGPIPE) if the daemon hung up.
+  bool send_raw(const std::string& bytes) {
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
   // Next non-empty event line parsed as JSON; null value on EOF.
   JsonValue next_event() {
     if (!reader_) reader_ = std::make_unique<serve::LineReader>(fd_);
@@ -557,6 +567,35 @@ TEST_F(ServeDaemonTest, MalformedRequestsKeepConnectionAlive) {
   err = c.next_event();
   EXPECT_EQ(err.at("event").as_string(), "error");
   // The connection survived all three.
+  ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
+  EXPECT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
+}
+
+TEST_F(ServeDaemonTest, OversizedRequestIsRejectedAndDaemonSurvives) {
+  {
+    ServeClient c(socket_);
+    ASSERT_TRUE(c.ok());
+    // One byte past the cap and no newline: the daemon reads all of it,
+    // answers in-band, then hangs up.
+    ASSERT_TRUE(c.send_raw(std::string(serve::kMaxRequestBytes + 1, 'x')));
+    const JsonValue err = c.next_event();
+    ASSERT_FALSE(err.is_null());
+    EXPECT_EQ(err.at("event").as_string(), "error");
+    EXPECT_NE(err.at("message").as_string().find("exceeds"),
+              std::string::npos);
+    EXPECT_TRUE(c.next_event().is_null());
+  }
+  // A line exactly at the cap is still read (and rejected as bad JSON).
+  ServeClient at_cap(socket_);
+  ASSERT_TRUE(at_cap.ok());
+  ASSERT_TRUE(at_cap.send(std::string(serve::kMaxRequestBytes, 'x')));
+  const JsonValue bad = at_cap.next_event();
+  ASSERT_FALSE(bad.is_null());
+  EXPECT_NE(bad.at("message").as_string().find("malformed"),
+            std::string::npos);
+  // The daemon still serves new connections.
+  ServeClient c(socket_);
+  ASSERT_TRUE(c.ok());
   ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
   EXPECT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
 }

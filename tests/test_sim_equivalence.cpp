@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/objective.hpp"
 #include "sim/network.hpp"
 #include "sim/traffic.hpp"
 #include "topo/builders.hpp"
+#include "sim_digest.hpp"
 
 namespace netsmith::sim {
 namespace {
@@ -63,6 +66,15 @@ void run_both(const core::NetworkPlan& plan, const TrafficConfig& traffic,
 
 core::NetworkPlan plan_for(const topo::DiGraph& g, const topo::Layout& lay) {
   return core::plan_network(g, lay, core::RoutingPolicy::kMclb, /*num_vcs=*/6);
+}
+
+// Per-edge extra delays from 0 to 5 cycles, spread unevenly over the links,
+// so channel latencies differ and arrival times interleave across channels.
+util::Matrix<int> hetero_delays(int n) {
+  util::Matrix<int> d(n, n, 0);
+  for (int u = 0; u < n; ++u)
+    for (int v = 0; v < n; ++v) d(u, v) = (3 * u + 5 * v) % 6;
+  return d;
 }
 
 SimConfig quick_cfg(std::uint64_t seed) {
@@ -150,6 +162,65 @@ TEST(SimEquivalence, TinyBuffersAndExtraDelay) {
   cfg.buf_flits = 2;
   cfg.extra_edge_delay = util::Matrix<int>(20, 20, 2);
   run_both(plan, t, cfg);
+}
+
+TEST(SimEquivalence, HeterogeneousLinkDelays) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto plan = plan_for(topo::build_folded_torus(lay), lay);
+  TrafficConfig t;
+  t.kind = TrafficKind::kCoherence;
+  t.injection_rate = 0.05;
+  auto cfg = quick_cfg(19);
+  cfg.extra_edge_delay = hetero_delays(20);
+  run_both(plan, t, cfg);
+}
+
+// (in_degree + 1) * num_vcs > 64 at the mesh's interior routers, so they take
+// the plain-scan arbitration path while the 3-input corners keep the masks.
+TEST(SimEquivalence, WideSlotSpaceFallsBackToPlainScan) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto plan = plan_for(topo::build_mesh(lay), lay);
+  TrafficConfig t;
+  t.kind = TrafficKind::kCoherence;
+  t.injection_rate = 0.05;
+  auto cfg = quick_cfg(23);
+  cfg.num_vcs = 16;
+  run_both(plan, t, cfg);
+}
+
+// Golden digests of every SimStats field, recorded on the heap-scheduled,
+// single-occupancy-mask simulator. The reference mode shares the arrival
+// path with the optimized one, so only recorded values can catch a change
+// in delivery order.
+TEST(SimGolden, DigestsMatchRecordedRuns) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto plan = plan_for(topo::build_folded_torus(lay), lay);
+  TrafficConfig coherence;
+  coherence.kind = TrafficKind::kCoherence;
+  coherence.injection_rate = 0.04;
+  TrafficConfig memory;
+  memory.kind = TrafficKind::kMemory;
+  memory.mc_nodes = mc_nodes(lay);
+  memory.injection_rate = 0.01;
+  auto hetero = quick_cfg(19);
+  hetero.extra_edge_delay = hetero_delays(20);
+  const struct {
+    const char* name;
+    TrafficConfig traffic;
+    SimConfig cfg;
+    std::uint64_t digest;
+  } cases[] = {
+      {"coherence", coherence, quick_cfg(7), 0xc4c1ceaa7fbb4cefull},
+      {"memory", memory, quick_cfg(5), 0xce8948935a0252aeull},
+      {"hetero-delay", coherence, hetero, 0x812172c7d98439efull},
+  };
+  for (const auto& c : cases)
+    for (const bool reference : {false, true}) {
+      SimConfig cfg = c.cfg;
+      cfg.reference_mode = reference;
+      EXPECT_EQ(testing::stats_digest(simulate(plan, c.traffic, cfg)), c.digest)
+          << c.name << (reference ? " (reference)" : "");
+    }
 }
 
 }  // namespace

@@ -153,6 +153,24 @@ TEST(Registry, CatalogsAreBuiltOnceAndShared) {
     EXPECT_EQ(copy20[i].graph, catalog(20)[i].graph) << copy20[i].name;
 }
 
+// The parametric baseline sets are cached the same way, one per standard
+// router count, and match a fresh factory build row for row.
+TEST(Registry, BaselineCatalogsAreBuiltOnceAndShared) {
+  for (const int routers : {20, 30, 48}) {
+    const auto& shared = baseline_catalog(routers);
+    EXPECT_EQ(&shared, &baseline_catalog(routers));
+    ASSERT_EQ(shared.size(), 3u);
+    for (const auto& t : shared) {
+      const NamedTopology fresh = make_spec(t.spec);
+      EXPECT_EQ(t.name, fresh.name);
+      EXPECT_EQ(t.graph, fresh.graph) << t.spec;
+      EXPECT_EQ(t.graph.num_nodes(), routers) << t.spec;
+    }
+  }
+  EXPECT_NE(&baseline_catalog(20), &baseline_catalog(48));
+  EXPECT_THROW(baseline_catalog(21), std::invalid_argument);
+}
+
 TEST(Registry, StudyResolvesCatalogRowAfterCallerMutatesACopy) {
   const std::string row = "NS-LatOp-medium-48";
   const topo::DiGraph pristine = find(catalog_48(), row).graph;

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/netsmith.hpp"
 #include "routing/mclb.hpp"
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 
 namespace netsmith::vc {
 namespace {
@@ -62,6 +64,108 @@ TEST(Cdg, AddPathCreatesConsecutiveDeps) {
   const auto ins = cdg.add_path({0, 1, 2, 3}, ids);
   EXPECT_EQ(ins.size(), 2u);  // (0-1)->(1-2), (1-2)->(2-3)
   EXPECT_FALSE(cdg.has_cycle());
+}
+
+// Property: on a CDG that was acyclic before the insertion, the incremental
+// check agrees with a full rescan after every add_path — including paths
+// that only re-insert existing dependencies, and rollbacks on a cycle.
+TEST(Cdg, ClosesCycleMatchesFullRescan) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    const int n = static_cast<int>(rng.uniform_int(4, 12));
+    topo::DiGraph g(n);
+    for (int u = 0; u < n; ++u)
+      for (int v = 0; v < n; ++v)
+        if (u != v && rng.uniform() < 0.35) g.add_edge(u, v);
+    const LinkIds ids(g);
+    Cdg cdg(ids.count());
+    int closed = 0;
+    for (int step = 0; step < 300; ++step) {
+      // Random walk along the graph's links.
+      routing::Path p{static_cast<int>(rng.uniform_int(0, n - 1))};
+      const int len = static_cast<int>(rng.uniform_int(2, 6));
+      while (static_cast<int>(p.size()) < len) {
+        const auto& succ = g.out_neighbors(p.back());
+        if (succ.empty()) break;
+        p.push_back(succ[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(succ.size()) - 1))]);
+      }
+      const auto inserted = cdg.add_path(p, ids);
+      const bool full = cdg.has_cycle();
+      ASSERT_EQ(cdg.closes_cycle(inserted), full)
+          << "seed " << seed << " step " << step;
+      if (full) {
+        cdg.remove_deps(inserted);
+        ++closed;
+      }
+    }
+    EXPECT_FALSE(cdg.has_cycle());
+    if (ids.count() > 8) EXPECT_GT(closed, 0) << "seed " << seed;
+  }
+}
+
+// Full-rescan reference for assign_layers, written against the public Cdg
+// API: the same randomized restarts and greedy layering, but every insertion
+// is judged by has_cycle() over the whole layer CDG.
+VcAssignment rescan_layers(const routing::RoutingTable& rt,
+                           const topo::DiGraph& g, util::Rng& rng,
+                           int restarts = 8, int max_layers = 16) {
+  struct Flow {
+    int s, d;
+  };
+  const int n = rt.num_nodes();
+  std::vector<Flow> flows;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d)
+      if (s != d && rt.path(s, d).size() >= 2) flows.push_back({s, d});
+  const LinkIds ids(g);
+  VcAssignment best;
+  best.num_layers = -1;
+  for (int r = 0; r < restarts; ++r) {
+    std::vector<Flow> pending = flows;
+    if (r > 0) rng.shuffle(pending);
+    VcAssignment a;
+    a.layer.assign(static_cast<std::size_t>(n) * n, -1);
+    int layer = 0;
+    for (; !pending.empty() && layer < max_layers; ++layer) {
+      Cdg cdg(ids.count());
+      std::vector<Flow> deferred;
+      for (const Flow& f : pending) {
+        const auto inserted = cdg.add_path(rt.path(f.s, f.d), ids);
+        if (cdg.has_cycle()) {
+          cdg.remove_deps(inserted);
+          deferred.push_back(f);
+        } else {
+          a.layer[static_cast<std::size_t>(f.s) * n + f.d] = layer;
+        }
+      }
+      pending = std::move(deferred);
+    }
+    if (!pending.empty()) continue;
+    a.num_layers = layer;
+    if (best.num_layers < 0 || a.num_layers < best.num_layers) best = a;
+    if (best.num_layers == 1) break;
+  }
+  return best;
+}
+
+// Oracle: the incremental check reproduces the full-rescan layering exactly
+// on every 48-router catalog and baseline plan.
+TEST(Layers, MatchFullRescanOn48RouterPlans) {
+  std::vector<topologies::NamedTopology> rows = topologies::catalog_48();
+  for (const auto& t : topologies::baseline_catalog(48)) rows.push_back(t);
+  for (const auto& t : rows) {
+    const auto policy = t.is_netsmith || t.parametric
+                            ? core::RoutingPolicy::kMclb
+                            : core::RoutingPolicy::kNdbt;
+    const auto plan = core::plan_network(t.graph, t.layout, policy, 6);
+    util::Rng fast_rng(11), ref_rng(11);
+    const auto fast = assign_layers(plan.table, t.graph, fast_rng);
+    const auto ref = rescan_layers(plan.table, t.graph, ref_rng);
+    EXPECT_EQ(fast.num_layers, ref.num_layers) << t.name;
+    EXPECT_EQ(fast.layer, ref.layer) << t.name;
+    EXPECT_EQ(fast_rng.next(), ref_rng.next()) << t.name;
+  }
 }
 
 TEST(Layers, SingleLayerForMeshXy) {
