@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/netsmith.hpp"
+#include "core/config.hpp"
 #include "fault/model.hpp"
 #include "sim/network.hpp"
 #include "sim/sweep.hpp"

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "api/artifact_io.hpp"
+#include "core/anneal.hpp"
 #include "core/objective.hpp"
 #include "fault/model.hpp"
 #include "obs/clock.hpp"
@@ -49,111 +50,67 @@ struct Job {
 
 using DoneCallback = std::function<void(const std::string&, int, int)>;
 
-// Runs `jobs[id]`, then — under `m` — retires it: propagates skips, returns
-// the newly unblocked dependents, and fires the completion callback. Shared
-// by both DAG drivers below.
-std::vector<int> retire_job(std::vector<Job>& jobs, int id, std::mutex& m,
-                            std::size_t& remaining, int& done,
-                            const DoneCallback& on_done) {
-  if (!jobs[id].skip) {
-    try {
-      jobs[id].fn();
-    } catch (...) {
-      jobs[id].error = std::current_exception();
-    }
-  }
-  std::lock_guard<std::mutex> lk(m);
-  --remaining;
-  ++done;
-  const bool failed = jobs[id].skip || jobs[id].error != nullptr;
-  std::vector<int> newly;
-  for (int d : jobs[id].dependents) {
-    if (failed && !jobs[d].skip) {
-      jobs[d].skip = true;
-      jobs[d].skip_reason = "dependency '" + jobs[id].label + "' " +
-                            (jobs[id].error ? "failed" : "was skipped");
-    }
-    if (--jobs[d].pending == 0) newly.push_back(d);
-  }
-  if (on_done) on_done(jobs[id].label, done, static_cast<int>(jobs.size()));
-  return newly;
-}
-
-// Runs the DAG on `width` workers. Jobs become ready as dependencies finish;
-// a failed dependency skips its downstream jobs (recording which dependency
-// failed). Never throws: errors stay on the jobs for the caller to collect —
-// a failed job degrades the report, it does not abort the study.
-void run_dag(std::vector<Job>& jobs, int width, const DoneCallback& on_done) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<int> ready;
-  for (int i = 0; i < static_cast<int>(jobs.size()); ++i)
-    if (jobs[i].pending == 0) ready.push_back(i);
-  std::size_t remaining = jobs.size();
-  int done = 0;
-
-  auto worker = [&] {
-    std::unique_lock<std::mutex> lk(m);
-    while (true) {
-      cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });
-      if (ready.empty()) return;  // remaining == 0: drained
-      const int id = ready.front();
-      ready.pop_front();
-      lk.unlock();
-      const std::vector<int> newly =
-          retire_job(jobs, id, m, remaining, done, on_done);
-      lk.lock();
-      for (int d : newly) ready.push_back(d);
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
-
-// Executor-backed variant: jobs are submitted to an external pool (shared
-// across concurrent studies) instead of dedicated workers. The calling
-// thread blocks until the whole DAG has drained. Completion state is
-// shared_ptr-held so in-flight task closures never dangle, whatever the
-// pool's retirement order.
-struct ExternalDag : std::enable_shared_from_this<ExternalDag> {
+// The one DAG driver: submits each job to `exec` once its dependencies
+// finished, so no task ever blocks on another task and a pool of any width,
+// shared by any number of concurrent studies, makes progress. A failed
+// dependency skips its downstream jobs (recording which dependency failed).
+// Never throws: errors stay on the jobs for the caller to collect — a
+// failed job degrades the report, it does not abort the study. Completion
+// state is shared_ptr-held so in-flight task closures never dangle,
+// whatever the pool's retirement order.
+struct Dag : std::enable_shared_from_this<Dag> {
   std::vector<Job>* jobs = nullptr;
-  api::JobExecutor* exec = nullptr;
+  JobExecutor* exec = nullptr;
   DoneCallback on_done;
   std::mutex m;
   std::condition_variable cv;
-  std::size_t remaining = 0;
   int done = 0;
 
   void submit(int id) {
-    exec->submit([self = shared_from_this(), id] {
-      std::size_t left;
-      std::vector<int> newly;
-      {
-        // retire_job locks internally; compute `left` under the same lock
-        // ordering by re-locking after (remaining only decreases).
-        newly = retire_job(*self->jobs, id, self->m, self->remaining,
-                           self->done, self->on_done);
-        std::lock_guard<std::mutex> lk(self->m);
-        left = self->remaining;
+    exec->submit([self = shared_from_this(), id] { self->run(id); });
+  }
+
+  // Runs jobs[id], then — under `m` — retires it: propagates skips, fires
+  // the completion callback and collects the newly unblocked dependents,
+  // which are submitted once the lock is released.
+  void run(int id) {
+    Job& job = (*jobs)[id];
+    if (!job.skip) {
+      try {
+        job.fn();
+      } catch (...) {
+        job.error = std::current_exception();
       }
-      for (int d : newly) self->submit(d);
-      if (left == 0) self->cv.notify_all();
-    });
+    }
+    const int total = static_cast<int>(jobs->size());
+    std::vector<int> newly;
+    {
+      std::lock_guard<std::mutex> lk(m);
+      ++done;
+      const bool failed = job.skip || job.error != nullptr;
+      for (int d : job.dependents) {
+        Job& dep = (*jobs)[d];
+        if (failed && !dep.skip) {
+          dep.skip = true;
+          dep.skip_reason = "dependency '" + job.label + "' " +
+                            (job.error ? "failed" : "was skipped");
+        }
+        if (--dep.pending == 0) newly.push_back(d);
+      }
+      if (on_done) on_done(job.label, done, total);
+      if (done == total) cv.notify_all();
+    }
+    for (int d : newly) submit(d);
   }
 };
 
-void run_dag_on(std::vector<Job>& jobs, api::JobExecutor& exec,
+// Runs the DAG on `exec`; the calling thread blocks until it has drained.
+void run_dag_on(std::vector<Job>& jobs, JobExecutor& exec,
                 const DoneCallback& on_done) {
-  if (jobs.empty()) return;
-  auto dag = std::make_shared<ExternalDag>();
+  auto dag = std::make_shared<Dag>();
   dag->jobs = &jobs;
   dag->exec = &exec;
   dag->on_done = on_done;
-  dag->remaining = jobs.size();
   // Snapshot the ready set BEFORE the first submit: once a task is in
   // flight it may retire and drive a dependent's pending count to zero
   // (submitting it via `newly`), and this loop reading that same count
@@ -163,7 +120,7 @@ void run_dag_on(std::vector<Job>& jobs, api::JobExecutor& exec,
     if (jobs[i].pending == 0) initial.push_back(i);
   for (int i : initial) dag->submit(i);
   std::unique_lock<std::mutex> lk(dag->m);
-  dag->cv.wait(lk, [&] { return dag->remaining == 0; });
+  dag->cv.wait(lk, [&] { return dag->done == static_cast<int>(jobs.size()); });
 }
 
 std::string error_message(const std::exception_ptr& e) {
@@ -589,7 +546,8 @@ void Study::run_resilience_job(UResilience& r) {
   const double clock = topo::clock_ghz(t.topo.link_class);
 
   // Expand the scenario against this plan. Throws on invalid explicit events
-  // or repairs exceeding the VC budget; run_dag records the job as failed.
+  // or repairs exceeding the VC budget; the DAG driver records the job as
+  // failed.
   const long horizon = cfg.warmup + cfg.measure + cfg.drain;
   r.fplan = fault::prepare_fault_plan(p.plan, sc, horizon);
   cfg.faults = &r.fplan;
@@ -614,101 +572,85 @@ void Study::run_jobs() {
   const int US = stats_.sweep_jobs;
   // Every job body runs under a lifecycle span (one track per pool worker in
   // the trace) and adds its wall time to the shared busy clock, from which
-  // the post-DAG flush derives pool utilization. The jobs vector outlives
-  // run_dag's join, so capturing busy_us by reference is safe.
+  // the post-DAG flush derives pool utilization. run_dag_on returns only
+  // after every job body ran, so capturing busy_us by reference is safe.
   std::atomic<long long> busy_us{0};
-  const auto timed = [&busy_us](const char* name, int index, auto&& body) {
-    const double t0 = obs::now_us();
-    {
-      obs::Span span(name);
-      span.arg("index", index);
-      body();
+  // Fills job `id`; `dep` is its one dependency (-1: none).
+  const auto add_job = [&](int id, std::string label, int dep,
+                           const char* span_name, int index, auto body) {
+    Job& j = jobs[static_cast<std::size_t>(id)];
+    j.label = std::move(label);
+    j.fn = [&busy_us, span_name, index, body] {
+      const double t0 = obs::now_us();
+      {
+        obs::Span span(span_name);
+        span.arg("index", index);
+        body();
+      }
+      busy_us.fetch_add(static_cast<long long>(obs::now_us() - t0),
+                        std::memory_order_relaxed);
+    };
+    if (dep >= 0) {
+      j.pending = 1;
+      jobs[static_cast<std::size_t>(dep)].dependents.push_back(id);
     }
-    busy_us.fetch_add(static_cast<long long>(obs::now_us() - t0),
-                      std::memory_order_relaxed);
   };
   // Job ids: [0, UT) topologies, [UT, UT+UP) plans, then sweeps, then power,
-  // then resilience.
+  // then resilience. Artifacts are not moved while the DAG runs, so bodies
+  // hold pointers to them.
   for (int i = 0; i < UT; ++i) {
-    auto& j = jobs[static_cast<std::size_t>(i)];
-    j.label = "topology:" + utopos_[static_cast<std::size_t>(i)].key;
-    j.fn = [this, i, &timed] {
-      timed("study/topology", i, [&] {
-        run_topology_job(utopos_[static_cast<std::size_t>(i)]);
-      });
-    };
+    TopologyArtifact* t = &utopos_[static_cast<std::size_t>(i)];
+    add_job(i, "topology:" + t->key, -1, "study/topology", i,
+            [this, t] { run_topology_job(*t); });
   }
   for (int i = 0; i < UP; ++i) {
-    auto& j = jobs[static_cast<std::size_t>(UT + i)];
-    j.label = "plan:" + uplans_[static_cast<std::size_t>(i)].key;
-    j.fn = [this, i, &timed] {
-      timed("study/plan", i,
-            [&] { run_plan_job(uplans_[static_cast<std::size_t>(i)]); });
-    };
-    j.pending = 1;
-    jobs[static_cast<std::size_t>(uplans_[static_cast<std::size_t>(i)].topology)]
-        .dependents.push_back(UT + i);
+    PlanArtifact* p = &uplans_[static_cast<std::size_t>(i)];
+    add_job(UT + i, "plan:" + p->key, p->topology, "study/plan", i,
+            [this, p] { run_plan_job(*p); });
   }
   for (int i = 0; i < US; ++i) {
-    auto& j = jobs[static_cast<std::size_t>(UT + UP + i)];
-    const auto& s = usweeps_[static_cast<std::size_t>(i)];
-    j.label = "sweep:" + uplans_[static_cast<std::size_t>(s.plan)].key + "+" +
-              spec_.traffic[static_cast<std::size_t>(s.traffic)].label();
-    j.fn = [this, i, &timed] {
-      timed("study/sweep", i,
-            [&] { run_sweep_job(usweeps_[static_cast<std::size_t>(i)]); });
-    };
-    j.pending = 1;
-    jobs[static_cast<std::size_t>(
-             UT + usweeps_[static_cast<std::size_t>(i)].plan)]
-        .dependents.push_back(UT + UP + i);
+    USweep* s = &usweeps_[static_cast<std::size_t>(i)];
+    add_job(UT + UP + i,
+            "sweep:" + uplans_[static_cast<std::size_t>(s->plan)].key + "+" +
+                spec_.traffic[static_cast<std::size_t>(s->traffic)].label(),
+            UT + s->plan, "study/sweep", i, [this, s] { run_sweep_job(*s); });
   }
-  if (spec_.power.enabled) {
-    for (int i = 0; i < UT; ++i) {
-      auto& j = jobs[static_cast<std::size_t>(UT + UP + US + i)];
-      j.label = "power:" + utopos_[static_cast<std::size_t>(i)].key;
-      j.fn = [this, i, &timed] {
-        timed("study/power", i, [&] {
-          const auto& t = utopos_[static_cast<std::size_t>(i)];
-          upower_[static_cast<std::size_t>(i)] = power::estimate(
-              t.topo.graph, t.topo.layout, topo::clock_ghz(t.topo.link_class),
-              spec_.power.flits_per_node_cycle, spec_.num_vcs);
-        });
-      };
-      j.pending = 1;
-      jobs[static_cast<std::size_t>(i)].dependents.push_back(UT + UP + US + i);
-    }
+  for (int i = 0; i < stats_.power_jobs; ++i) {
+    const TopologyArtifact* t = &utopos_[static_cast<std::size_t>(i)];
+    power::PowerArea* out = &upower_[static_cast<std::size_t>(i)];
+    add_job(UT + UP + US + i, "power:" + t->key, i, "study/power", i,
+            [this, t, out] {
+              *out = power::estimate(t->topo.graph, t->topo.layout,
+                                     topo::clock_ghz(t->topo.link_class),
+                                     spec_.power.flits_per_node_cycle,
+                                     spec_.num_vcs);
+            });
   }
   const int base_resil = UT + UP + US + stats_.power_jobs;
   for (int i = 0; i < stats_.resilience_jobs; ++i) {
-    auto& j = jobs[static_cast<std::size_t>(base_resil + i)];
-    const auto& r = uresil_[static_cast<std::size_t>(i)];
-    j.label =
-        "resilience:" + uplans_[static_cast<std::size_t>(r.plan)].key + "+" +
-        spec_.traffic[static_cast<std::size_t>(r.traffic)].label() + "+" +
-        spec_.faults[static_cast<std::size_t>(r.scenario)].label();
-    j.fn = [this, i, &timed] {
-      timed("study/resilience", i, [&] {
-        run_resilience_job(uresil_[static_cast<std::size_t>(i)]);
-      });
-    };
-    j.pending = 1;
-    jobs[static_cast<std::size_t>(UT + r.plan)].dependents.push_back(
-        base_resil + i);
+    UResilience* r = &uresil_[static_cast<std::size_t>(i)];
+    std::string label =
+        "resilience:" + uplans_[static_cast<std::size_t>(r->plan)].key + "+" +
+        spec_.traffic[static_cast<std::size_t>(r->traffic)].label() + "+" +
+        spec_.faults[static_cast<std::size_t>(r->scenario)].label();
+    add_job(base_resil + i, std::move(label), UT + r->plan, "study/resilience",
+            i, [this, r] { run_resilience_job(*r); });
   }
 
-  int width = opts_.threads >= 0 ? opts_.threads : spec_.threads;
-  if (width <= 0) {
-    width = static_cast<int>(std::thread::hardware_concurrency());
-    if (width <= 0) width = 1;
+  // Without an executor, run on a local pool: opts.threads wide, else
+  // spec.threads (<= 0 = hardware concurrency), capped at one worker per job.
+  std::optional<SharedPool> local;
+  JobExecutor* exec = opts_.executor;
+  if (exec == nullptr) {
+    int width = opts_.threads >= 0 ? opts_.threads : spec_.threads;
+    if (width <= 0)
+      width = static_cast<int>(std::thread::hardware_concurrency());
+    local.emplace(std::min<int>(width, std::max(1, stats_.jobs_total)));
+    exec = &*local;
   }
-  width = std::min<int>(width, std::max(1, stats_.jobs_total));
 
   obs::WallTimer wall;
-  if (opts_.executor != nullptr)
-    run_dag_on(jobs, *opts_.executor, opts_.on_job_done);
-  else
-    run_dag(jobs, width, opts_.on_job_done);
+  run_dag_on(jobs, *exec, opts_.on_job_done);
   stats_.syntheses_run = synth_count_.load();
 
   // Failure provenance, in job-id order (deterministic across widths: which
@@ -733,11 +675,15 @@ void Study::run_jobs() {
     const double wall_s = wall.seconds();
     const double busy_s =
         static_cast<double>(busy_us.load(std::memory_order_relaxed)) * 1e-6;
-    obs::gauge("study.pool_width").set(width);
     obs::gauge("study.pool_busy_s").set(busy_s);
     obs::gauge("study.pool_wall_s").set(wall_s);
-    if (wall_s > 0.0)
-      obs::gauge("study.pool_utilization").set(busy_s / (wall_s * width));
+    // Width of the pool the jobs actually ran on; unknown (0) skips both.
+    const int width = exec->width();
+    if (width > 0) {
+      obs::gauge("study.pool_width").set(width);
+      if (wall_s > 0.0)
+        obs::gauge("study.pool_utilization").set(busy_s / (wall_s * width));
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // Study runner: expands an ExperimentSpec's grid (topologies x objectives x
 // seeds x traffic) into a job DAG with shared-artifact caching and executes
-// it on a thread pool.
+// it on a job executor (api/executor.hpp).
 //
 // Artifact sharing: every distinct topology key is synthesized/built exactly
 // once, every distinct plan key routed exactly once, and every distinct
@@ -35,6 +35,8 @@
 #include "api/executor.hpp"
 #include "api/report.hpp"
 #include "api/spec.hpp"
+#include "core/config.hpp"
+#include "core/plan.hpp"
 #include "power/dsent_lite.hpp"
 #include "system/chiplet.hpp"
 #include "topologies/registry.hpp"
@@ -77,10 +79,10 @@ struct StudyOptions {
   // everything. Cached and recomputed studies assemble byte-identical
   // reports, so plugging a cache never changes results, only wall clock.
   ArtifactCache* cache = nullptr;
-  // External executor (a process-wide pool shared across concurrent
-  // studies, e.g. the serve daemon's). Null = the study spawns its own
-  // `threads`-wide pool. With an executor the pool's width governs
-  // parallelism and `threads` is ignored.
+  // Executor the job DAG runs on (a process-wide pool shared across
+  // concurrent studies, e.g. the serve daemon's). Null = a local
+  // `threads`-wide SharedPool for this run. With an executor the pool's
+  // width governs parallelism and `threads` is ignored.
   JobExecutor* executor = nullptr;
   // Per-job completion callback (label, jobs completed, jobs total), called
   // serially in completion order while the DAG's bookkeeping lock is held —

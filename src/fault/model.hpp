@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/netsmith.hpp"
+#include "core/plan.hpp"
 
 namespace netsmith::fault {
 

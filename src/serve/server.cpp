@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -27,46 +28,6 @@ namespace netsmith::serve {
 
 namespace fs = std::filesystem;
 using util::JsonValue;
-
-// ------------------------------------------------------------ SharedPool --
-
-SharedPool::SharedPool(int width) {
-  if (width <= 0) width = static_cast<int>(std::thread::hardware_concurrency());
-  if (width <= 0) width = 1;
-  workers_.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) {
-    workers_.emplace_back([this] {
-      for (;;) {
-        std::function<void()> task;
-        {
-          std::unique_lock<std::mutex> lk(mu_);
-          cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-          if (queue_.empty()) return;  // stop requested and fully drained
-          task = std::move(queue_.front());
-          queue_.pop_front();
-        }
-        task();
-      }
-    });
-  }
-}
-
-SharedPool::~SharedPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void SharedPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
 
 // ---------------------------------------------------------------- Server --
 
@@ -320,16 +281,13 @@ void Server::handle_run(int fd, const JsonValue& spec_json) {
 }
 
 bool Server::run_spec_json(
-    const JsonValue& spec_json,
-    const std::function<void(const std::string&, int, int)>& on_job_done,
-    std::string& report_json, bool& partial,
+    const JsonValue& spec_json, std::string& report_json, bool& partial,
     api::ArtifactCacheStats& cache_stats, std::string& error) {
   try {
     const api::ExperimentSpec spec = api::spec_from_json(spec_json);
     api::StudyOptions sopts;
     sopts.cache = &store_;
     sopts.executor = &pool_;
-    sopts.on_job_done = on_job_done;
     api::Study study(spec, sopts);
     const api::Report report = study.run();
     report_json = api::report_to_json(report);
@@ -373,9 +331,8 @@ void Server::spool_loop() {
       api::ArtifactCacheStats cache_stats;
       bool ok;
       try {
-        ok = run_spec_json(JsonValue::parse(read_file(path)),
-                           std::function<void(const std::string&, int, int)>(),
-                           report_json, partial, cache_stats, error);
+        ok = run_spec_json(JsonValue::parse(read_file(path)), report_json,
+                           partial, cache_stats, error);
       } catch (const std::exception& e) {
         ok = false;
         error = e.what();

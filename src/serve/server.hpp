@@ -14,16 +14,14 @@
 //    "<input>.done" (or ".failed" plus "<stem>.error.txt"). Lets scripts
 //    use the daemon without speaking the socket protocol.
 //
-// Deadlock rule: pool tasks never block on other tasks. The Study's
-// executor-backed DAG (run_dag_on) only ever submits ready jobs, and the
-// thread that waits for a study to finish is a connection handler, never a
-// pool worker — so N concurrent studies share one pool of any width.
+// Deadlock rule: pool tasks never block on other tasks. The Study's DAG
+// driver only ever submits ready jobs, and the thread that waits for a
+// study to finish is a connection handler, never a pool worker — so N
+// concurrent studies share one pool of any width.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,27 +33,8 @@
 
 namespace netsmith::serve {
 
-// Fixed-width worker pool implementing api::JobExecutor. submit() enqueues
-// and never runs inline; the destructor drains every queued task, then
-// joins. Width governs study parallelism for every request sharing it.
-class SharedPool final : public api::JobExecutor {
- public:
-  // width <= 0 picks hardware concurrency (min 1).
-  explicit SharedPool(int width = 0);
-  ~SharedPool() override;
-  SharedPool(const SharedPool&) = delete;
-  SharedPool& operator=(const SharedPool&) = delete;
-
-  void submit(std::function<void()> task) override;
-  int width() const { return static_cast<int>(workers_.size()); }
-
- private:
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
+// The daemon's executor, also named from the serve layer.
+using api::SharedPool;
 
 // Largest request line the daemon reads, in bytes. Specs are small (an
 // explicit degree-8 adjacency for 4096 routers is about 0.3 MiB); a longer
@@ -102,11 +81,9 @@ class Server {
   void handle_connection(int fd);
   void handle_run(int fd, const util::JsonValue& spec_json);
   void spool_loop();
-  // Shared by socket and spool paths: run one spec on the shared pool with
-  // the shared store. Returns false + message on any failure.
+  // Spool path: run one spec on the shared pool with the shared store.
+  // Returns false + message on any failure.
   bool run_spec_json(const util::JsonValue& spec_json,
-                     const std::function<void(const std::string&, int, int)>&
-                         on_job_done,
                      std::string& report_json, bool& partial,
                      api::ArtifactCacheStats& cache_stats,
                      std::string& error);

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 
-#include "core/netsmith.hpp"
+#include "core/plan.hpp"
 #include "sim/traffic.hpp"
 #include "util/matrix.hpp"
 

@@ -23,10 +23,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +40,7 @@
 #include "api/spec.hpp"
 #include "api/study.hpp"
 #include "core/netsmith.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
@@ -447,6 +452,118 @@ TEST(SharedPoolStudy, ConcurrentStudiesShareStoreAndPool) {
         << "client " << i << " recomputed despite a warm shared store";
   }
   fs::remove_all(dir);
+}
+
+// The pool-width gauges describe the executor the jobs ran on, not the
+// study's own (here ignored) thread option.
+TEST(SharedPoolStudy, PoolWidthComesFromTheExecutor) {
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  api::SharedPool pool(3);
+  api::StudyOptions opts;
+  opts.threads = 1;
+  opts.executor = &pool;
+  api::run_experiment(baseline_spec(), opts);
+  double width = -1.0;
+  for (const auto& [name, value] : obs::snapshot_metrics().gauges)
+    if (name == "study.pool_width") width = value;
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(width, 3.0);
+}
+
+// Test-only executor that explores DAG schedules: submitted tasks queue up
+// and run one at a time on the executor's own thread (never inline), each
+// pick drawn uniformly from the queue by a seeded generator.
+class ShuffledExecutor final : public api::JobExecutor {
+ public:
+  explicit ShuffledExecutor(std::uint64_t seed)
+      : rng_(seed), worker_([this] { loop(); }) {}
+  ~ShuffledExecutor() override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    worker_.join();
+  }
+
+  void submit(std::function<void()> task) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      queue_.push_back(std::move(task));
+    }
+    cv_.notify_one();
+  }
+
+  std::size_t queued() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return queue_.size();
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;
+      const std::size_t pick = rng_() % queue_.size();
+      std::swap(queue_[pick], queue_.back());
+      std::function<void()> task = std::move(queue_.back());
+      queue_.pop_back();
+      lk.unlock();
+      task();
+      lk.lock();
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<std::function<void()>> queue_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread worker_;  // last: starts after every other member exists
+};
+
+// Any execution order the driver permits assembles the local-pool report
+// byte for byte, including failure and skip provenance, retires every job
+// exactly once and leaves nothing queued behind.
+TEST(SharedPoolStudy, SeededSchedulesMatchLocalPoolReport) {
+  api::ExperimentSpec failing = baseline_spec();
+  failing.name = "serve-test-failing";
+  failing.num_vcs = 1;  // balance_vcs cannot honor 1 VC for the mesh plan
+  failing.routing = "mclb";
+  fault::FaultScenarioSpec cut;
+  cut.name = "cut-1";
+  cut.mode = "targeted";
+  cut.k = 1;
+  failing.faults = {cut};
+
+  for (const api::ExperimentSpec& spec : {baseline_spec(), failing}) {
+    const api::Report local = api::run_experiment(spec);
+    const std::string local_json = api::report_to_json(local);
+    if (spec.name == failing.name) {
+      ASSERT_FALSE(local.failed_jobs.empty());
+      ASSERT_FALSE(local.failed_jobs.front().skipped);
+      ASSERT_TRUE(local.failed_jobs.back().skipped);
+    }
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      ShuffledExecutor exec(seed);
+      api::StudyOptions opts;
+      opts.executor = &exec;
+      int calls = 0, last_done = 0;
+      opts.on_job_done = [&](const std::string&, int done, int) {
+        ++calls;  // serialized under the DAG lock
+        last_done = done;
+      };
+      api::Study study(spec, opts);
+      const std::string json = api::report_to_json(study.run());
+      EXPECT_EQ(exec.queued(), 0u) << spec.name << " seed " << seed;
+      EXPECT_EQ(json, local_json) << spec.name << " seed " << seed;
+      EXPECT_EQ(calls, study.stats().jobs_total);
+      EXPECT_EQ(last_done, study.stats().jobs_total);
+    }
+  }
 }
 
 // --------------------------------------------------------------- daemon ---
