@@ -20,6 +20,7 @@
 // decision sequences trivially comparable.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "routing/paths.hpp"
@@ -67,22 +68,50 @@ CompiledPathSet compile_paths(const PathSet& ps);
 // Scratch-reusing enumerate+compile: DFSes the shortest-path DAG straight
 // into the compiled CSR arrays, skipping the intermediate ragged PathSet
 // entirely. Produces a CompiledPathSet identical to
-// compile_paths(enumerate_shortest_paths_from_dist(g, dist, cap)), but a
-// persistent PathCompiler + output object amortize all allocation across
-// calls — this is what the annealer's route-aware objectives run once per
-// scored move.
+// compile_paths(enumerate_shortest_paths_from_dist(g, dist, cap)), field for
+// field. This is what the annealer's route-aware objectives run once per
+// scored move, so it is incremental against its previous call: a flow's
+// paths are the lexicographically first `cap` shortest paths, and they are
+// still exactly that after a graph change unless
+//   (1) dist(s, d) changed,
+//   (2) one of its emitted paths crosses a removed edge, or
+//   (3) an added edge (u, v) lies on a shortest s->d path, i.e.
+//       dist(s, u) + 1 + dist(v, d) == dist(s, d) under the new distances.
+// Without (1) and (3) the new shortest-path set is a subset of the old one;
+// without (2) it still holds every emitted path, which therefore stay the
+// lexicographically first. (1) is implied by the other two (a shorter or
+// newly possible route needs an added edge; a longer one breaks every
+// emitted path) and is tested first as the cheapest. Only flows meeting a
+// condition are re-DFSed; the rest keep their paths, and the CSR is
+// re-interned in row-major order so edge ids match a fresh compile. The
+// first call, and any call that changes n or cap, is a full pass.
 class PathCompiler {
  public:
   void enumerate(const topo::DiGraph& g, const util::Matrix<int>& dist,
                  int max_paths_per_flow, CompiledPathSet& out);
 
+  // Flows the last enumerate() call ran the DFS for; every other flow kept
+  // the paths of the call before.
+  int last_recompiled_flows() const { return recompiled_; }
+
  private:
+  bool paths_survive(const util::Matrix<int>& dist, int s, int d) const;
   void dfs(const util::Matrix<int>& dist, int d, int cap,
            CompiledPathSet& out);
+  void emit(const int* nodes, int count, CompiledPathSet& out);
 
-  std::vector<std::vector<int>> adj_;  // presorted out-neighbours
+  int n_ = 0, cap_ = -1;  // shape of the previous call (n_ == 0: none)
+  std::vector<std::vector<int>> adj_, prev_adj_;  // presorted out-neighbours
+  std::vector<int> prev_dist_;                    // previous call's dist
+  std::vector<std::pair<int, int>> removed_, added_;  // R and A
+  std::vector<char> removed_mask_;                    // R as an n*n mask
+  // Emitted paths as router sequences, dist(s, d) + 1 routers each: pair
+  // s*n+d owns nodes_[node_begin_[s*n+d], node_begin_[s*n+d+1]). The next_
+  // pair is filled by the current call and swapped in at its end.
+  std::vector<int> nodes_, node_begin_, next_nodes_, next_node_begin_;
   std::vector<int> prefix_;
   int emitted_ = 0;  // paths emitted for the current flow
+  int recompiled_ = 0;
 };
 
 }  // namespace netsmith::routing

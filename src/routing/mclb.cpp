@@ -238,15 +238,17 @@ MclbResult run_local_search(const CompiledPathSet& cps,
   std::vector<int> choice(f_count, 0);
 
   // Greedy construction: longest flows first (hardest to place), ties by
-  // flow index.
+  // flow index: a stable counting sort by descending hop count.
   std::vector<int> order(f_count);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int la = cps.path_length(cps.path_begin[a]);
-    const int lb = cps.path_length(cps.path_begin[b]);
-    if (la != lb) return la > lb;
-    return a < b;
-  });
+  {
+    const auto len = [&](int f) { return cps.path_length(cps.path_begin[f]); };
+    int max_len = 0;
+    for (int f = 0; f < f_count; ++f) max_len = std::max(max_len, len(f));
+    std::vector<int> start(static_cast<std::size_t>(max_len) + 1, 0);
+    for (int f = 0; f < f_count; ++f) ++start[max_len - len(f)];
+    std::exclusive_scan(start.begin(), start.end(), start.begin(), 0);
+    for (int f = 0; f < f_count; ++f) order[start[max_len - len(f)]++] = f;
+  }
 
   long greedy_evals = 0;
   for (int f : order) {

@@ -119,9 +119,8 @@ void Server::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lk(conn_mu_);
-    for (auto& t : conn_threads_)
-      if (t.joinable()) t.join();
-    conn_threads_.clear();
+    for (auto& c : conns_) c.thread.join();
+    conns_.clear();
   }
   if (spool_thread_.joinable()) spool_thread_.join();
   if (listen_fd_ >= 0) {
@@ -130,6 +129,14 @@ void Server::wait() {
     ::unlink(opts_.socket_path.c_str());
   }
   started_ = false;
+}
+
+void Server::reap_finished_connections() {
+  conns_.remove_if([](Connection& c) {
+    if (!c.done.load(std::memory_order_acquire)) return false;
+    c.thread.join();
+    return true;
+  });
 }
 
 void Server::accept_loop() {
@@ -147,9 +154,12 @@ void Server::accept_loop() {
     }
     set_recv_timeout(fd, 500);
     std::lock_guard<std::mutex> lk(conn_mu_);
-    conn_threads_.emplace_back([this, fd] {
+    reap_finished_connections();
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
       handle_connection(fd);
       ::close(fd);
+      conn.done.store(true, std::memory_order_release);
     });
   }
 }

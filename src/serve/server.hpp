@@ -22,10 +22,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "api/executor.hpp"
 #include "serve/store.hpp"
@@ -75,9 +75,17 @@ class Server {
   long requests_handled() const {
     return requests_.load(std::memory_order_relaxed);
   }
+  // Connection-handler threads not yet joined: live clients plus finished
+  // handlers the accept loop has not reaped yet.
+  std::size_t connection_threads() {
+    std::lock_guard<std::mutex> lk(conn_mu_);
+    return conns_.size();
+  }
 
  private:
   void accept_loop();
+  // Joins every connection thread that has finished; caller holds conn_mu_.
+  void reap_finished_connections();
   void handle_connection(int fd);
   void handle_run(int fd, const util::JsonValue& spec_json);
   void spool_loop();
@@ -96,8 +104,15 @@ class Server {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::thread spool_thread_;
+  // One handler thread per accepted client. A handler flags `done` as its
+  // last act; the accept loop joins flagged ones before adding a new one,
+  // so a long-lived daemon holds threads only for its live clients.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Connection> conns_;  // stable addresses for the handlers
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   bool started_ = false;

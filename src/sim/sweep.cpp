@@ -43,11 +43,37 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
   span.arg("max_rate", rates.back());
 
   // Job 0 is the zero-load reference run; job i >= 1 is rate point i - 1.
-  // Jobs run in ascending-rate waves sized to the thread team: each wave is
-  // one parallel region, and truncation for a wave depends only on completed
-  // waves, so the sweep stays deterministic per thread count while the
-  // zero-load run and the low-rate points still overlap.
+  // Every job has its own seed and result slot, so without truncation the
+  // schedule cannot change a result.
   SimStats zero_stats;
+  const auto run_job = [&](std::size_t job, bool truncate) {
+    if (job == 0) {
+      TrafficConfig t0 = traffic;
+      t0.injection_rate = std::max(1e-4, rates.front() * 0.05);
+      zero_stats = simulate(plan, t0, cfg);
+      return;
+    }
+    const std::size_t i = job - 1;
+    TrafficConfig t = traffic;
+    t.injection_rate = rates[i];
+    SimConfig c = cfg;
+    c.seed = cfg.seed + 1000 + i;  // independent streams per point
+    if (truncate) {
+      // Floors keep short-window estimates usable, but never let the
+      // "truncated" window exceed what the caller configured.
+      c.measure = std::min(cfg.measure, std::max(opt.min_measure,
+                                                 cfg.measure / opt.truncate_factor));
+      c.drain = std::min(cfg.drain, std::max(opt.min_drain,
+                                             cfg.drain / opt.truncate_factor));
+    }
+    SweepPoint pt;
+    pt.offered_pkt_node_cycle = rates[i];
+    pt.stats = simulate(plan, t, c);
+    pt.latency_ns = pt.stats.avg_latency_cycles / clock_ghz;
+    pt.accepted_pkt_node_ns = pt.stats.accepted * clock_ghz;
+    result.points[i] = pt;
+  };
+
 #if defined(_OPENMP)
   const std::size_t wave = static_cast<std::size_t>(
       std::max(1, omp_get_max_threads()));
@@ -56,40 +82,25 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
 #endif
   result.omp_threads = static_cast<int>(wave);
   const std::size_t total = rates.size() + 1;
-  bool saturated_seen = false;
-  for (std::size_t begin = 0; begin < total; begin += wave) {
-    const std::size_t end = std::min(total, begin + wave);
-    const bool truncate = opt.adaptive && saturated_seen;
+  if (!opt.adaptive) {
+    // One region, no barriers: highest rate (slowest run) first, so the
+    // long saturated points start early and the cheap ones fill in.
+#pragma omp parallel for schedule(dynamic, 1)
+    for (std::size_t k = 0; k < total; ++k) run_job(total - 1 - k, false);
+  } else {
+    // Adaptive: ascending-rate waves sized to the thread team. Truncation
+    // for a wave depends only on completed waves, so the sweep stays
+    // deterministic per thread count while the zero-load run and the
+    // low-rate points still overlap.
+    bool saturated_seen = false;
+    for (std::size_t begin = 0; begin < total; begin += wave) {
+      const std::size_t end = std::min(total, begin + wave);
+      const bool truncate = saturated_seen;
 #pragma omp parallel for schedule(dynamic)
-    for (std::size_t job = begin; job < end; ++job) {
-      if (job == 0) {
-        TrafficConfig t0 = traffic;
-        t0.injection_rate = std::max(1e-4, rates.front() * 0.05);
-        zero_stats = simulate(plan, t0, cfg);
-        continue;
-      }
-      const std::size_t i = job - 1;
-      TrafficConfig t = traffic;
-      t.injection_rate = rates[i];
-      SimConfig c = cfg;
-      c.seed = cfg.seed + 1000 + i;  // independent streams per point
-      if (truncate) {
-        // Floors keep short-window estimates usable, but never let the
-        // "truncated" window exceed what the caller configured.
-        c.measure = std::min(cfg.measure, std::max(opt.min_measure,
-                                                   cfg.measure / opt.truncate_factor));
-        c.drain = std::min(cfg.drain, std::max(opt.min_drain,
-                                               cfg.drain / opt.truncate_factor));
-      }
-      SweepPoint pt;
-      pt.offered_pkt_node_cycle = rates[i];
-      pt.stats = simulate(plan, t, c);
-      pt.latency_ns = pt.stats.avg_latency_cycles / clock_ghz;
-      pt.accepted_pkt_node_ns = pt.stats.accepted * clock_ghz;
-      result.points[i] = pt;
+      for (std::size_t job = begin; job < end; ++job) run_job(job, truncate);
+      for (std::size_t job = std::max<std::size_t>(begin, 1); job < end; ++job)
+        if (result.points[job - 1].stats.saturated) saturated_seen = true;
     }
-    for (std::size_t job = std::max<std::size_t>(begin, 1); job < end; ++job)
-      if (result.points[job - 1].stats.saturated) saturated_seen = true;
   }
   result.zero_load_latency_cycles = zero_stats.avg_latency_cycles;
   result.zero_load_latency_ns = zero_stats.avg_latency_cycles / clock_ghz;

@@ -11,7 +11,10 @@
 // window. Saturated points are the expensive ones — they never take the
 // early drain exit — and past the knee only the saturated flag and a rough
 // accepted throughput matter. Truncation decisions depend only on completed
-// waves, so results are deterministic for a fixed thread count.
+// waves, so results are deterministic for a fixed thread count. Waves run
+// only when the sweep is adaptive: a fixed sweep runs every point in one
+// parallel region, highest rate first, and its results do not depend on
+// the thread count.
 
 #include <vector>
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/netsmith.hpp"
 #include "core/objective.hpp"
 #include "routing/mclb.hpp"
@@ -244,6 +247,68 @@ TEST(Anneal, ParallelRestartsBitExactChannelLoad) {
   EXPECT_EQ(a.objective_value, b.objective_value);
   EXPECT_EQ(a.moves, b.moves);
   EXPECT_EQ(a.accepted, b.accepted);
+}
+
+// FNV-1a over everything a move-budgeted route-aware synthesis decides: the
+// edge list, the primary objective, the secondary (average hops), the move
+// counters and the incumbent trajectory. Trace seconds are wall-clock and
+// stay out.
+std::uint64_t synthesis_digest(const SynthesisResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto mix_d = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  for (const auto& [i, j] : r.graph.edges()) {
+    mix(static_cast<std::uint64_t>(i));
+    mix(static_cast<std::uint64_t>(j));
+  }
+  mix_d(r.objective_value);
+  mix_d(topo::average_hops(r.graph));
+  mix(static_cast<std::uint64_t>(r.moves));
+  mix(static_cast<std::uint64_t>(r.accepted));
+  for (const auto& pt : r.trace) mix_d(pt.incumbent);
+  return h;
+}
+
+// Recorded goldens for the route-aware objectives: every scored move runs
+// path enumeration + MCLB, so any drift in either (or in the order the
+// annealer consumes them) changes the search trajectory and the digest.
+TEST(AnnealGolden, RouteAwareSynthesisDigests) {
+  const struct {
+    const char* name;
+    topo::Layout layout;
+    Objective objective;
+    long max_moves;
+    int restarts;
+    std::uint64_t digest;
+  } cases[] = {
+      {"4x5 latload", topo::Layout::noi_4x5(), Objective::kLatLoad, 600, 2,
+       0x296576b2c39ae132ull},
+      {"4x5 channel-load", topo::Layout::noi_4x5(), Objective::kChannelLoad,
+       600, 2, 0x90544a8d4ff37e12ull},
+      {"8x6 latload", topo::Layout::noi_8x6(), Objective::kLatLoad, 200, 1,
+       0xf32f086a2aa1efc6ull},
+      {"8x6 channel-load", topo::Layout::noi_8x6(), Objective::kChannelLoad,
+       200, 1, 0x3853d00ccb93d411ull},
+  };
+  for (const auto& c : cases) {
+    SynthesisConfig cfg;
+    cfg.layout = c.layout;
+    cfg.link_class = topo::LinkClass::kMedium;
+    cfg.radix = 4;
+    cfg.objective = c.objective;
+    cfg.restarts = c.restarts;
+    cfg.seed = 23;
+    AnnealOptions opts;
+    opts.max_moves = c.max_moves;
+    const auto r = anneal_synthesize(cfg, opts);
+    EXPECT_EQ(synthesis_digest(r), c.digest)
+        << c.name << ": 0x" << std::hex << synthesis_digest(r);
+  }
 }
 
 TEST(Anneal, FillsPortBudgetOnLargerInstance) {

@@ -12,8 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "routing/compiled.hpp"
 #include "topo/builders.hpp"
+#include "topo/layout.hpp"
+#include "topologies/registry.hpp"
 #include "topo/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -131,34 +137,186 @@ TEST(MclbIncrementalEquivalence, FlatMatchesLegacyPathSetEntryPoint) {
   EXPECT_TRUE(a.table(ps).consistent_with(g));
 }
 
+void expect_same(const CompiledPathSet& got, const CompiledPathSet& ref,
+                 const std::string& tag) {
+  EXPECT_EQ(got.n, ref.n) << tag;
+  EXPECT_EQ(got.num_edges, ref.num_edges) << tag;
+  EXPECT_EQ(got.edge_src, ref.edge_src) << tag;
+  EXPECT_EQ(got.edge_dst, ref.edge_dst) << tag;
+  EXPECT_EQ(got.edge_id, ref.edge_id) << tag;
+  EXPECT_EQ(got.flow_s, ref.flow_s) << tag;
+  EXPECT_EQ(got.flow_d, ref.flow_d) << tag;
+  EXPECT_EQ(got.flow_of_pair, ref.flow_of_pair) << tag;
+  EXPECT_EQ(got.path_begin, ref.path_begin) << tag;
+  EXPECT_EQ(got.edge_begin, ref.edge_begin) << tag;
+  EXPECT_EQ(got.path_edges, ref.path_edges) << tag;
+}
+
+// Runs the long-lived compiler on g and checks it against both oracles: a
+// fresh compiler (the full-pass DFS) and the two-step PathSet route.
+void check_step(PathCompiler& pc, CompiledPathSet& out, const topo::DiGraph& g,
+                int cap, const std::string& tag) {
+  const auto dist = topo::apsp_bfs(g);
+  pc.enumerate(g, dist, cap, out);
+  PathCompiler fresh_pc;
+  CompiledPathSet fresh;
+  fresh_pc.enumerate(g, dist, cap, fresh);
+  expect_same(out, fresh, tag + " vs fresh compiler");
+  expect_same(out, compile_paths(enumerate_shortest_paths_from_dist(g, dist, cap)),
+              tag + " vs PathSet route");
+  EXPECT_LE(pc.last_recompiled_flows(), fresh_pc.last_recompiled_flows()) << tag;
+}
+
 TEST(PathCompiler, MatchesPathSetCompileAndReusesScratch) {
   // The annealer's per-move enumerator must produce a CompiledPathSet
   // identical to the two-step PathSet route, including across reused calls
-  // on different graphs and caps (stale state from a previous move must not
+  // on unrelated graphs and caps (stale state from a previous move must not
   // leak).
-  routing::PathCompiler pc;
+  PathCompiler pc;
   CompiledPathSet reused;
   const int caps[] = {4, 64, 8};
   for (int iter = 0; iter < 12; ++iter) {
     util::Rng rng(7000 + iter);
     const auto g = topo::build_random(topo::Layout{4, 5, 2.0},
                                       topo::LinkClass::kMedium, 4, rng);
-    const auto dist = topo::apsp_bfs(g);
-    const int cap = caps[iter % 3];
-    const auto ref =
-        compile_paths(enumerate_shortest_paths_from_dist(g, dist, cap));
-    pc.enumerate(g, dist, cap, reused);
-    EXPECT_EQ(reused.n, ref.n);
-    EXPECT_EQ(reused.num_edges, ref.num_edges);
-    EXPECT_EQ(reused.edge_src, ref.edge_src);
-    EXPECT_EQ(reused.edge_dst, ref.edge_dst);
-    EXPECT_EQ(reused.edge_id, ref.edge_id);
-    EXPECT_EQ(reused.flow_s, ref.flow_s);
-    EXPECT_EQ(reused.flow_d, ref.flow_d);
-    EXPECT_EQ(reused.flow_of_pair, ref.flow_of_pair);
-    EXPECT_EQ(reused.path_begin, ref.path_begin);
-    EXPECT_EQ(reused.edge_begin, ref.edge_begin);
-    EXPECT_EQ(reused.path_edges, ref.path_edges);
+    check_step(pc, reused, g, caps[iter % 3], "graph " + std::to_string(iter));
+  }
+}
+
+// One random related-graph move, the kinds the annealer makes and worse:
+// one-way or duplex removals and additions, and duplex swaps. Removals are
+// unconstrained, so walks disconnect the graph and leave unreachable pairs.
+topo::DiGraph random_move(const topo::DiGraph& g, util::Rng& rng) {
+  topo::DiGraph h = g;
+  const int n = g.num_nodes();
+  const auto pick_edge = [&] {
+    const auto e = g.edges();
+    return e[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(e.size()) - 1))];
+  };
+  const auto pick_non_edge = [&] {
+    for (;;) {
+      const int u = static_cast<int>(rng.uniform_int(0, n - 1));
+      const int v = static_cast<int>(rng.uniform_int(0, n - 1));
+      if (u != v && !g.has_edge(u, v) && !g.has_edge(v, u))
+        return std::pair<int, int>{u, v};
+    }
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0: {  // one-way removal
+      if (g.num_directed_edges() == 0) break;
+      const auto [u, v] = pick_edge();
+      h.remove_edge(u, v);
+      break;
+    }
+    case 1: {  // one-way addition
+      const auto [u, v] = pick_non_edge();
+      h.add_edge(u, v);
+      break;
+    }
+    case 2: {  // duplex removal
+      if (g.num_directed_edges() == 0) break;
+      const auto [u, v] = pick_edge();
+      h.remove_edge(u, v);
+      h.remove_edge(v, u);
+      break;
+    }
+    case 3: {  // duplex addition
+      const auto [u, v] = pick_non_edge();
+      h.add_duplex(u, v);
+      break;
+    }
+    default: {  // duplex swap
+      if (g.num_directed_edges() == 0) break;
+      const auto [a, b] = pick_edge();
+      const auto [u, v] = pick_non_edge();
+      h.remove_edge(a, b);
+      h.remove_edge(b, a);
+      h.add_duplex(u, v);
+      break;
+    }
+  }
+  return h;
+}
+
+// Walks `steps` related graphs from g with one long-lived compiler. A third
+// of the moves are rejected: the next call returns to the graph before the
+// move, as the annealer's undo does. Halfway through, the cap changes.
+// Returns the number of steps whose graph had an unreachable pair.
+int walk(topo::DiGraph g, std::uint64_t seed, int steps,
+         const std::string& tag) {
+  util::Rng rng(seed);
+  PathCompiler pc;
+  CompiledPathSet out;
+  int cap = 8;
+  int disconnected = 0;
+  check_step(pc, out, g, cap, tag + " start");
+  for (int step = 0; step < steps; ++step) {
+    const std::string at = tag + " step " + std::to_string(step);
+    if (step == steps / 2) {
+      cap = 3;
+      check_step(pc, out, g, cap, at + " cap change");
+    }
+    const auto h = random_move(g, rng);
+    check_step(pc, out, h, cap, at);
+    if (!topo::strongly_connected(h)) ++disconnected;
+    if (rng.uniform_int(0, 2) == 0)
+      check_step(pc, out, g, cap, at + " rejected");
+    else
+      g = h;
+  }
+  return disconnected;
+}
+
+TEST(PathCompiler, IncrementalWalksMatchFreshCompiles) {
+  int disconnected = 0;
+  std::uint64_t seed = 0x5EED;
+  for (const auto& row : topologies::catalog_48())
+    disconnected += walk(row.graph, seed++, 16, row.name);
+  for (int iter = 0; iter < 16; ++iter) {
+    util::Rng rng(9100 + iter);
+    const auto g = topo::build_random(topo::Layout{4, 5, 2.0},
+                                      topo::LinkClass::kMedium, 3 + iter % 2,
+                                      rng);
+    disconnected += walk(g, 500 + iter, 40, "random 4x5 #" + std::to_string(iter));
+  }
+  EXPECT_GT(disconnected, 0);  // the walks did reach unreachable pairs
+}
+
+TEST(PathCompiler, DuplexSwapRedoesFewFlows) {
+  // The annealer's typical move on the 48-router NetSmith design: one duplex
+  // link out, one valid duplex link in. Most flows keep their paths.
+  const topologies::NamedTopology* row = nullptr;
+  for (const auto& r : topologies::catalog_48())
+    if (r.name == "NS-LatOp-medium-48") row = &r;
+  ASSERT_NE(row, nullptr);
+  const auto& g = row->graph;
+  std::vector<std::pair<int, int>> duplex, candidates;
+  for (const auto& [u, v] : g.edges())
+    if (u < v && g.has_edge(v, u)) duplex.emplace_back(u, v);
+  for (const auto& [u, v] : topo::valid_links(row->layout, row->link_class))
+    if (u < v && !g.has_edge(u, v) && !g.has_edge(v, u))
+      candidates.emplace_back(u, v);
+  ASSERT_FALSE(duplex.empty());
+  ASSERT_FALSE(candidates.empty());
+
+  PathCompiler pc;
+  CompiledPathSet out;
+  pc.enumerate(g, topo::apsp_bfs(g), 8, out);
+  const int flows = pc.last_recompiled_flows();
+  ASSERT_EQ(flows, 48 * 47);
+  util::Rng rng(48);
+  for (int trial = 0; trial < 16; ++trial) {
+    const auto [a, b] = rng.pick(duplex);
+    const auto [u, v] = rng.pick(candidates);
+    topo::DiGraph h = g;
+    h.remove_edge(a, b);
+    h.remove_edge(b, a);
+    h.add_duplex(u, v);
+    check_step(pc, out, h, 8, "swap " + std::to_string(trial));
+    EXPECT_LT(pc.last_recompiled_flows(), flows * 3 / 10)
+        << "swap (" << a << "," << b << ") -> (" << u << "," << v << ")";
+    pc.enumerate(g, topo::apsp_bfs(g), 8, out);  // rejected: back to g
   }
 }
 

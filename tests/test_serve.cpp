@@ -717,6 +717,25 @@ TEST_F(ServeDaemonTest, OversizedRequestIsRejectedAndDaemonSurvives) {
   EXPECT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
 }
 
+// Finished handlers are joined as new clients arrive: a daemon that has
+// served many short connections holds threads only for the live ones.
+TEST_F(ServeDaemonTest, FinishedConnectionThreadsAreReaped) {
+  for (int i = 0; i < 64; ++i) {
+    ServeClient c(socket_);
+    ASSERT_TRUE(c.ok()) << "cycle " << i;
+    ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
+    ASSERT_EQ(c.wait_for("pong").at("event").as_string(), "pong")
+        << "cycle " << i;
+  }
+  ServeClient c(socket_);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
+  EXPECT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
+  // The live client, plus the few closed ones whose handlers had not yet
+  // flagged themselves done when the next client was accepted.
+  EXPECT_LE(server_->connection_threads(), 8u);
+}
+
 TEST_F(ServeDaemonTest, RepeatedSpecIsWarmAndByteIdentical) {
   const api::ExperimentSpec spec = synth_spec();
   ServeClient c(socket_);

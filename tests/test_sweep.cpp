@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 #include "routing/channel_load.hpp"
+#include "sim_digest.hpp"
 #include "topo/builders.hpp"
 
 namespace netsmith::sim {
@@ -84,6 +92,77 @@ TEST_F(SweepTest, BetterTopologyHigherSaturation) {
                          core::RoutingPolicy::kMclb, 6),
       t, cfg(), 3.0, 8);
   EXPECT_GT(ft.saturation_pkt_node_cycle, mesh.saturation_pkt_node_cycle);
+}
+
+// Digest of a whole sweep: every point's SimStats digest, then the zero-load
+// latency and the extracted saturation throughput.
+std::uint64_t sweep_digest(const SweepResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& pt : r.points) mix(testing::stats_digest(pt.stats));
+  mix(std::bit_cast<std::uint64_t>(r.zero_load_latency_cycles));
+  mix(std::bit_cast<std::uint64_t>(r.saturation_pkt_node_cycle));
+  return h;
+}
+
+// Runs f with the OpenMP team width set to `threads`, restoring the old
+// width afterwards.
+template <class F>
+SweepResult at_width(int threads, F&& f) {
+#if defined(_OPENMP)
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  SweepResult r = f();
+  omp_set_num_threads(saved);
+  return r;
+#else
+  (void)threads;
+  return f();
+#endif
+}
+
+// Schedule independence: a fixed (non-adaptive) sweep gives every point its
+// own seed and result slot, so the point results, zero-load latency and
+// saturation are the same at any team width and equal the recorded run. An
+// adaptive sweep depends on its wave size and is pinned at width 2.
+TEST_F(SweepTest, FixedSweepIsScheduleIndependent) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto plan = core::plan_network(topo::build_folded_torus(lay), lay,
+                                       core::RoutingPolicy::kMclb, 6);
+  TrafficConfig t;
+  t.kind = TrafficKind::kCoherence;
+  SimConfig c;
+  c.warmup = 300;
+  c.measure = 800;
+  c.drain = 2000;
+  c.seed = 41;
+  SweepOptions fixed;
+  fixed.adaptive = false;
+  constexpr std::uint64_t kFixedDigest = 0x31516a7a4e197cecull;
+  for (const int width : {1, 2, 3}) {
+    const auto r = at_width(width, [&] {
+      return sweep_to_saturation(plan, t, c, 3.0, 6, 0.0, fixed);
+    });
+    ASSERT_EQ(r.points.size(), 6u);
+    EXPECT_EQ(sweep_digest(r), kFixedDigest)
+        << "width " << width << ": 0x" << std::hex << sweep_digest(r);
+  }
+
+  SweepOptions adaptive;
+  adaptive.min_measure = 200;
+  adaptive.min_drain = 500;
+  const auto a = at_width(2, [&] {
+    return sweep_to_saturation(plan, t, c, 3.0, 6, 0.0, adaptive);
+  });
+  EXPECT_EQ(sweep_digest(a), 0xc32046fb172f91e7ull)
+      << "adaptive: 0x" << std::hex << sweep_digest(a);
+  // The grid crosses saturation, so truncation did shorten later points.
+  EXPECT_NE(sweep_digest(a), kFixedDigest);
 }
 
 }  // namespace
