@@ -7,12 +7,12 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "obs/clock.hpp"
 #include "routing/mclb.hpp"
 #include "routing/ndbt.hpp"
 #include "topologies/lpbt.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -37,12 +37,12 @@ int main() {
     const int random_max = static_cast<int>(
         routing::analyze_uniform(random_rt).max_load * (20 - 1) + 0.5);
 
-    util::WallTimer ls_timer;
+    obs::WallTimer ls_timer;
     const auto ls = routing::mclb_local_search(paths);
     const double ls_time = ls_timer.seconds();
 
     // Retained scan-based oracle: identical answer, O(links) per candidate.
-    util::WallTimer scan_timer;
+    obs::WallTimer scan_timer;
     const auto ls_scan = routing::mclb_local_search_scan(paths);
     const double scan_time = scan_timer.seconds();
     if (ls_scan.max_flows_on_link != ls.max_flows_on_link)
@@ -55,7 +55,7 @@ int main() {
     lp::MilpOptions opts;
     opts.time_limit_s = 20.0;
     opts.lp.time_limit_s = 20.0;
-    util::WallTimer ex_timer;
+    obs::WallTimer ex_timer;
     const auto exact = routing::mclb_exact(capped, opts, &capped_ls);
     const double ex_time = ex_timer.seconds();
 

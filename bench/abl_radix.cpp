@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "core/anneal.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
 #include "util/table.hpp"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     cfg.time_limit_s = budget;
     cfg.restarts = 2;
     cfg.seed = 0xAD1 + radix;
-    const auto r = core::synthesize(cfg);
+    const auto r = core::anneal_synthesize(cfg);
 
     // Time at which the incumbent first came within 5% of its final value.
     double t5 = budget;

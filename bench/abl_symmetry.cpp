@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "core/anneal.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
 #include "util/table.hpp"
@@ -34,13 +34,13 @@ int main(int argc, char** argv) {
     cfg.restarts = 2;
     cfg.seed = 0xA5A5 + static_cast<int>(cls);
 
-    const auto asym = core::synthesize(cfg);
+    const auto asym = core::anneal_synthesize(cfg);
     cfg.symmetric_links = true;
-    const auto sym = core::synthesize(cfg);
+    const auto sym = core::anneal_synthesize(cfg);
 
     const double a = topo::average_hops(asym.graph);
     const double s = topo::average_hops(sym.graph);
-    table.add_row({bench::class_name(cls),
+    table.add_row({topo::to_string(cls),
                    util::TablePrinter::fmt(asym.graph.duplex_links(), 0),
                    util::TablePrinter::fmt(a, 3), util::TablePrinter::fmt(s, 3),
                    util::TablePrinter::fmt((s - a) / a * 100.0, 1),

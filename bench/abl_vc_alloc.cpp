@@ -7,9 +7,10 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
-#include "vc/layers.hpp"
+#include "core/plan.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
+#include "vc/layers.hpp"
 
 using namespace netsmith;
 
@@ -34,7 +35,7 @@ int main() {
       w_max = std::max(w_max, w);
       w_sum += w;
     }
-    table.add_row({bench::class_name(t.link_class), t.name,
+    table.add_row({topo::to_string(t.link_class), t.name,
                    std::to_string(layers.num_layers), ok ? "yes" : "NO",
                    util::TablePrinter::fmt(w_max / (w_sum / 6.0), 2)});
   }

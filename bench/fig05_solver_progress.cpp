@@ -18,7 +18,7 @@
 #include <iostream>
 #include <string>
 
-#include "bench_util.hpp"
+#include "core/anneal.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
@@ -39,10 +39,10 @@ void run(const topo::Layout& lay, topo::LinkClass cls, double budget,
 
   obs::reset_trace();
   const double t0_us = obs::now_us();
-  const auto r = core::synthesize(cfg);
+  const auto r = core::anneal_synthesize(cfg);
 
   std::printf("-- %s (%s, %.0fs budget): bound=%.3f avg hops\n", label,
-              bench::class_name(cls).c_str(), budget, r.bound);
+              topo::to_string(cls).c_str(), budget, r.bound);
   util::TablePrinter table({"t (s)", "incumbent avg hops", "gap %"});
   // LatOp minimizes: keep only samples that improve on everything seen so
   // far, regardless of which restart emitted them.

@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "api/study.hpp"
+#include "obs/clock.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -57,7 +57,7 @@ int main() {
                   api::TrafficSpec{"memory", "memory"}};
   spec.sweep.points = 10;
 
-  util::WallTimer timer;
+  obs::WallTimer timer;
   const api::Report report = api::run_experiment(spec);
   const double secs = timer.seconds();
 

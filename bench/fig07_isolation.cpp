@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "api/spec.hpp"
+#include "core/plan.hpp"
 #include "routing/channel_load.hpp"
 #include "sim/sweep.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
 
 using namespace netsmith;
@@ -24,6 +26,7 @@ int main() {
   util::TablePrinter table({"topology", "NDBT sat", "MCLB sat", "cut bound",
                             "occupancy bound", "binding"});
 
+  const sim::SimConfig sim_cfg = api::make_sim_config(api::ExperimentSpec{});
   for (const auto& t : topologies::catalog(20)) {
     if (t.link_class != topo::LinkClass::kLarge) continue;
 
@@ -36,8 +39,7 @@ int main() {
     for (int p = 0; p < 2; ++p) {
       const auto plan = core::plan_network(t.graph, t.layout, pols[p], 6);
       const auto sweep = sim::sweep_to_saturation(
-          plan, traffic, bench::default_sim(), topo::clock_ghz(t.link_class),
-          10);
+          plan, traffic, sim_cfg, topo::clock_ghz(t.link_class), 10);
       sat[p] = sweep.saturation_pkt_node_cycle;
     }
 

@@ -9,9 +9,11 @@
 #include <map>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "api/study.hpp"
+#include "core/plan.hpp"
 #include "system/workload.hpp"
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
 
 using namespace netsmith;
@@ -57,7 +59,7 @@ int main() {
     const auto t = topologies::find(cat, name);
     const auto sys = system::build_chiplet_system(t.graph, lay);
     const auto plan = core::plan_network(sys.graph, lay,
-                                         bench::paper_policy(t), 8, 7, 8);
+                                         api::paper_policy(t), 8, 7, 8);
     util::TablePrinter table(
         {"benchmark", "MPKI", "speedup vs mesh", "pkt-latency reduction %"});
     double geo = 1.0;

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "power/dsent_lite.hpp"
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
 
 using namespace netsmith;
@@ -38,11 +38,15 @@ int main() {
   };
 
   row("small", "Mesh (baseline)", mesh);
-  for (const auto& t : bench::with_baselines(topologies::catalog(20), 20)) {
+  // Catalog rows, then the parametric baselines.
+  auto rows = topologies::catalog(20);
+  const auto& baselines = topologies::baseline_catalog(20);
+  rows.insert(rows.end(), baselines.begin(), baselines.end());
+  for (const auto& t : rows) {
     const auto pa = power::estimate(t.graph, t.layout,
                                     topo::clock_ghz(t.link_class), kActivity,
                                     kVcs);
-    row(bench::class_name(t.link_class), t.name, pa);
+    row(topo::to_string(t.link_class), t.name, pa);
   }
   table.print(std::cout);
 

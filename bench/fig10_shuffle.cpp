@@ -6,27 +6,30 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "api/study.hpp"
 #include "core/objective.hpp"
+#include "core/plan.hpp"
+#include "obs/clock.hpp"
 #include "routing/channel_load.hpp"
 #include "sim/sweep.hpp"
 #include "topologies/expert.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
 int main() {
   std::printf(
       "NetSmith reproduction — Fig. 10 (shuffle traffic, 20-router NoIs)\n\n");
-  util::WallTimer timer;
+  obs::WallTimer timer;
 
   util::TablePrinter table({"class", "topology", "lat@0 (ns)",
                             "saturation (pkt/node/ns)"});
 
+  const sim::SimConfig sim_cfg = api::make_sim_config(api::ExperimentSpec{});
   auto run = [&](const topologies::NamedTopology& t) {
     const auto plan =
-        core::plan_network(t.graph, t.layout, bench::paper_policy(t), 6);
+        core::plan_network(t.graph, t.layout, api::paper_policy(t), 6);
     sim::TrafficConfig traffic;
     traffic.kind = sim::TrafficKind::kShuffle;
     // Shuffle-specific offered-rate ceiling: the uniform channel-load bound
@@ -37,10 +40,10 @@ int main() {
     const double ceiling =
         load.max_load > 0 ? 1.6 / (load.max_load * avg_flits) : 0.0;
     const auto sweep =
-        sim::sweep_to_saturation(plan, traffic, bench::default_sim(),
+        sim::sweep_to_saturation(plan, traffic, sim_cfg,
                                  topo::clock_ghz(t.link_class), 10,
                                  std::min(0.9, ceiling));
-    table.add_row({bench::class_name(t.link_class), t.name,
+    table.add_row({topo::to_string(t.link_class), t.name,
                    util::TablePrinter::fmt(sweep.zero_load_latency_ns, 2),
                    util::TablePrinter::fmt(sweep.saturation_pkt_node_ns, 4)});
   };
@@ -52,7 +55,7 @@ int main() {
   for (const auto cls : {topo::LinkClass::kSmall, topo::LinkClass::kMedium,
                          topo::LinkClass::kLarge}) {
     topologies::NamedTopology t;
-    t.name = "NS-ShufOpt-" + bench::class_name(cls) + "-20";
+    t.name = "NS-ShufOpt-" + topo::to_string(cls) + "-20";
     t.layout = topo::Layout::noi_4x5();
     t.link_class = cls;
     t.graph = topologies::frozen(t.name);

@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "api/study.hpp"
+#include "obs/clock.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -38,7 +38,7 @@ int main() {
 
   util::TablePrinter table({"class", "topology", "lat@0 (ns)",
                             "saturation (pkt/node/ns)"});
-  util::WallTimer timer;
+  obs::WallTimer timer;
   const api::Report report = api::run_experiment(spec);
 
   for (const auto& sw : report.sweeps) {

@@ -17,8 +17,8 @@
 #include <map>
 
 #include "api/study.hpp"
+#include "obs/clock.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -64,7 +64,7 @@ int main() {
   util::TablePrinter table({"topology", "k", "links down", "rerouted",
                             "unroutable", "sat (pkt/node/ns)", "retained",
                             "min delivered"});
-  util::WallTimer timer;
+  obs::WallTimer timer;
   const api::Report report = api::run_experiment(spec);
 
   // Fault-free saturation per plan row (the k=0 arm) for the retained ratio.

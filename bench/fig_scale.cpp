@@ -19,8 +19,8 @@
 #include <iostream>
 
 #include "api/study.hpp"
+#include "obs/clock.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"n", "grid", "moves", "lm", "avg hops", "diam",
                             "synth (s)", "moves/s", "lat@0 (ns)",
                             "sat (pkt/node/ns)", "total (s)"});
-  util::WallTimer total;
+  obs::WallTimer total;
   for (const auto& pt : kPoints) {
     if (only_n != 0 && pt.n != only_n) continue;
     if (only_n == 0 && smoke && pt.n != 48 && pt.n != 256) continue;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     spec.sweep.measure = smoke ? 800 : 1500;
     spec.sweep.drain = 3000;
 
-    util::WallTimer point_timer;
+    obs::WallTimer point_timer;
     const api::Report report = api::run_experiment(spec);
     const double point_s = point_timer.seconds();
 

@@ -4,7 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
+#include "core/plan.hpp"
 #include "lp/simplex.hpp"
 #include "routing/mclb.hpp"
 #include "sim/network.hpp"
@@ -223,7 +224,7 @@ void BM_AnnealMoves(benchmark::State& state) {
     cfg.time_limit_s = 0.1;
     cfg.restarts = 1;
     cfg.seed = 6;
-    const auto r = core::synthesize(cfg);
+    const auto r = core::anneal_synthesize(cfg);
     state.counters["moves_per_s"] = static_cast<double>(r.moves) / 0.1;
     benchmark::DoNotOptimize(r);
   }

@@ -39,7 +39,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
+#include "core/plan.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/compiled.hpp"
@@ -50,7 +52,6 @@
 #include "topo/delta_apsp.hpp"
 #include "topo/metrics.hpp"
 #include "util/json.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -60,7 +61,7 @@ namespace {
 // nanoseconds per call.
 template <class Fn>
 double time_ns_per_op(double budget_s, Fn&& fn) {
-  util::WallTimer timer;
+  obs::WallTimer timer;
   long iters = 0;
   do {
     fn();
@@ -248,19 +249,19 @@ int main(int argc, char** argv) {
       (void)e;
     }) / 1e6;
     const auto cps = routing::compile_paths(ps);
-    util::WallTimer total;
+    obs::WallTimer total;
     double flat_s = 0.0, scan_s = 0.0;
     long flat_routes = 0, scan_routes = 0;
     do {
       {
-        util::WallTimer w;
+        obs::WallTimer w;
         volatile auto m = routing::mclb_local_search(cps).max_flows_on_link;
         (void)m;
         flat_s += w.seconds();
         ++flat_routes;
       }
       {
-        util::WallTimer w;
+        obs::WallTimer w;
         volatile auto m =
             routing::mclb_local_search_scan(cps).max_flows_on_link;
         (void)m;
@@ -402,12 +403,12 @@ int main(int argc, char** argv) {
     const std::int64_t burnin_resweeps = engine.resweeps();
 
     const int batch = 16;
-    util::WallTimer total;
+    obs::WallTimer total;
     double delta_s = 0.0, full_s = 0.0;
     long delta_moves = 0, full_moves = 0;
     do {
       {
-        util::WallTimer w;
+        obs::WallTimer w;
         for (int b = 0; b < batch; ++b) {
           if (!delta_arm.mutate()) continue;
           engine.apply(delta_arm.g, delta_arm.ch, delta_arm.nch);
@@ -425,7 +426,7 @@ int main(int argc, char** argv) {
         delta_s += w.seconds();
       }
       {
-        util::WallTimer w;
+        obs::WallTimer w;
         for (int b = 0; b < batch; ++b) {
           if (!full_arm.mutate()) continue;
           long long hops = 0;
@@ -477,11 +478,10 @@ int main(int argc, char** argv) {
       cfg.restarts = 1;
       cfg.seed = 9;
       core::AnnealOptions ao;
-      ao.threads = 1;
       ao.max_moves = rep.smoke ? std::min(pt.moves, 1500L) : pt.moves;
       ao.landmark_sources = pt.n >= 256 ? 64 : 0;
       sp.landmark_sources = ao.landmark_sources;
-      util::WallTimer synth_t;
+      obs::WallTimer synth_t;
       const auto r = core::anneal_synthesize(cfg, ao);
       const double synth_s = synth_t.seconds();
       sp.synth_moves_per_sec = static_cast<double>(r.moves) / synth_s;
@@ -502,7 +502,7 @@ int main(int argc, char** argv) {
       scfg.warmup = 200;
       scfg.measure = rep.smoke ? 600 : 1500;
       scfg.drain = 1000;
-      util::WallTimer sim_t;
+      obs::WallTimer sim_t;
       const long cycles = sim::simulate(plan, t, scfg).cycles_run;
       sp.sim_cycles_per_sec = static_cast<double>(cycles) / sim_t.seconds();
       rep.scaling.push_back(sp);
@@ -513,7 +513,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Annealer move throughput (LatOp on the 4x5 NoI). -------------------
+  // --- Annealer move throughput (LatOp on the 4x5 NoI, one thread). -------
   {
     core::SynthesisConfig cfg;
     cfg.layout = topo::Layout::noi_4x5();
@@ -522,10 +522,8 @@ int main(int argc, char** argv) {
     cfg.time_limit_s = rep.smoke ? 0.5 : 4.0;
     cfg.restarts = 2;
     cfg.seed = 6;
-    core::AnnealOptions opts;
-    opts.threads = 0;  // auto: exercise the parallel restart path
-    util::WallTimer timer;
-    const auto r = core::anneal_synthesize(cfg, opts);
+    obs::WallTimer timer;
+    const auto r = core::anneal_synthesize(cfg);
     const double secs = timer.seconds();
     rep.anneal_moves_per_sec = static_cast<double>(r.moves) / secs;
     rep.anneal_accept_rate =
@@ -547,20 +545,20 @@ int main(int argc, char** argv) {
     cfg.warmup = 500;
     cfg.measure = 2000;
     cfg.drain = 2000;
-    util::WallTimer total;
+    obs::WallTimer total;
     double opt_s = 0.0, ref_s = 0.0;
     long opt_cycles = 0, ref_cycles = 0;
     do {
       {
         sim::SimConfig c = cfg;
-        util::WallTimer w;
+        obs::WallTimer w;
         opt_cycles += sim::simulate(plan, t, c).cycles_run;
         opt_s += w.seconds();
       }
       {
         sim::SimConfig c = cfg;
         c.reference_mode = true;
-        util::WallTimer w;
+        obs::WallTimer w;
         ref_cycles += sim::simulate(plan, t, c).cycles_run;
         ref_s += w.seconds();
       }
@@ -605,12 +603,12 @@ int main(int argc, char** argv) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     double sim_on_s = kInf, sim_off_s = kInf;
     {
-      util::WallTimer total;
+      obs::WallTimer total;
       for (long pass = 0; total.seconds() < arm_budget; ++pass) {
         for (const bool on : {pass % 2 == 0, pass % 2 != 0}) {
           set_obs(on);
           sim::SimConfig c = cfg;
-          util::WallTimer w;
+          obs::WallTimer w;
           volatile long cyc = sim::simulate(plan, t, c).cycles_run;
           (void)cyc;
           auto& best = on ? sim_on_s : sim_off_s;
@@ -624,11 +622,11 @@ int main(int argc, char** argv) {
     }
     double mclb_on_s = kInf, mclb_off_s = kInf;
     {
-      util::WallTimer total;
+      obs::WallTimer total;
       for (long pass = 0; total.seconds() < arm_budget; ++pass) {
         for (const bool on : {pass % 2 == 0, pass % 2 != 0}) {
           set_obs(on);
-          util::WallTimer w;
+          obs::WallTimer w;
           for (int k = 0; k < 20; ++k) {
             volatile auto m =
                 routing::mclb_local_search(cps).max_flows_on_link;

@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
+#include "topologies/registry.hpp"
 #include "util/table.hpp"
 
 using namespace netsmith;
@@ -18,7 +18,7 @@ void block(int routers) {
   util::TablePrinter table(
       {"class", "topology", "#links", "diam", "avg hops", "bis BW"});
   for (const auto& t : topologies::catalog(routers)) {
-    table.add_row({bench::class_name(t.link_class), t.name,
+    table.add_row({topo::to_string(t.link_class), t.name,
                    util::TablePrinter::fmt(t.graph.duplex_links(), 0),
                    std::to_string(topo::diameter(t.graph)),
                    util::TablePrinter::fmt(topo::average_hops(t.graph), 2),

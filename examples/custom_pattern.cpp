@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
 #include "core/objective.hpp"
 #include "topo/metrics.hpp"
 
@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
   // Uniform-optimized topology.
   auto uni_cfg = base;
   uni_cfg.objective = core::Objective::kLatOp;
-  const auto uni = core::synthesize(uni_cfg);
+  const auto uni = core::anneal_synthesize(uni_cfg);
 
   // Shuffle-optimized topology.
   auto shuf_cfg = base;
   shuf_cfg.objective = core::Objective::kPattern;
   shuf_cfg.pattern = shuffle;
-  const auto shuf = core::synthesize(shuf_cfg);
+  const auto shuf = core::anneal_synthesize(shuf_cfg);
 
   auto report = [&](const char* name, const topo::DiGraph& g) {
     const auto dist = topo::apsp_bfs(g);

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/netsmith.hpp"
+#include "core/plan.hpp"
 #include "sim/sweep.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"

@@ -149,13 +149,16 @@ Study::Study(ExperimentSpec spec, StudyOptions opts)
 core::RoutingPolicy Study::policy_for(const TopologyArtifact& t) const {
   if (spec_.routing == "mclb") return core::RoutingPolicy::kMclb;
   if (spec_.routing == "ndbt") return core::RoutingPolicy::kNdbt;
-  // "auto": the pairing the paper uses — MCLB for machine-made, parametric
-  // and user-supplied topologies, NDBT for the published expert designs.
+  // "auto": the paper's pairing, with user-supplied topologies on MCLB.
   if (t.source == TopologySource::kSynthesize ||
       t.source == TopologySource::kExplicit)
     return core::RoutingPolicy::kMclb;
-  return t.topo.is_netsmith || t.topo.parametric ? core::RoutingPolicy::kMclb
-                                                 : core::RoutingPolicy::kNdbt;
+  return paper_policy(t.topo);
+}
+
+core::RoutingPolicy paper_policy(const topologies::NamedTopology& t) {
+  return t.is_netsmith || t.parametric ? core::RoutingPolicy::kMclb
+                                       : core::RoutingPolicy::kNdbt;
 }
 
 void Study::expand() {
@@ -187,9 +190,7 @@ void Study::expand() {
         break;
       }
       case TopologySource::kCatalog: {
-        const auto& cat = ts.catalog_routers == 48
-                              ? topologies::catalog_48()
-                              : topologies::catalog(ts.catalog_routers);
+        const auto& cat = topologies::catalog(ts.catalog_routers);
         const std::string prefix =
             "catalog:" + std::to_string(ts.catalog_routers) + ":";
         if (!ts.name.empty()) {
@@ -374,9 +375,6 @@ void Study::run_topology_job(TopologyArtifact& t) {
   }
   if (t.source == TopologySource::kSynthesize) {
     core::AnnealOptions ao;
-    // One annealer thread per job: the Study pool is the parallelism layer,
-    // and serial restarts keep the result independent of pool width.
-    ao.threads = 1;
     ao.max_moves = t.max_moves;
     ao.landmark_sources = t.landmark_sources;
     t.synth = core::anneal_synthesize(t.synth_cfg, ao);

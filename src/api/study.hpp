@@ -190,4 +190,11 @@ class Study {
 // Convenience one-shot: Study(spec).run().
 Report run_experiment(const ExperimentSpec& spec, StudyOptions opts = {});
 
+// Routing policy the paper pairs with a named topology: MCLB for machine
+// topologies (NetSmith always routes with MCLB) and the parametric
+// baselines, NDBT for the published expert designs. NDBT's x-monotonic rule
+// assumes the Kite-style grid designs and has no published analogue for
+// Dragonfly/CMesh/HammingMesh flattenings. spec.routing "auto" uses it.
+core::RoutingPolicy paper_policy(const topologies::NamedTopology& t);
+
 }  // namespace netsmith::api

@@ -1,17 +1,14 @@
 #include "core/anneal.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/compiled.hpp"
@@ -22,13 +19,20 @@
 #include "topo/delta_apsp.hpp"
 #include "topo/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace netsmith::core {
 
 namespace {
 
 constexpr double kDisconnected = 1e9;
+
+// Temperature schedule: geometric from kT0 to kT1 in the elapsed-time or
+// elapsed-move fraction (see AnnealOptions::max_moves).
+constexpr double kT0 = 8.0;
+constexpr double kT1 = 0.02;
+constexpr int kCutCacheSize = 320;
+constexpr int kCutRefreshAccepts = 500;  // exact-cut refresh cadence for SCOp
+constexpr int kMaxTracePoints = 512;
 
 // One-shot weighted-hops evaluation for the analytic bound (the per-move hop
 // path now reads the incrementally maintained topo::DeltaApsp rows instead).
@@ -148,9 +152,9 @@ struct EdgePool {
   }
 };
 
-// Per-worker-thread scratch reused across restarts: at n = 1024 the distance
-// matrix alone is 4 MB, so re-allocating it (plus the BFS bitsets and the
-// compiled path arrays) per restart churns the allocator for nothing.
+// Scratch reused across restarts: at n = 1024 the distance matrix alone is
+// 4 MB, so re-allocating it (plus the BFS bitsets and the compiled path
+// arrays) per restart churns the allocator for nothing.
 struct RestartWorkspace {
   topo::DeltaApsp engine;        // maintained distance rows + hop aggregates
   topo::BitBfs bfs{0};           // exact-re-score sweeps (landmark mode)
@@ -173,7 +177,7 @@ struct RestartWorkspace {
 
 // Deterministic k-subset of sources for landmark estimation: a dedicated RNG
 // stream keyed on (seed, restart), so enabling landmarks never perturbs the
-// move RNG sequence and the sample is identical at any thread count.
+// move RNG sequence.
 std::vector<int> landmark_sample(int n, int k, std::uint64_t seed,
                                  int restart) {
   std::vector<int> ids(static_cast<std::size_t>(n));
@@ -277,9 +281,8 @@ struct RestartOutcome {
 };
 
 // One restart: fully self-contained state (RNG, cut cache, incumbent) plus a
-// borrowed per-worker workspace holding the incrementally maintained
-// distance rows, so restarts are trivially parallel and the search
-// trajectory depends only on (cfg, opts, restart index).
+// borrowed workspace holding the incrementally maintained distance rows, so
+// the search trajectory depends only on (cfg, opts, restart index).
 //
 // Move protocol: propose_and_apply mutates the graph, sync_engine() replays
 // the edit batch into the delta-APSP engine (journaling the overwritten
@@ -294,13 +297,13 @@ class RestartRun {
         restart_(restart),
         n_(ctx.n),
         rng_(cfg_.seed * 0x9E3779B9 + restart * 1234567 + 1),
-        cuts_(n_, ctx.opts.cut_cache_size),
+        cuts_(n_, kCutCacheSize),
         ws_(ws),
         landmark_(ctx.landmarks > 0),
         scale_(landmark_ ? static_cast<double>(ctx.n) / ctx.landmarks : 1.0) {}
 
   RestartOutcome run() {
-    util::WallTimer timer;
+    obs::WallTimer timer;
     RestartOutcome out;
     obs::Span span("anneal/restart");
     span.arg("restart", restart_);
@@ -359,8 +362,7 @@ class RestartRun {
         if (el >= budget_s) break;
         frac = el / budget_s;
       }
-      const double temp =
-          ctx_.opts.t0 * std::pow(ctx_.opts.t1 / ctx_.opts.t0, frac);
+      const double temp = kT0 * std::pow(kT1 / kT0, frac);
 
       for (int inner = 0; inner < 200; ++inner) {
         if (budget_moves > 0 && moves_done >= budget_moves) break;
@@ -388,7 +390,7 @@ class RestartRun {
             cfg_.objective == Objective::kSCOp ||
             (cfg_.min_cut_bandwidth > 0.0 && n_ > 12);
         if (uses_cut_cache &&
-            accepts_since_refresh >= ctx_.opts.cut_refresh_accepts) {
+            accepts_since_refresh >= kCutRefreshAccepts) {
           accepts_since_refresh = 0;
           cuts_.refresh(g);
           score = search_score(g);
@@ -621,7 +623,7 @@ class RestartRun {
   }
 
   void maybe_update_incumbent(const topo::DiGraph& g, RestartOutcome& out,
-                              const util::WallTimer& timer, double* score) {
+                              const obs::WallTimer& timer, double* score) {
     // last_hops_ is the maintained hop total of the accepted move (sampled
     // estimate in landmark mode): no all-pairs traversal here.
     const double hops = last_hops_;
@@ -637,7 +639,7 @@ class RestartRun {
 
     // Landmark mode: the estimate above only gates. Exactly re-score before
     // anything is compared against or stored in the incumbent, so the
-    // outcome (and the parallel-restart reduction) is identical to what an
+    // outcome (and the best-of reduction) is identical to what an
     // exact-scoring run would keep for this graph.
     double exact_avg = avg, exact_weighted = last_weighted_;
     if (landmark_) {
@@ -709,7 +711,7 @@ class RestartRun {
       // Objective-trajectory sample: one counter track per run in the trace
       // viewer (Fig. 5's incumbent curve, live).
       obs::trace_counter("anneal/incumbent", primary);
-      if (static_cast<int>(out.trace.size()) < ctx_.opts.max_trace_points)
+      if (static_cast<int>(out.trace.size()) < kMaxTracePoints)
         out.trace.push_back({timer.seconds(), primary, secondary});
     }
   }
@@ -813,61 +815,23 @@ class RestartRun {
   Delta delta_;
 };
 
-int resolve_threads(int requested, int restarts) {
-  int t = requested;
-  if (t == 0) t = static_cast<int>(std::thread::hardware_concurrency());
-  if (t < 1) t = 1;
-  return std::min(t, restarts);
-}
-
 }  // namespace
 
 SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
                                   const AnnealOptions& opts) {
   const SearchContext ctx(cfg, opts);
   const int restarts = std::max(1, cfg.restarts);
-  const int threads = resolve_threads(opts.threads, restarts);
 
   obs::Span span("anneal/synthesize");
   span.arg("n", ctx.n);
   span.arg("restarts", restarts);
-  span.arg("threads", threads);
 
   std::vector<RestartOutcome> outcomes(restarts);
-  if (threads <= 1) {
-    RestartWorkspace ws;  // reused across restarts (reserve/clear, no churn)
-    for (int r = 0; r < restarts; ++r)
-      outcomes[r] = RestartRun(ctx, r, ws).run();
-  } else {
-    std::atomic<int> next{0};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        RestartWorkspace ws;  // per-worker, reused across its restarts
-        for (;;) {
-          const int r = next.fetch_add(1);
-          if (r >= restarts) return;
-          try {
-            outcomes[r] = RestartRun(ctx, r, ws).run();
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!error) error = std::current_exception();
-            return;
-          }
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    if (error) std::rethrow_exception(error);
-  }
+  RestartWorkspace ws;  // reused across restarts (reserve/clear, no churn)
+  for (int r = 0; r < restarts; ++r) outcomes[r] = RestartRun(ctx, r, ws).run();
 
   // Deterministic best-of reduction: walk restarts in index order with the
-  // same strictly-better comparison the serial incumbent loop applies, so
-  // the winner (and the merged monotone trace) is independent of thread
-  // scheduling.
+  // same strictly-better comparison the per-restart incumbent loop applies.
   SynthesisResult result;
   result.bound = ctx.bound;
   const double per_restart = cfg.time_limit_s / restarts;
@@ -905,7 +869,7 @@ SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
       thave = true;
       tp = pt.primary;
       ts = pt.secondary;
-      if (static_cast<int>(result.trace.size()) < opts.max_trace_points) {
+      if (static_cast<int>(result.trace.size()) < kMaxTracePoints) {
         ProgressPoint p;
         p.seconds = pt.seconds + offset;
         p.incumbent = pt.primary;

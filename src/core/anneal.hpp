@@ -16,30 +16,18 @@
 //
 // Restarts are independent searches: each owns its RNG (seeded from
 // cfg.seed and the restart index), objective engine, cut cache and
-// incumbent, so they can run on `threads` worker threads. The best-of
-// reduction walks restarts in index order with the same strictly-better
-// comparison the serial loop uses, which makes the parallel result
-// bit-identical to the serial one. With `max_moves > 0` the temperature
-// schedule and termination are driven by the move counter instead of the
-// wall clock, so a fixed seed reproduces the exact same topology at any
-// thread count.
+// incumbent. They run serially in index order, and the best-of reduction
+// walks them in that order with a strictly-better comparison; callers that
+// want parallelism run whole syntheses concurrently (api::Study's pool).
+// With `max_moves > 0` the temperature schedule and termination are driven
+// by the move counter instead of the wall clock, so a fixed seed reproduces
+// the exact same topology on every run.
 
 #include "core/config.hpp"
 
 namespace netsmith::core {
 
 struct AnnealOptions {
-  // Temperature schedule (geometric in elapsed-time or elapsed-move
-  // fraction, see max_moves).
-  double t0 = 8.0;
-  double t1 = 0.02;
-  int cut_cache_size = 320;
-  int cut_refresh_accepts = 500;  // exact-cut refresh cadence for SCOp
-  int max_trace_points = 512;
-  // Restart parallelism: 1 = serial, 0 = hardware_concurrency, k > 1 = k
-  // worker threads. The result is bit-identical across thread counts when
-  // max_moves > 0 (deterministic schedule).
-  int threads = 1;
   // Per-restart move budget; 0 = wall-clock budget (time_limit_s /
   // restarts per restart, not bit-reproducible across runs).
   long max_moves = 0;
@@ -47,10 +35,10 @@ struct AnnealOptions {
   // smaller than n, the hop-based objectives (kLatOp, kPattern) score moves
   // from this many sampled sources instead of all n. The sample is a
   // deterministic function of (cfg.seed, restart index), so move-budgeted
-  // runs stay bit-identical across thread counts and runs. Estimates only
-  // steer the search: every incumbent candidate is exactly re-scored (full
-  // APSP) before being compared or stored, so objective_value and the
-  // returned graph are always exact. SCOp and the route-aware objectives
+  // runs stay bit-identical across runs. Estimates only steer the search:
+  // every incumbent candidate is exactly re-scored (full APSP) before being
+  // compared or stored, so objective_value and the returned graph are
+  // always exact. SCOp and the route-aware objectives
   // (which need the full distance matrix anyway) ignore this option.
   int landmark_sources = 0;
 };

@@ -41,4 +41,11 @@ MilpEncoding encode_scop(const topo::Layout& layout, topo::LinkClass cls,
 topo::DiGraph decode_topology(const MilpEncoding& enc,
                               const std::vector<double>& x);
 
+// Exact synthesis through the encoding above (kLatOp / kSCOp; n <= ~10).
+// Throws on larger layouts and on the anneal-only objectives. Returns the
+// proven-optimal topology (or the best within the MILP limits; a
+// non-positive opts.time_limit_s takes cfg.time_limit_s).
+SynthesisResult synthesize_exact(const SynthesisConfig& cfg,
+                                 const lp::MilpOptions& opts = {});
+
 }  // namespace netsmith::core

@@ -8,7 +8,7 @@
 #include <queue>
 #include <vector>
 
-#include "util/timer.hpp"
+#include "obs/clock.hpp"
 
 namespace netsmith::lp {
 
@@ -35,7 +35,7 @@ bool is_int_var(const VarDef& v) { return v.type != VarType::kContinuous; }
 }  // namespace
 
 Solution solve_milp(const Model& model, const MilpOptions& opts) {
-  util::WallTimer timer;
+  obs::WallTimer timer;
   const double sign = model.sense() == Sense::kMinimize ? 1.0 : -1.0;
 
   if (!model.has_integers()) return solve_lp(model, opts.lp);

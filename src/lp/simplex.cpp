@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/timer.hpp"
+#include "obs/clock.hpp"
 
 namespace netsmith::lp {
 
@@ -172,7 +172,7 @@ StepResult step(Tableau& t, const SimplexOptions& opts, bool bland) {
 }  // namespace
 
 Solution solve_lp(const Model& model, const SimplexOptions& opts) {
-  util::WallTimer timer;
+  obs::WallTimer timer;
   Solution sol;
   const int n = model.num_vars();
   const int m = model.num_constraints();

@@ -466,7 +466,7 @@ MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts,
   m.set_sense(lp::Sense::kMinimize);
 
   // Seed the bound with the local-search incumbent (valid upper bound) —
-  // the caller's, when provided, so mclb_route's search is not repeated.
+  // the caller's, when provided, so its search is not repeated.
   const MclbResult ls = incumbent ? *incumbent : mclb_local_search(ps);
   m.var(t).ub = ls.max_flows_on_link;
 
@@ -574,16 +574,6 @@ LoadAnalysis analyze_fractional_choice(const PathSet& ps,
     for (int j = 0; j < n; ++j) a.max_load = std::max(a.max_load, load(i, j));
   a.load = std::move(load);
   return a;
-}
-
-MclbResult mclb_route(const PathSet& ps, int exact_path_limit) {
-  const auto ls = mclb_local_search(ps);
-  if (static_cast<int>(ps.total_paths()) > exact_path_limit) return ls;
-  lp::MilpOptions opts;
-  opts.time_limit_s = 20.0;
-  opts.lp.time_limit_s = 20.0;
-  const auto exact = mclb_exact(ps, opts, &ls);
-  return exact.max_flows_on_link <= ls.max_flows_on_link ? exact : ls;
 }
 
 }  // namespace netsmith::routing

@@ -109,11 +109,6 @@ MclbResult mclb_local_search_scan(const CompiledPathSet& cps,
 MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts = {},
                       const MclbResult* incumbent = nullptr);
 
-// Convenience: local search, then exact refinement when the instance is
-// small enough (total paths <= exact_path_limit). The local-search
-// incumbent is passed into mclb_exact, not recomputed.
-MclbResult mclb_route(const PathSet& ps, int exact_path_limit = 800);
-
 // Fractional (multi-path) MCLB: the Table III formulation with the
 // integrality of path_used relaxed, exactly the generalization the paper
 // names in SIII-D-d. Solved as a pure LP; its optimum lower-bounds every

@@ -15,6 +15,9 @@ namespace {
 
 // Latency blowing past this multiple of zero-load marks saturation.
 constexpr double kSaturationLatencyFactor = 6.0;
+// Adaptive sweeps shrink measure/drain windows by this factor once a wave
+// saturates.
+constexpr long kTruncateFactor = 4;
 
 }  // namespace
 
@@ -62,9 +65,9 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
       // Floors keep short-window estimates usable, but never let the
       // "truncated" window exceed what the caller configured.
       c.measure = std::min(cfg.measure, std::max(opt.min_measure,
-                                                 cfg.measure / opt.truncate_factor));
-      c.drain = std::min(cfg.drain, std::max(opt.min_drain,
-                                             cfg.drain / opt.truncate_factor));
+                                                 cfg.measure / kTruncateFactor));
+      c.drain = std::min(cfg.drain,
+                         std::max(opt.min_drain, cfg.drain / kTruncateFactor));
     }
     SweepPoint pt;
     pt.offered_pkt_node_cycle = rates[i];

@@ -46,8 +46,9 @@ struct SweepResult {
 std::vector<double> default_rates(double max_rate, int points = 14);
 
 struct SweepOptions {
-  bool adaptive = true;  // truncate windows past the first saturated wave
-  int truncate_factor = 4;
+  // Past the first saturated wave, cut measure/drain windows to a quarter
+  // (never below the floors).
+  bool adaptive = true;
   long min_measure = 1000;  // truncated windows never shrink below these
   long min_drain = 2000;
 };

@@ -312,64 +312,6 @@ Cut sparsest_cut(const DiGraph& g) {
   return sparsest_cut_heuristic(g, rng, 128);
 }
 
-std::vector<Cut> sparsest_cuts_topk(const DiGraph& g, int k) {
-  const int n = g.num_nodes();
-  if (n > 26) throw std::invalid_argument("sparsest_cuts_topk: n > 26");
-  const std::uint64_t total = 1ULL << (n - 1);
-
-  // Per-thread top-k kept as a sorted vector (k is small).
-  std::vector<std::vector<Cut>> partial;
-#pragma omp parallel
-  {
-#pragma omp single
-    partial.resize(omp_get_num_threads());
-    auto& local = partial[omp_get_thread_num()];
-
-    const int threads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    const std::uint64_t chunk = (total + threads - 1) / threads;
-    const std::uint64_t lo = std::max<std::uint64_t>(1, tid * chunk);
-    const std::uint64_t hi = std::min(total, (tid + 1) * chunk);
-
-    if (lo < hi) {
-      std::uint64_t gray = lo ^ (lo >> 1);
-      std::uint64_t mask = gray;
-      int usz = std::popcount(mask), uv = 0, vu = 0;
-      count_cross(g, mask, &uv, &vu);
-
-      auto consider = [&](std::uint64_t m, int s, int cuv, int cvu) {
-        if (s == 0) return;
-        const double bw = ratio(cuv, cvu, s, n);
-        if (static_cast<int>(local.size()) == k && bw >= local.back().bandwidth)
-          return;
-        Cut c{m, s, cuv, cvu, bw};
-        auto it = std::lower_bound(
-            local.begin(), local.end(), c,
-            [](const Cut& a, const Cut& b) { return a.bandwidth < b.bandwidth; });
-        local.insert(it, c);
-        if (static_cast<int>(local.size()) > k) local.pop_back();
-      };
-
-      for (std::uint64_t i = lo;; ++i) {
-        consider(gray, usz, uv, vu);
-        if (i + 1 >= hi) break;
-        const int flip = std::countr_zero(i + 1);
-        gray ^= 1ULL << flip;
-        flip_node(g, mask, flip, &uv, &vu, &usz);
-      }
-    }
-  }
-
-  std::vector<Cut> merged;
-  for (auto& p : partial) merged.insert(merged.end(), p.begin(), p.end());
-  std::sort(merged.begin(), merged.end(), [](const Cut& a, const Cut& b) {
-    if (a.bandwidth != b.bandwidth) return a.bandwidth < b.bandwidth;
-    return a.u_mask < b.u_mask;
-  });
-  if (static_cast<int>(merged.size()) > k) merged.resize(k);
-  return merged;
-}
-
 int bisection_bandwidth(const DiGraph& g) {
   const int n = g.num_nodes();
   if (n < 2) return 0;

@@ -44,10 +44,6 @@ Cut sparsest_cut_heuristic(const DiGraph& g, util::Rng& rng, int restarts = 64);
 // Dispatches to exact for n <= 22, heuristic otherwise (deterministic seed).
 Cut sparsest_cut(const DiGraph& g);
 
-// The K sparsest cuts (by bandwidth, distinct masks). Used as the lazy cut
-// cache in SCOp synthesis (cutting-plane style surrogate). Exact for n <= 26.
-std::vector<Cut> sparsest_cuts_topk(const DiGraph& g, int k);
-
 // Bisection bandwidth: min over (near-)balanced partitions of the
 // min-direction crossing link count (Table II "Bi. BW" uses full-duplex link
 // counts, i.e. directed crossings in the weaker direction for asymmetric

@@ -346,10 +346,25 @@ std::string param_str(const Params& p, const std::string& key,
 
 namespace {
 
-// The Table II rows for 20 routers, else for 30.
+// The Table II rows for 20 or 30 routers, or the 48-router scalability set.
 std::vector<NamedTopology> build_catalog(int routers) {
   using topo::LinkClass;
   std::vector<NamedTopology> cat;
+  if (routers == 48) {
+    const auto lay = topo::Layout::noi_8x6();
+    // Expert baselines that scale by rule (paper SV-E: Kite-Large and LPBT
+    // do not scale; Kite-like-48 entries are short-budget symmetric searches
+    // that stand in for the missing published designs — see EXPERIMENTS.md).
+    cat.push_back(make_entry("Mesh-48", lay, LinkClass::kSmall, topo::build_mesh(lay), false, false));
+    cat.push_back(make_entry("Kite-like-small-48", lay, LinkClass::kSmall, frozen("Kite-like-small-48"), false, false));
+    cat.push_back(make_entry("FoldedTorus-48", lay, LinkClass::kMedium, topo::build_folded_torus(lay), false, false));
+    cat.push_back(make_entry("Kite-like-medium-48", lay, LinkClass::kMedium, frozen("Kite-like-medium-48"), false, false));
+    cat.push_back(make_entry("Kite-like-large-48", lay, LinkClass::kLarge, frozen("Kite-like-large-48"), false, false));
+    cat.push_back(ns("NS-LatOp-small-48", lay, LinkClass::kSmall));
+    cat.push_back(ns("NS-LatOp-medium-48", lay, LinkClass::kMedium));
+    cat.push_back(ns("NS-LatOp-large-48", lay, LinkClass::kLarge));
+    return cat;
+  }
   if (routers == 20) {
     const auto lay = topo::Layout::noi_4x5();
     // --- Small (Table II top block).
@@ -385,24 +400,6 @@ std::vector<NamedTopology> build_catalog(int routers) {
   return cat;
 }
 
-std::vector<NamedTopology> build_catalog_48() {
-  using topo::LinkClass;
-  const auto lay = topo::Layout::noi_8x6();
-  std::vector<NamedTopology> cat;
-  // Expert baselines that scale by rule (paper SV-E: Kite-Large and LPBT do
-  // not scale; Kite-like-48 entries are short-budget symmetric searches that
-  // stand in for the missing published designs — see EXPERIMENTS.md).
-  cat.push_back(make_entry("Mesh-48", lay, LinkClass::kSmall, topo::build_mesh(lay), false, false));
-  cat.push_back(make_entry("Kite-like-small-48", lay, LinkClass::kSmall, frozen("Kite-like-small-48"), false, false));
-  cat.push_back(make_entry("FoldedTorus-48", lay, LinkClass::kMedium, topo::build_folded_torus(lay), false, false));
-  cat.push_back(make_entry("Kite-like-medium-48", lay, LinkClass::kMedium, frozen("Kite-like-medium-48"), false, false));
-  cat.push_back(make_entry("Kite-like-large-48", lay, LinkClass::kLarge, frozen("Kite-like-large-48"), false, false));
-  cat.push_back(ns("NS-LatOp-small-48", lay, LinkClass::kSmall));
-  cat.push_back(ns("NS-LatOp-medium-48", lay, LinkClass::kMedium));
-  cat.push_back(ns("NS-LatOp-large-48", lay, LinkClass::kLarge));
-  return cat;
-}
-
 }  // namespace
 
 // Each set is built once, on first use, and shared read-only afterwards.
@@ -415,12 +412,11 @@ const std::vector<NamedTopology>& catalog(int routers) {
     static const std::vector<NamedTopology> cat = build_catalog(30);
     return cat;
   }
-  throw std::invalid_argument("catalog: only 20- and 30-router sets exist");
-}
-
-const std::vector<NamedTopology>& catalog_48() {
-  static const std::vector<NamedTopology> cat = build_catalog_48();
-  return cat;
+  if (routers == 48) {
+    static const std::vector<NamedTopology> cat = build_catalog(48);
+    return cat;
+  }
+  throw std::invalid_argument("catalog: only 20-, 30- and 48-router sets exist");
 }
 
 const std::vector<NamedTopology>& baseline_catalog(int routers) {

@@ -52,12 +52,10 @@ struct NamedTopology {
 // The frozen sets are built once, on first use, and returned by reference
 // to the shared read-only table; callers copy the rows they keep.
 
-// All Table II rows for the given router count (20 or 30), in paper order;
-// throws std::invalid_argument for any other count.
+// All Table II rows for 20 or 30 routers, in paper order, or the 48-router
+// (8x6) scalability study set (paper SV-E, Fig. 11); throws
+// std::invalid_argument for any other count.
 const std::vector<NamedTopology>& catalog(int routers);
-
-// The 48-router (8x6) scalability study set (paper SV-E, Fig. 11).
-const std::vector<NamedTopology>& catalog_48();
 
 // The parametric baseline families (Dragonfly, CMesh, HammingMesh) at the
 // standard router counts (20, 30 or 48), ready to run head-to-head against

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
 #include "core/objective.hpp"
+#include "core/plan.hpp"
 #include "sim/sweep.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"

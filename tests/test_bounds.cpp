@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -44,7 +44,7 @@ TEST(HopBound, BelowEveryAchievedTopology) {
     cfg.time_limit_s = 1.0;
     cfg.restarts = 1;
     cfg.seed = 99;
-    const auto r = synthesize(cfg);
+    const auto r = anneal_synthesize(cfg);
     EXPECT_GE(topo::average_hops(r.graph) + 1e-9,
               average_hops_lower_bound(lay, cls, 4));
   }

@@ -82,16 +82,6 @@ TEST_P(HeuristicVsExact, HeuristicNeverBelowExact) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, HeuristicVsExact,
                          ::testing::Range(0, 16));
 
-TEST(TopK, SortedAndConsistent) {
-  const auto g = build_folded_torus(Layout::noi_4x5());
-  const auto top = sparsest_cuts_topk(g, 8);
-  ASSERT_EQ(top.size(), 8u);
-  for (std::size_t i = 1; i < top.size(); ++i)
-    EXPECT_LE(top[i - 1].bandwidth, top[i].bandwidth);
-  const auto best = sparsest_cut_exact(g);
-  EXPECT_NEAR(top[0].bandwidth, best.bandwidth, 1e-12);
-}
-
 TEST(Bisection, FoldedTorus4x5Is10) {
   EXPECT_EQ(bisection_bandwidth(build_folded_torus(Layout::noi_4x5())), 10);
 }

@@ -212,24 +212,6 @@ TEST(LandmarkAnneal, IncumbentObjectiveIsExact) {
   EXPECT_GT(r.exact_rescores, 0);
 }
 
-TEST(LandmarkAnneal, ParallelRestartsBitExact) {
-  const auto cfg = scale_cfg(Objective::kLatOp, 8, 6);
-  AnnealOptions serial;
-  serial.max_moves = 3000;
-  serial.landmark_sources = 12;
-  serial.threads = 1;
-  AnnealOptions parallel = serial;
-  parallel.threads = 4;
-  const auto a = anneal_synthesize(cfg, serial);
-  const auto b = anneal_synthesize(cfg, parallel);
-  EXPECT_TRUE(a.graph == b.graph);
-  EXPECT_EQ(a.objective_value, b.objective_value);
-  EXPECT_EQ(a.moves, b.moves);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.apsp_resweeps, b.apsp_resweeps);
-  EXPECT_EQ(a.exact_rescores, b.exact_rescores);
-}
-
 TEST(LandmarkAnneal, FullModeReportsResweepAccounting) {
   const auto cfg = scale_cfg(Objective::kLatOp, 2, 3);
   AnnealOptions ao;

@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
+#include "core/plan.hpp"
 #include "sim/sweep.hpp"
 #include "system/workload.hpp"
 #include "topo/builders.hpp"
@@ -22,7 +23,7 @@ TEST(Pipeline, SynthesizeRoutePlanSimulate) {
   cfg.time_limit_s = 2.0;
   cfg.restarts = 1;
   cfg.seed = 31;
-  const auto synth = core::synthesize(cfg);
+  const auto synth = core::anneal_synthesize(cfg);
   ASSERT_TRUE(topo::strongly_connected(synth.graph));
 
   const auto plan = core::plan_network(synth.graph, cfg.layout,

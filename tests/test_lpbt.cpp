@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/milp_encoding.hpp"
 #include "topo/builders.hpp"
 #include "topo/metrics.hpp"
 

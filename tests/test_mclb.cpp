@@ -68,13 +68,6 @@ TEST(MclbExact, NeverWorseThanLocalSearch) {
   EXPECT_LE(ex.max_flows_on_link, ls.max_flows_on_link);
 }
 
-TEST(MclbRoute, DispatchesAndStaysConsistent) {
-  const auto g = topo::build_mesh(topo::Layout{3, 3, 2.0});
-  const auto ps = enumerate_shortest_paths(g);
-  const auto r = mclb_route(ps, /*exact_path_limit=*/100000);
-  EXPECT_TRUE(r.table(ps).consistent_with(g));
-}
-
 TEST(MclbExact, AcceptsCallerIncumbent) {
   // Passing the local-search incumbent must not change the optimum — it
   // only spares mclb_exact from repeating the search internally.

@@ -271,7 +271,7 @@ int walk(topo::DiGraph g, std::uint64_t seed, int steps,
 TEST(PathCompiler, IncrementalWalksMatchFreshCompiles) {
   int disconnected = 0;
   std::uint64_t seed = 0x5EED;
-  for (const auto& row : topologies::catalog_48())
+  for (const auto& row : topologies::catalog(48))
     disconnected += walk(row.graph, seed++, 16, row.name);
   for (int iter = 0; iter < 16; ++iter) {
     util::Rng rng(9100 + iter);
@@ -287,7 +287,7 @@ TEST(PathCompiler, DuplexSwapRedoesFewFlows) {
   // The annealer's typical move on the 48-router NetSmith design: one duplex
   // link out, one valid duplex link in. Most flows keep their paths.
   const topologies::NamedTopology* row = nullptr;
-  for (const auto& r : topologies::catalog_48())
+  for (const auto& r : topologies::catalog(48))
     if (r.name == "NS-LatOp-medium-48") row = &r;
   ASSERT_NE(row, nullptr);
   const auto& g = row->graph;

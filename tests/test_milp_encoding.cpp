@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -66,7 +66,7 @@ TEST(MilpEncoding, MatchesAnnealerOnProvenTinyInstance) {
   cfg.time_limit_s = 2.0;
   cfg.restarts = 2;
   cfg.seed = 2;
-  const auto anneal = synthesize(cfg);
+  const auto anneal = anneal_synthesize(cfg);
   EXPECT_NEAR(anneal.objective_value, exact.objective_value, 1e-9)
       << "annealer missed the proven optimum on a tiny instance";
 }
@@ -89,7 +89,7 @@ TEST(MilpEncoding, AnytimeIncumbentCrossValidatesAnnealer) {
   cfg.time_limit_s = 3.0;
   cfg.restarts = 3;
   cfg.seed = 2;
-  const auto anneal = synthesize(cfg);
+  const auto anneal = anneal_synthesize(cfg);
   // Annealer is at least as good as the MILP incumbent, and both respect
   // the MILP's proven lower bound.
   EXPECT_LE(anneal.objective_value, milp.objective_value + 1e-9);

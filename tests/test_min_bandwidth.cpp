@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
 
@@ -21,12 +21,12 @@ TEST(MinBandwidth, ConstraintHonoredOnTinyInstance) {
   cfg.seed = 17;
 
   // Unconstrained latency optimum and its bandwidth.
-  const auto free_run = synthesize(cfg);
+  const auto free_run = anneal_synthesize(cfg);
   const double free_bw = topo::sparsest_cut_exact(free_run.graph).bandwidth;
 
   // Achievable bandwidth ceiling from a SCOp run.
   cfg.objective = Objective::kSCOp;
-  const auto scop = synthesize(cfg);
+  const auto scop = anneal_synthesize(cfg);
   const double max_bw = scop.objective_value;
   if (max_bw <= free_bw + 1e-9)
     GTEST_SKIP() << "latency optimum already bandwidth-optimal here";
@@ -35,7 +35,7 @@ TEST(MinBandwidth, ConstraintHonoredOnTinyInstance) {
   // SCOp proved achievable.
   cfg.objective = Objective::kLatOp;
   cfg.min_cut_bandwidth = 0.5 * (free_bw + max_bw);
-  const auto constrained = synthesize(cfg);
+  const auto constrained = anneal_synthesize(cfg);
   const double got = topo::sparsest_cut_exact(constrained.graph).bandwidth;
   EXPECT_GE(got + 1e-9, cfg.min_cut_bandwidth);
   // The latency can only get worse (or stay equal) under the extra
@@ -53,7 +53,7 @@ TEST(MinBandwidth, TrivialConstraintChangesNothingStructural) {
   cfg.restarts = 2;
   cfg.seed = 18;
   cfg.min_cut_bandwidth = 0.01;  // any connected topology clears this
-  const auto r = synthesize(cfg);
+  const auto r = anneal_synthesize(cfg);
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   EXPECT_GE(topo::sparsest_cut_exact(r.graph).bandwidth, 0.01);
 }
@@ -67,7 +67,7 @@ TEST(MinBandwidth, WorksAtPaperScale) {
   cfg.restarts = 2;
   cfg.seed = 19;
   cfg.min_cut_bandwidth = 0.085;  // above the FT's 1/12, below the class UB
-  const auto r = synthesize(cfg);
+  const auto r = anneal_synthesize(cfg);
   EXPECT_GE(topo::sparsest_cut_exact(r.graph).bandwidth + 1e-9, 0.085);
   // Should still deliver decent latency (better than folded torus).
   EXPECT_LT(r.objective_value, 2.32);

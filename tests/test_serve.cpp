@@ -39,7 +39,7 @@
 #include "api/report.hpp"
 #include "api/spec.hpp"
 #include "api/study.hpp"
-#include "core/netsmith.hpp"
+#include "core/plan.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"

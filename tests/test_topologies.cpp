@@ -119,7 +119,7 @@ TEST(Catalog30, NetSmithStillWins) {
 }
 
 TEST(Catalog48, ScalabilitySet) {
-  const auto cat = catalog_48();
+  const auto cat = catalog(48);
   for (const auto& t : cat) {
     EXPECT_EQ(t.graph.num_nodes(), 48) << t.name;
     EXPECT_TRUE(topo::strongly_connected(t.graph)) << t.name;
@@ -137,12 +137,12 @@ TEST(Registry, FindThrowsOnUnknown) {
 // The frozen sets are built once and shared: repeated calls hand back the
 // same table, and a caller's copy is detached from it.
 TEST(Registry, CatalogsAreBuiltOnceAndShared) {
-  EXPECT_EQ(&catalog_48(), &catalog_48());
+  EXPECT_EQ(&catalog(48), &catalog(48));
   EXPECT_EQ(&catalog(20), &catalog(20));
   EXPECT_EQ(&catalog(30), &catalog(30));
 
-  const std::vector<NamedTopology> copy = catalog_48();
-  const auto& shared = catalog_48();
+  const std::vector<NamedTopology> copy = catalog(48);
+  const auto& shared = catalog(48);
   ASSERT_EQ(copy.size(), shared.size());
   for (std::size_t i = 0; i < copy.size(); ++i) {
     EXPECT_EQ(copy[i].name, shared[i].name);
@@ -173,10 +173,10 @@ TEST(Registry, BaselineCatalogsAreBuiltOnceAndShared) {
 
 TEST(Registry, StudyResolvesCatalogRowAfterCallerMutatesACopy) {
   const std::string row = "NS-LatOp-medium-48";
-  const topo::DiGraph pristine = find(catalog_48(), row).graph;
+  const topo::DiGraph pristine = find(catalog(48), row).graph;
 
   // A caller copies the row and rewires its copy.
-  std::vector<NamedTopology> mine = catalog_48();
+  std::vector<NamedTopology> mine = catalog(48);
   for (auto& t : mine) {
     if (t.name != row) continue;
     const auto [i, j] = t.graph.edges().front();
@@ -195,17 +195,17 @@ TEST(Registry, StudyResolvesCatalogRowAfterCallerMutatesACopy) {
   ASSERT_EQ(study.topology_artifacts().size(), 1u);
   EXPECT_EQ(study.topology_artifacts()[0].topo.name, row);
   EXPECT_EQ(study.topology_artifacts()[0].topo.graph, pristine);
-  EXPECT_EQ(find(catalog_48(), row).graph, pristine);
+  EXPECT_EQ(find(catalog(48), row).graph, pristine);
 
   // A whole-catalog entry resolves every row from the shared table too.
   ts.name.clear();
   spec.topologies = {ts};
   const api::Study all(spec);
   const auto& arts = all.topology_artifacts();
-  ASSERT_EQ(arts.size(), catalog_48().size());
+  ASSERT_EQ(arts.size(), catalog(48).size());
   for (std::size_t i = 0; i < arts.size(); ++i) {
-    EXPECT_EQ(arts[i].topo.name, catalog_48()[i].name);
-    EXPECT_EQ(arts[i].topo.graph, catalog_48()[i].graph);
+    EXPECT_EQ(arts[i].topo.name, catalog(48)[i].name);
+    EXPECT_EQ(arts[i].topo.graph, catalog(48)[i].graph);
   }
 }
 

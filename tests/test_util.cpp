@@ -1,6 +1,6 @@
+#include "obs/clock.hpp"
 #include "util/matrix.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -72,7 +72,7 @@ TEST(TablePrinter, ShortRowsTolerated) {
 }
 
 TEST(WallTimer, MeasuresElapsed) {
-  WallTimer t;
+  obs::WallTimer t;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(t.seconds(), 0.015);
   t.reset();

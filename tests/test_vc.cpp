@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/netsmith.hpp"
+#include "core/plan.hpp"
 #include "routing/mclb.hpp"
 #include "topo/builders.hpp"
 #include "topologies/registry.hpp"
@@ -152,7 +152,7 @@ VcAssignment rescan_layers(const routing::RoutingTable& rt,
 // Oracle: the incremental check reproduces the full-rescan layering exactly
 // on every 48-router catalog and baseline plan.
 TEST(Layers, MatchFullRescanOn48RouterPlans) {
-  std::vector<topologies::NamedTopology> rows = topologies::catalog_48();
+  std::vector<topologies::NamedTopology> rows = topologies::catalog(48);
   for (const auto& t : topologies::baseline_catalog(48)) rows.push_back(t);
   for (const auto& t : rows) {
     const auto policy = t.is_netsmith || t.parametric

@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/netsmith.hpp"
+#include "core/anneal.hpp"
 #include "core/objective.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         cfg.seed = 0x100 + sz.routers * 8 + static_cast<int>(cls);
         emit("NS-LatOp-" + topo::to_string(cls) + "-" +
                  std::to_string(sz.routers),
-             core::synthesize(cfg));
+             core::anneal_synthesize(cfg));
       }
       // NS-SCOp and NS-ShufOpt only for the 20-router study.
       if (sz.routers == 20) {
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
           cfg.restarts = 3;
           cfg.seed = 0x200 + static_cast<int>(cls);
           emit("NS-SCOp-" + topo::to_string(cls) + "-20",
-               core::synthesize(cfg));
+               core::anneal_synthesize(cfg));
         }
         {
           core::SynthesisConfig cfg;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
           cfg.restarts = 3;
           cfg.seed = 0x300 + static_cast<int>(cls);
           emit("NS-ShufOpt-" + topo::to_string(cls) + "-20",
-               core::synthesize(cfg));
+               core::anneal_synthesize(cfg));
         }
       }
       // Kite-like-48: symmetric short-budget stand-in expert baseline.
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
         cfg.restarts = 2;
         cfg.seed = 0x400 + static_cast<int>(cls);
         emit("Kite-like-" + topo::to_string(cls) + "-48",
-             core::synthesize(cfg));
+             core::anneal_synthesize(cfg));
       }
     }
   }

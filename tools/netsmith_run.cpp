@@ -33,10 +33,10 @@
 
 #include "api/report.hpp"
 #include "api/study.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/store.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    util::WallTimer timer;
+    obs::WallTimer timer;
     if (metrics) obs::set_metrics_enabled(true);
     if (!trace_path.empty()) obs::set_trace_enabled(true);
     serve::ArtifactStore cache(

@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/clock.hpp"
 #include "topo/builders.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 using namespace netsmith;
 
@@ -152,7 +152,7 @@ struct Searcher {
   // Returns true on exact match; otherwise *out holds the closest-bisection
   // zero-score candidate found (if any) and *achieved_bis its bisection.
   bool run(double budget_s, topo::DiGraph* out, int* achieved_bis) {
-    util::WallTimer timer;
+    obs::WallTimer timer;
     std::set<std::string> checked;
     bool have_any = false;
     int best_gap = 1 << 20;
@@ -179,7 +179,7 @@ struct Searcher {
       double cur = score(g, &diam);
       double temp_hi = 30.0, temp_lo = 0.3;
       const double inner_budget = std::min(10.0, budget_s / 6.0);
-      util::WallTimer inner;
+      obs::WallTimer inner;
       long plateau_steps = 0;
       while (inner.seconds() < inner_budget && timer.seconds() < budget_s) {
         const double frac = inner.seconds() / inner_budget;
