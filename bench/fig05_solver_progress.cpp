@@ -7,7 +7,8 @@
 // The trajectory comes from the obs trace recorder: the annealer emits an
 // "anneal/incumbent" counter sample on every incumbent update, so the same
 // samples that render as a value track in chrome://tracing drive this table.
-// Samples from concurrent restarts interleave; a monotone filter keeps the
+// Restarts run serially, each with its own incumbent, so a later restart's
+// samples can sit above an earlier one's best; a monotone filter keeps the
 // cross-restart best-so-far curve, which is what Fig. 5 plots.
 //
 // Args: [seconds_per_class=12] [include_30=1] [trace_out.json]

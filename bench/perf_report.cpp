@@ -33,9 +33,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
-
 #include <utility>
 #include <vector>
 
@@ -68,6 +68,39 @@ double time_ns_per_op(double budget_s, Fn&& fn) {
     ++iters;
   } while (timer.seconds() < budget_s);
   return timer.seconds() * 1e9 / static_cast<double>(iters);
+}
+
+// One arm of an interleaved A/B timing: work units done, seconds spent.
+struct ArmTime {
+  long units = 0;
+  double seconds = 0.0;
+  double per_sec() const { return static_cast<double>(units) / seconds; }
+  double ns_per_unit() const {
+    return seconds * 1e9 / static_cast<double>(units);
+  }
+};
+
+// Alternates one timed call of `a` and one of `b` until budget_s has elapsed
+// (each runs at least once). Each call returns the work units it did, and
+// rates are ratios of accumulated totals, so machine-load noise cancels out
+// of the a/b ratio.
+template <class A, class B>
+std::pair<ArmTime, ArmTime> interleave(double budget_s, A&& a, B&& b) {
+  ArmTime ta, tb;
+  obs::WallTimer total;
+  do {
+    {
+      obs::WallTimer w;
+      ta.units += a();
+      ta.seconds += w.seconds();
+    }
+    {
+      obs::WallTimer w;
+      tb.units += b();
+      tb.seconds += w.seconds();
+    }
+  } while (total.seconds() < budget_s);
+  return {ta, tb};
 }
 
 struct Report {
@@ -104,70 +137,86 @@ struct Report {
   std::vector<ScalePoint> scaling;
 };
 
+// A number rounded to `decimals` places: each field keeps the precision
+// BENCH_perf.json has always recorded.
+util::JsonValue fixed(double v, int decimals) {
+  const double scale = std::pow(10.0, decimals);
+  return util::JsonValue::number(std::round(v * scale) / scale);
+}
+
+util::JsonValue object(
+    std::initializer_list<std::pair<const char*, util::JsonValue>> members) {
+  auto o = util::JsonValue::object();
+  for (const auto& [key, value] : members) o.set(key, value);
+  return o;
+}
+
 void write_json(const Report& r, const std::string& path) {
-  // Streaming writer with explicit printf formats: the emitted fields stay
-  // byte-compatible with the pre-writer (schema 2) handwritten output.
-  util::JsonWriter w;
-  w.begin_object();
+  using util::JsonValue;
+  auto scaling = JsonValue::array();
+  for (const auto& p : r.scaling)
+    scaling.push_back(object({
+        {"n", JsonValue::integer(p.n)},
+        {"synth_moves_per_sec", fixed(p.synth_moves_per_sec, 1)},
+        {"apsp_rows_per_move", fixed(p.apsp_rows_per_move, 2)},
+        {"landmark_sources", JsonValue::integer(p.landmark_sources)},
+        {"sim_cycles_per_sec", fixed(p.sim_cycles_per_sec, 1)},
+    }));
   // v4: adds "delta_apsp" (incremental-APSP move engine vs full re-sweep)
-  // and "n_scaling" (synthesis + sim throughput vs n); every pre-v4 field is
-  // byte-compatible so the perf trajectory across PRs stays diffable.
-  w.field_int("schema", 4);
-  w.field_bool("smoke", r.smoke);
-  w.begin_object("anneal");
-  w.field_fmt("moves_per_sec", "%.1f", r.anneal_moves_per_sec);
-  w.field_fmt("accept_rate", "%.4f", r.anneal_accept_rate);
-  w.end();
-  w.begin_object("apsp_n48");
-  w.field_fmt("bitset_ns_per_op", "%.1f", r.apsp48_bitset_ns);
-  w.field_fmt("scalar_ns_per_op", "%.1f", r.apsp48_scalar_ns);
-  w.field_fmt("speedup", "%.2f", r.apsp48_speedup);
-  w.end();
-  w.begin_object("cut");
-  w.field_fmt("exact_n20_ms", "%.3f", r.cut_exact20_ms);
-  w.field_fmt("heuristic_n48_ms", "%.3f", r.cut_heuristic48_ms);
-  w.end();
-  w.begin_object("sim");
-  w.field_fmt("cycles_per_sec", "%.1f", r.sim_cycles_per_sec);
-  w.field_fmt("reference_cycles_per_sec", "%.1f", r.sim_ref_cycles_per_sec);
-  w.field_fmt("speedup", "%.2f", r.sim_speedup);
-  w.end();
-  w.begin_object("mclb");
-  w.field_fmt("flat_routes_per_sec", "%.1f", r.mclb_flat_routes_per_sec);
-  w.field_fmt("scan_routes_per_sec", "%.1f", r.mclb_scan_routes_per_sec);
-  w.field_fmt("speedup", "%.2f", r.mclb_speedup);
-  w.field_fmt("compile_ms", "%.4f", r.mclb_compile_ms);
-  w.end();
-  w.begin_object("obs");
-  w.field_fmt("sim_overhead_pct", "%.2f", r.obs_sim_overhead_pct);
-  w.field_fmt("mclb_overhead_pct", "%.2f", r.obs_mclb_overhead_pct);
-  w.end();
-  w.begin_object("delta_apsp");
-  w.field_int("n", 256);
-  w.field_fmt("delta_ns_per_move", "%.1f", r.dapsp_delta_ns);
-  w.field_fmt("full_ns_per_move", "%.1f", r.dapsp_full_ns);
-  w.field_fmt("speedup", "%.2f", r.dapsp_speedup);
-  w.field_fmt("rows_per_move", "%.2f", r.dapsp_rows_per_move);
-  w.end();
-  w.begin_array("n_scaling");
-  for (const auto& p : r.scaling) {
-    w.begin_object();
-    w.field_int("n", p.n);
-    w.field_fmt("synth_moves_per_sec", "%.1f", p.synth_moves_per_sec);
-    w.field_fmt("apsp_rows_per_move", "%.2f", p.apsp_rows_per_move);
-    w.field_int("landmark_sources", p.landmark_sources);
-    w.field_fmt("sim_cycles_per_sec", "%.1f", p.sim_cycles_per_sec);
-    w.end();
-  }
-  w.end();
-  w.end();
+  // and "n_scaling" (synthesis + sim throughput vs n); every pre-v4 field
+  // keeps its key, position and precision so the perf trajectory across PRs
+  // stays diffable.
+  const std::string text =
+      object({
+          {"schema", JsonValue::integer(4)},
+          {"smoke", JsonValue::boolean(r.smoke)},
+          {"anneal", object({
+                         {"moves_per_sec", fixed(r.anneal_moves_per_sec, 1)},
+                         {"accept_rate", fixed(r.anneal_accept_rate, 4)},
+                     })},
+          {"apsp_n48", object({
+                           {"bitset_ns_per_op", fixed(r.apsp48_bitset_ns, 1)},
+                           {"scalar_ns_per_op", fixed(r.apsp48_scalar_ns, 1)},
+                           {"speedup", fixed(r.apsp48_speedup, 2)},
+                       })},
+          {"cut", object({
+                      {"exact_n20_ms", fixed(r.cut_exact20_ms, 3)},
+                      {"heuristic_n48_ms", fixed(r.cut_heuristic48_ms, 3)},
+                  })},
+          {"sim", object({
+                      {"cycles_per_sec", fixed(r.sim_cycles_per_sec, 1)},
+                      {"reference_cycles_per_sec",
+                       fixed(r.sim_ref_cycles_per_sec, 1)},
+                      {"speedup", fixed(r.sim_speedup, 2)},
+                  })},
+          {"mclb", object({
+                       {"flat_routes_per_sec",
+                        fixed(r.mclb_flat_routes_per_sec, 1)},
+                       {"scan_routes_per_sec",
+                        fixed(r.mclb_scan_routes_per_sec, 1)},
+                       {"speedup", fixed(r.mclb_speedup, 2)},
+                       {"compile_ms", fixed(r.mclb_compile_ms, 4)},
+                   })},
+          {"obs", object({
+                      {"sim_overhead_pct", fixed(r.obs_sim_overhead_pct, 2)},
+                      {"mclb_overhead_pct", fixed(r.obs_mclb_overhead_pct, 2)},
+                  })},
+          {"delta_apsp", object({
+                             {"n", JsonValue::integer(256)},
+                             {"delta_ns_per_move", fixed(r.dapsp_delta_ns, 1)},
+                             {"full_ns_per_move", fixed(r.dapsp_full_ns, 1)},
+                             {"speedup", fixed(r.dapsp_speedup, 2)},
+                             {"rows_per_move", fixed(r.dapsp_rows_per_move, 2)},
+                         })},
+          {"n_scaling", std::move(scaling)},
+      }).dump();
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "perf_report: cannot open %s\n", path.c_str());
     std::exit(2);
   }
-  std::fwrite(w.str().data(), 1, w.str().size(), f);
+  std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);
 }
 
@@ -249,28 +298,21 @@ int main(int argc, char** argv) {
       (void)e;
     }) / 1e6;
     const auto cps = routing::compile_paths(ps);
-    obs::WallTimer total;
-    double flat_s = 0.0, scan_s = 0.0;
-    long flat_routes = 0, scan_routes = 0;
-    do {
-      {
-        obs::WallTimer w;
-        volatile auto m = routing::mclb_local_search(cps).max_flows_on_link;
-        (void)m;
-        flat_s += w.seconds();
-        ++flat_routes;
-      }
-      {
-        obs::WallTimer w;
-        volatile auto m =
-            routing::mclb_local_search_scan(cps).max_flows_on_link;
-        (void)m;
-        scan_s += w.seconds();
-        ++scan_routes;
-      }
-    } while (total.seconds() < kernel_budget * 2.0);
-    rep.mclb_flat_routes_per_sec = static_cast<double>(flat_routes) / flat_s;
-    rep.mclb_scan_routes_per_sec = static_cast<double>(scan_routes) / scan_s;
+    const auto [flat, scan] = interleave(
+        kernel_budget * 2.0,
+        [&] {
+          volatile auto m = routing::mclb_local_search(cps).max_flows_on_link;
+          (void)m;
+          return 1L;
+        },
+        [&] {
+          volatile auto m =
+              routing::mclb_local_search_scan(cps).max_flows_on_link;
+          (void)m;
+          return 1L;
+        });
+    rep.mclb_flat_routes_per_sec = flat.per_sec();
+    rep.mclb_scan_routes_per_sec = scan.per_sec();
     rep.mclb_speedup =
         rep.mclb_flat_routes_per_sec / rep.mclb_scan_routes_per_sec;
   }
@@ -402,55 +444,55 @@ int main(int argc, char** argv) {
     double fscore = dscore;
     const std::int64_t burnin_resweeps = engine.resweeps();
 
+    // Each timed call is a batch of 16 move attempts; its units are the
+    // moves that mutated the graph.
     const int batch = 16;
-    obs::WallTimer total;
-    double delta_s = 0.0, full_s = 0.0;
-    long delta_moves = 0, full_moves = 0;
-    do {
-      {
-        obs::WallTimer w;
-        for (int b = 0; b < batch; ++b) {
-          if (!delta_arm.mutate()) continue;
-          engine.apply(delta_arm.g, delta_arm.ch, delta_arm.nch);
-          const double cand = score_of(engine.hop_sum(), engine.unreachable());
-          const double d = cand - dscore;
-          if (d <= 0.0 || delta_arm.rng.uniform() < std::exp(-d / t1)) {
-            engine.commit();
-            dscore = cand;
-          } else {
-            engine.rollback();
-            delta_arm.revert();
+    const auto [delta, full] = interleave(
+        kernel_budget * 2.0,
+        [&] {
+          long moves = 0;
+          for (int b = 0; b < batch; ++b) {
+            if (!delta_arm.mutate()) continue;
+            engine.apply(delta_arm.g, delta_arm.ch, delta_arm.nch);
+            const double cand =
+                score_of(engine.hop_sum(), engine.unreachable());
+            const double d = cand - dscore;
+            if (d <= 0.0 || delta_arm.rng.uniform() < std::exp(-d / t1)) {
+              engine.commit();
+              dscore = cand;
+            } else {
+              engine.rollback();
+              delta_arm.revert();
+            }
+            ++moves;
           }
-          ++delta_moves;
-        }
-        delta_s += w.seconds();
-      }
-      {
-        obs::WallTimer w;
-        for (int b = 0; b < batch; ++b) {
-          if (!full_arm.mutate()) continue;
-          long long hops = 0;
-          int miss = 0;
-          for (int s = 0; s < n; ++s)
-            hops += bfs.sum_from(full_arm.g, s, &miss);
-          const double cand = score_of(hops, miss);
-          const double d = cand - fscore;
-          if (d <= 0.0 || full_arm.rng.uniform() < std::exp(-d / t1)) {
-            fscore = cand;
-          } else {
-            full_arm.revert();
+          return moves;
+        },
+        [&] {
+          long moves = 0;
+          for (int b = 0; b < batch; ++b) {
+            if (!full_arm.mutate()) continue;
+            long long hops = 0;
+            int miss = 0;
+            for (int s = 0; s < n; ++s)
+              hops += bfs.sum_from(full_arm.g, s, &miss);
+            const double cand = score_of(hops, miss);
+            const double d = cand - fscore;
+            if (d <= 0.0 || full_arm.rng.uniform() < std::exp(-d / t1)) {
+              fscore = cand;
+            } else {
+              full_arm.revert();
+            }
+            ++moves;
           }
-          ++full_moves;
-        }
-        full_s += w.seconds();
-      }
-    } while (total.seconds() < kernel_budget * 2.0);
-    rep.dapsp_delta_ns = delta_s * 1e9 / static_cast<double>(delta_moves);
-    rep.dapsp_full_ns = full_s * 1e9 / static_cast<double>(full_moves);
+          return moves;
+        });
+    rep.dapsp_delta_ns = delta.ns_per_unit();
+    rep.dapsp_full_ns = full.ns_per_unit();
     rep.dapsp_speedup = rep.dapsp_full_ns / rep.dapsp_delta_ns;
     rep.dapsp_rows_per_move =
         static_cast<double>(engine.resweeps() - burnin_resweeps) /
-        static_cast<double>(delta_moves);
+        static_cast<double>(delta.units);
   }
 
   // --- Synthesis + simulation throughput vs n (the scaling curve). --------
@@ -477,12 +519,11 @@ int main(int argc, char** argv) {
       cfg.time_limit_s = 600.0;  // the move budget terminates first
       cfg.restarts = 1;
       cfg.seed = 9;
-      core::AnnealOptions ao;
-      ao.max_moves = rep.smoke ? std::min(pt.moves, 1500L) : pt.moves;
-      ao.landmark_sources = pt.n >= 256 ? 64 : 0;
-      sp.landmark_sources = ao.landmark_sources;
+      cfg.max_moves = rep.smoke ? std::min(pt.moves, 1500L) : pt.moves;
+      cfg.landmark_sources = pt.n >= 256 ? 64 : 0;
+      sp.landmark_sources = cfg.landmark_sources;
       obs::WallTimer synth_t;
-      const auto r = core::anneal_synthesize(cfg, ao);
+      const auto r = core::anneal_synthesize(cfg);
       const double synth_s = synth_t.seconds();
       sp.synth_moves_per_sec = static_cast<double>(r.moves) / synth_s;
       sp.apsp_rows_per_move =
@@ -545,26 +586,14 @@ int main(int argc, char** argv) {
     cfg.warmup = 500;
     cfg.measure = 2000;
     cfg.drain = 2000;
-    obs::WallTimer total;
-    double opt_s = 0.0, ref_s = 0.0;
-    long opt_cycles = 0, ref_cycles = 0;
-    do {
-      {
-        sim::SimConfig c = cfg;
-        obs::WallTimer w;
-        opt_cycles += sim::simulate(plan, t, c).cycles_run;
-        opt_s += w.seconds();
-      }
-      {
-        sim::SimConfig c = cfg;
-        c.reference_mode = true;
-        obs::WallTimer w;
-        ref_cycles += sim::simulate(plan, t, c).cycles_run;
-        ref_s += w.seconds();
-      }
-    } while (total.seconds() < (rep.smoke ? 1.0 : 4.0));
-    rep.sim_cycles_per_sec = static_cast<double>(opt_cycles) / opt_s;
-    rep.sim_ref_cycles_per_sec = static_cast<double>(ref_cycles) / ref_s;
+    sim::SimConfig ref_cfg = cfg;
+    ref_cfg.reference_mode = true;
+    const auto [opt, ref] = interleave(
+        rep.smoke ? 1.0 : 4.0,
+        [&] { return sim::simulate(plan, t, cfg).cycles_run; },
+        [&] { return sim::simulate(plan, t, ref_cfg).cycles_run; });
+    rep.sim_cycles_per_sec = opt.per_sec();
+    rep.sim_ref_cycles_per_sec = ref.per_sec();
     rep.sim_speedup = rep.sim_cycles_per_sec / rep.sim_ref_cycles_per_sec;
   }
 

@@ -72,7 +72,7 @@ struct TopologySpec {
   long max_moves = 0;
   // > 0: landmark objective estimation — score moves from this many sampled
   // sources (hop-based objectives only; incumbents stay exact). 0 = full
-  // per-move scoring. See AnnealOptions::landmark_sources.
+  // per-move scoring. See core::SynthesisConfig::landmark_sources.
   int landmark_sources = 0;
 
   bool operator==(const TopologySpec&) const = default;

@@ -237,8 +237,6 @@ void Study::expand() {
         for (const auto& obj : ts.objectives) {
           TopologyArtifact art;
           art.source = ts.source;
-          art.max_moves = ts.max_moves;
-          art.landmark_sources = ts.landmark_sources;
           auto& cfg = art.synth_cfg;
           const int rows = ts.rows > 0 ? ts.rows : 4;
           const int cols = ts.cols > 0 ? ts.cols : 5;
@@ -253,6 +251,8 @@ void Study::expand() {
           cfg.time_limit_s = ts.time_limit_s;
           cfg.seed = ts.synth_seed;
           cfg.restarts = ts.restarts;
+          cfg.max_moves = ts.max_moves;
+          cfg.landmark_sources = ts.landmark_sources;
           art.key = "synth:obj=" + obj + ";grid=" + std::to_string(rows) +
                     "x" + std::to_string(cols) + ";class=" + ts.link_class +
                     ";radix=" + std::to_string(ts.radix) +
@@ -374,10 +374,7 @@ void Study::run_topology_job(TopologyArtifact& t) {
     topo_misses_.fetch_add(1, std::memory_order_relaxed);
   }
   if (t.source == TopologySource::kSynthesize) {
-    core::AnnealOptions ao;
-    ao.max_moves = t.max_moves;
-    ao.landmark_sources = t.landmark_sources;
-    t.synth = core::anneal_synthesize(t.synth_cfg, ao);
+    t.synth = core::anneal_synthesize(t.synth_cfg);
     t.topo.graph = t.synth.graph;
     t.synthesized = true;
     synth_count_.fetch_add(1);

@@ -49,8 +49,6 @@ struct TopologyArtifact {
   topologies::NamedTopology topo;  // synthesize: graph filled by the job
   // Synthesize inputs (pending until the job runs).
   core::SynthesisConfig synth_cfg;
-  long max_moves = 0;
-  int landmark_sources = 0;
   bool synthesized = false;
   core::SynthesisResult synth;
   // spec.analytic metrics (filled by the topology job).

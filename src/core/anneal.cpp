@@ -27,7 +27,7 @@ namespace {
 constexpr double kDisconnected = 1e9;
 
 // Temperature schedule: geometric from kT0 to kT1 in the elapsed-time or
-// elapsed-move fraction (see AnnealOptions::max_moves).
+// elapsed-move fraction (see SynthesisConfig::max_moves).
 constexpr double kT0 = 8.0;
 constexpr double kT1 = 0.02;
 constexpr int kCutCacheSize = 320;
@@ -197,7 +197,6 @@ std::vector<int> landmark_sample(int n, int k, std::uint64_t seed,
 // Shared, immutable search inputs (candidate link set, analytic bound).
 struct SearchContext {
   SynthesisConfig cfg;
-  AnnealOptions opts;
   int n = 0;
   std::vector<std::vector<int>> out_cand;  // candidate link set L (C3)
   double bound = 0.0;
@@ -206,12 +205,11 @@ struct SearchContext {
   // full distance matrix for path enumeration anyway.
   int landmarks = 0;  // 0 = exact full-row scoring
 
-  SearchContext(const SynthesisConfig& c, const AnnealOptions& o)
-      : cfg(c), opts(o), n(c.layout.n()) {
-    if (o.landmark_sources > 0 && o.landmark_sources < n &&
+  explicit SearchContext(const SynthesisConfig& c) : cfg(c), n(c.layout.n()) {
+    if (cfg.landmark_sources > 0 && cfg.landmark_sources < n &&
         (cfg.objective == Objective::kLatOp ||
          cfg.objective == Objective::kPattern))
-      landmarks = o.landmark_sources;
+      landmarks = cfg.landmark_sources;
     out_cand.resize(n);
     for (const auto& [i, j] : topo::valid_links(cfg.layout, cfg.link_class)) {
       if (cfg.symmetric_links && i > j) continue;
@@ -282,7 +280,7 @@ struct RestartOutcome {
 
 // One restart: fully self-contained state (RNG, cut cache, incumbent) plus a
 // borrowed workspace holding the incrementally maintained distance rows, so
-// the search trajectory depends only on (cfg, opts, restart index).
+// the search trajectory depends only on (cfg, restart index).
 //
 // Move protocol: propose_and_apply mutates the graph, sync_engine() replays
 // the edit batch into the delta-APSP engine (journaling the overwritten
@@ -338,7 +336,7 @@ class RestartRun {
     ws_.engine.rebuild(g);
 
     const double budget_s = cfg_.time_limit_s / std::max(1, cfg_.restarts);
-    const long budget_moves = ctx_.opts.max_moves;
+    const long budget_moves = cfg_.max_moves;
     long moves_done = 0;
 
     double score = search_score(g);
@@ -817,9 +815,8 @@ class RestartRun {
 
 }  // namespace
 
-SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
-                                  const AnnealOptions& opts) {
-  const SearchContext ctx(cfg, opts);
+SynthesisResult anneal_synthesize(const SynthesisConfig& cfg) {
+  const SearchContext ctx(cfg);
   const int restarts = std::max(1, cfg.restarts);
 
   obs::Span span("anneal/synthesize");
@@ -877,7 +874,7 @@ SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
         result.trace.push_back(p);
       }
     }
-    offset += opts.max_moves > 0 ? outcomes[r].duration_s : per_restart;
+    offset += cfg.max_moves > 0 ? outcomes[r].duration_s : per_restart;
   }
 
   if (!have || best_restart < 0)

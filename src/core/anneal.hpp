@@ -19,31 +19,14 @@
 // incumbent. They run serially in index order, and the best-of reduction
 // walks them in that order with a strictly-better comparison; callers that
 // want parallelism run whole syntheses concurrently (api::Study's pool).
-// With `max_moves > 0` the temperature schedule and termination are driven
-// by the move counter instead of the wall clock, so a fixed seed reproduces
-// the exact same topology on every run.
+// With `cfg.max_moves > 0` the temperature schedule and termination are
+// driven by the move counter instead of the wall clock, so a fixed seed
+// reproduces the exact same topology on every run.
 
 #include "core/config.hpp"
 
 namespace netsmith::core {
 
-struct AnnealOptions {
-  // Per-restart move budget; 0 = wall-clock budget (time_limit_s /
-  // restarts per restart, not bit-reproducible across runs).
-  long max_moves = 0;
-  // Landmark objective estimation for large-n synthesis: when > 0 and
-  // smaller than n, the hop-based objectives (kLatOp, kPattern) score moves
-  // from this many sampled sources instead of all n. The sample is a
-  // deterministic function of (cfg.seed, restart index), so move-budgeted
-  // runs stay bit-identical across runs. Estimates only steer the search:
-  // every incumbent candidate is exactly re-scored (full APSP) before being
-  // compared or stored, so objective_value and the returned graph are
-  // always exact. SCOp and the route-aware objectives
-  // (which need the full distance matrix anyway) ignore this option.
-  int landmark_sources = 0;
-};
-
-SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
-                                  const AnnealOptions& opts = {});
+SynthesisResult anneal_synthesize(const SynthesisConfig& cfg);
 
 }  // namespace netsmith::core

@@ -46,6 +46,19 @@ struct SynthesisConfig {
   double time_limit_s = 10.0;
   std::uint64_t seed = 1;
   int restarts = 3;
+  // Per-restart move budget; 0 = wall-clock budget (time_limit_s /
+  // restarts per restart, not bit-reproducible across runs).
+  long max_moves = 0;
+  // Landmark objective estimation for large-n synthesis: when > 0 and
+  // smaller than n, the hop-based objectives (kLatOp, kPattern) score moves
+  // from this many sampled sources instead of all n. The sample is a
+  // deterministic function of (seed, restart index), so move-budgeted runs
+  // stay bit-identical across runs. Estimates only steer the search: every
+  // incumbent candidate is exactly re-scored (full APSP) before being
+  // compared or stored, so objective_value and the returned graph are
+  // always exact. SCOp and the route-aware objectives (which need the full
+  // distance matrix anyway) ignore this knob.
+  int landmark_sources = 0;
 };
 
 struct ProgressPoint {

@@ -4,17 +4,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "api/report.hpp"
@@ -26,7 +20,6 @@
 
 namespace netsmith::serve {
 
-namespace fs = std::filesystem;
 using util::JsonValue;
 
 // ---------------------------------------------------------------- Server --
@@ -38,21 +31,6 @@ void set_recv_timeout(int fd, int ms) {
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-bool write_file(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << data;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -70,38 +48,32 @@ Server::~Server() {
 }
 
 void Server::start() {
-  if (!opts_.socket_path.empty()) {
-    ::unlink(opts_.socket_path.c_str());
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-      throw std::runtime_error("serve: socket(): " +
-                               std::string(std::strerror(errno)));
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (opts_.socket_path.size() >= sizeof(addr.sun_path))
-      throw std::runtime_error("serve: socket path too long: " +
-                               opts_.socket_path);
-    std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 64) != 0) {
-      const std::string err = std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("serve: cannot listen on " +
-                               opts_.socket_path + ": " + err);
-    }
-    // accept() honors SO_RCVTIMEO; the loop wakes periodically to observe a
-    // stop request instead of parking forever.
-    set_recv_timeout(listen_fd_, 200);
-    accept_thread_ = std::thread([this] { accept_loop(); });
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (opts_.socket_path.empty() ||
+      opts_.socket_path.size() >= sizeof(addr.sun_path))
+    throw std::runtime_error("serve: socket path empty or too long: '" +
+                             opts_.socket_path + "'");
+  std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ::unlink(opts_.socket_path.c_str());
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0)
+    throw std::runtime_error("serve: socket(): " +
+                             std::string(std::strerror(errno)));
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, 64) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("serve: cannot listen on " + opts_.socket_path +
+                             ": " + err);
   }
-  if (!opts_.spool_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(opts_.spool_dir, ec);
-    spool_thread_ = std::thread([this] { spool_loop(); });
-  }
+  // accept() honors SO_RCVTIMEO; the loop wakes periodically to observe a
+  // stop request instead of parking forever.
+  set_recv_timeout(listen_fd_, 200);
+  accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
 }
 
@@ -122,7 +94,6 @@ void Server::wait() {
     for (auto& c : conns_) c.thread.join();
     conns_.clear();
   }
-  if (spool_thread_.joinable()) spool_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -288,78 +259,6 @@ void Server::handle_run(int fd, const JsonValue& spec_json) {
   write_line(fd, report_event(api::report_to_json(report),
                               !report.failed_jobs.empty(),
                               study->artifact_cache_stats(), store_.stats()));
-}
-
-bool Server::run_spec_json(
-    const JsonValue& spec_json, std::string& report_json, bool& partial,
-    api::ArtifactCacheStats& cache_stats, std::string& error) {
-  try {
-    const api::ExperimentSpec spec = api::spec_from_json(spec_json);
-    api::StudyOptions sopts;
-    sopts.cache = &store_;
-    sopts.executor = &pool_;
-    api::Study study(spec, sopts);
-    const api::Report report = study.run();
-    report_json = api::report_to_json(report);
-    partial = !report.failed_jobs.empty();
-    cache_stats = study.artifact_cache_stats();
-    return true;
-  } catch (const std::exception& e) {
-    error = e.what();
-    if (error.empty()) error = "study failed";
-    return false;
-  }
-}
-
-void Server::spool_loop() {
-  while (!stop_requested()) {
-    std::vector<std::string> inputs;
-    {
-      std::error_code ec;
-      for (fs::directory_iterator it(opts_.spool_dir, ec), end;
-           !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec)) continue;
-        const std::string name = it->path().filename().string();
-        if (name.size() < 6 || name.substr(name.size() - 5) != ".json")
-          continue;
-        if (name.size() >= 12 &&
-            name.substr(name.size() - 12) == ".report.json")
-          continue;
-        inputs.push_back(it->path().string());
-      }
-    }
-    std::sort(inputs.begin(), inputs.end());
-    for (const std::string& path : inputs) {
-      if (stop_requested()) break;
-      obs::Span span("serve/request");
-      span.arg("op", "spool");
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("serve.requests").inc();
-      const std::string stem = path.substr(0, path.size() - 5);
-      std::string report_json, error;
-      bool partial = false;
-      api::ArtifactCacheStats cache_stats;
-      bool ok;
-      try {
-        ok = run_spec_json(JsonValue::parse(read_file(path)), report_json,
-                           partial, cache_stats, error);
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-      std::error_code ec;
-      if (ok && write_file(stem + ".report.json", report_json)) {
-        fs::rename(path, path + ".done", ec);
-      } else {
-        if (error.empty()) error = "cannot write report";
-        write_file(stem + ".error.txt", error + "\n");
-        fs::rename(path, path + ".failed", ec);
-      }
-    }
-    std::unique_lock<std::mutex> lk(stop_mu_);
-    stop_cv_.wait_for(lk, std::chrono::milliseconds(opts_.spool_poll_ms),
-                      [this] { return stop_requested(); });
-  }
 }
 
 }  // namespace netsmith::serve

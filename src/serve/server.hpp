@@ -5,14 +5,10 @@
 // share compute fairly and repeated specs are answered from cache — a warm
 // identical spec performs zero synthesis/plan/sweep work.
 //
-// Front ends, both optional and composable:
-//  - Unix-domain socket (ServerOptions::socket_path): newline-delimited
-//    JSON protocol (serve/protocol.hpp), one connection-handler thread per
-//    client, progress events streamed as jobs retire.
-//  - Spool directory (ServerOptions::spool_dir): polled for "*.json" specs;
-//    each produces "<stem>.report.json" and the input is renamed to
-//    "<input>.done" (or ".failed" plus "<stem>.error.txt"). Lets scripts
-//    use the daemon without speaking the socket protocol.
+// Front end: a Unix-domain socket (ServerOptions::socket_path) speaking a
+// newline-delimited JSON protocol (serve/protocol.hpp), one
+// connection-handler thread per client, progress events streamed as jobs
+// retire.
 //
 // Deadlock rule: pool tasks never block on other tasks. The Study's DAG
 // driver only ever submits ready jobs, and the thread that waits for a
@@ -43,12 +39,10 @@ using api::SharedPool;
 inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
 
 struct ServerOptions {
-  std::string socket_path;  // empty = no socket listener
-  std::string spool_dir;    // empty = no spool watcher
+  std::string socket_path;  // required: the daemon's one front end
   std::string cache_dir;    // empty = memory-only store
   std::size_t lru_bytes = 64ull << 20;
   int threads = 0;  // SharedPool width; 0 = hardware concurrency
-  int spool_poll_ms = 200;
 };
 
 class Server {
@@ -58,8 +52,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the socket and launches the listener/spool threads. Throws
-  // std::runtime_error when the socket cannot be bound.
+  // Binds the socket and launches the listener thread. Throws
+  // std::runtime_error when socket_path is empty or cannot be bound.
   void start();
   // Blocks until request_stop() (e.g. from a signal handler or a client
   // "shutdown" op), then joins every thread. The socket file is unlinked.
@@ -88,13 +82,6 @@ class Server {
   void reap_finished_connections();
   void handle_connection(int fd);
   void handle_run(int fd, const util::JsonValue& spec_json);
-  void spool_loop();
-  // Spool path: run one spec on the shared pool with the shared store.
-  // Returns false + message on any failure.
-  bool run_spec_json(const util::JsonValue& spec_json,
-                     std::string& report_json, bool& partial,
-                     api::ArtifactCacheStats& cache_stats,
-                     std::string& error);
 
   ServerOptions opts_;
   ArtifactStore store_;
@@ -103,7 +90,6 @@ class Server {
   std::atomic<long> requests_{0};
   int listen_fd_ = -1;
   std::thread accept_thread_;
-  std::thread spool_thread_;
   // One handler thread per accepted client. A handler flags `done` as its
   // last act; the accept loop joins flagged ones before adding a new one,
   // so a long-lived daemon holds threads only for its live clients.

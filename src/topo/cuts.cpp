@@ -200,7 +200,11 @@ Cut sparsest_cut_exact(const DiGraph& g) {
   Cut best;
   best.bandwidth = std::numeric_limits<double>::infinity();
 
-#pragma omp parallel
+  // Tiny graphs (n <= 12, the annealer's per-move exact-cut regime) take
+  // microseconds to enumerate: a fork/join would cost more than the work,
+  // and stalls for a whole timeslice when the cores are oversubscribed.
+  constexpr std::uint64_t kMinParallelPartitions = 1ULL << 12;
+#pragma omp parallel if (total >= kMinParallelPartitions)
   {
     Cut local_best;
     local_best.bandwidth = std::numeric_limits<double>::infinity();

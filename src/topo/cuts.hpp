@@ -34,7 +34,8 @@ std::pair<int, int> cross_edge_counts(const DiGraph& g, std::uint64_t u_mask);
 Cut evaluate_cut(const DiGraph& g, std::uint64_t u_mask);
 
 // Exhaustive sparsest cut; requires n <= 26 (2^(n-1) partitions, enumerated
-// incrementally via Gray code and parallelized with OpenMP).
+// incrementally via Gray code and, from n = 13 up, parallelized with
+// OpenMP).
 Cut sparsest_cut_exact(const DiGraph& g);
 
 // Local-search heuristic: random subsets refined by single-node moves.

@@ -8,8 +8,7 @@
 // `next |= out_bits(u)` per frontier node followed by a masked merge, so at
 // paper scale (n <= 64) the whole frontier lives in one machine word. The
 // scalar queue-based kernels are kept both as the oracle for property tests
-// and for head-to-head benchmarking (bench/micro_kernels.cpp,
-// bench/perf_report.cpp).
+// and for head-to-head benchmarking (bench/perf_report.cpp).
 
 #include <cstdint>
 #include <limits>

@@ -1,6 +1,5 @@
 #include "topologies/registry.hpp"
 
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -244,10 +243,12 @@ NamedTopology make_frozen(const Params& p) {
 
 // ----------------------------------------------------- factory registry ---
 
-std::map<std::string, Factory>& registry() {
-  // Magic-static initialization is thread-safe; the mutex below guards
-  // post-init mutation (register_factory) against concurrent lookups.
-  static std::map<std::string, Factory> families = {
+using Factory = NamedTopology (*)(const Params&);
+
+// The fixed family table. Magic-static initialization is thread-safe and the
+// table is never mutated afterwards, so lookups take no lock.
+const std::map<std::string, Factory>& families() {
+  static const std::map<std::string, Factory> table = {
       {"dragonfly", make_dragonfly},
       {"cmesh", make_cmesh},
       {"hammingmesh", make_hammingmesh},
@@ -261,44 +262,23 @@ std::map<std::string, Factory>& registry() {
       {"lpbt_hops", make_lpbt_hops},
       {"frozen", make_frozen},
   };
-  return families;
-}
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
+  return table;
 }
 
 }  // namespace
 
-void register_factory(const std::string& family, Factory factory) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  registry()[family] = std::move(factory);
-}
-
-bool has_factory(const std::string& family) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  return registry().count(family) != 0;
-}
-
 std::vector<std::string> factory_names() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::vector<std::string> names;
-  for (const auto& [name, factory] : registry()) names.push_back(name);
+  for (const auto& [name, factory] : families()) names.push_back(name);
   return names;
 }
 
 NamedTopology make(const std::string& family, const Params& params) {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto it = registry().find(family);
-    if (it == registry().end())
-      throw std::invalid_argument("registry: no factory family '" + family +
-                                  "'");
-    factory = it->second;
-  }
-  return factory(params);
+  const auto it = families().find(family);
+  if (it == families().end())
+    throw std::invalid_argument("registry: no factory family '" + family +
+                                "'");
+  return it->second(params);
 }
 
 NamedTopology make_spec(const std::string& spec) {

@@ -13,9 +13,8 @@
 // generator-exact experts (mesh, torus, folded_torus), the reconstructed
 // experts (kite, butter_donut, double_butterfly, lpbt_power, lpbt_hops), the
 // frozen table itself (frozen:name=...), and the parametric baselines
-// (dragonfly, cmesh, hammingmesh). Callers can register additional families.
+// (dragonfly, cmesh, hammingmesh). The family table is fixed.
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,8 +32,8 @@ struct NamedTopology {
   topo::DiGraph graph;
   bool machine_generated = false;  // NS-* / LPBT-*
   bool is_netsmith = false;        // NS-*
-  // Scalable generator family (Dragonfly / CMesh / HammingMesh or a custom
-  // registration) rather than a frozen/reconstructed design; these route
+  // Scalable generator family (Dragonfly / CMesh / HammingMesh) rather than
+  // a frozen/reconstructed design; these route
   // with MCLB and may carry extra_edge_delay.
   bool parametric = false;
   // Canonical "family:key=value,..." factory spec (make_spec round-trips
@@ -69,11 +68,8 @@ NamedTopology find(const std::vector<NamedTopology>& cat, const std::string& nam
 // -------------------------------------------------- parametric factory ----
 
 using Params = std::map<std::string, std::string>;
-using Factory = std::function<NamedTopology(const Params&)>;
 
-// Registers (or replaces) a factory family under `family`.
-void register_factory(const std::string& family, Factory factory);
-bool has_factory(const std::string& family);
+// The built-in family names, sorted.
 std::vector<std::string> factory_names();
 
 // Instantiates a family; throws std::invalid_argument on unknown family or

@@ -491,80 +491,4 @@ JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
-// ----------------------------------------------------------- JsonWriter ---
-
-void JsonWriter::prefix(const char* key) {
-  if (!first_.empty()) {
-    if (!first_.back()) out_ += ',';
-    first_.back() = false;
-    out_ += '\n';
-    out_.append(first_.size() * 2, ' ');
-  }
-  if (key) {
-    out_ += json_quote(key);
-    out_ += ": ";
-  }
-}
-
-void JsonWriter::open(char c, const char* key) {
-  prefix(key);
-  out_ += c;
-  first_.push_back(true);
-  closer_.push_back(c == '{' ? '}' : ']');
-}
-
-void JsonWriter::end() {
-  const bool empty = first_.back();
-  first_.pop_back();
-  if (!empty) {
-    out_ += '\n';
-    out_.append(first_.size() * 2, ' ');
-  }
-  out_ += closer_.back();
-  closer_.pop_back();
-  if (first_.empty()) out_ += '\n';
-}
-
-void JsonWriter::field_int(const char* key, long long v) {
-  prefix(key);
-  out_ += std::to_string(v);
-}
-
-void JsonWriter::field_bool(const char* key, bool v) {
-  prefix(key);
-  out_ += v ? "true" : "false";
-}
-
-void JsonWriter::field_string(const char* key, const std::string& v) {
-  prefix(key);
-  out_ += json_quote(v);
-}
-
-void JsonWriter::field_fmt(const char* key, const char* fmt, double v) {
-  prefix(key);
-  if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0) {
-    out_ += "null";  // NaN/inf have no JSON number form
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, fmt, v);
-  out_ += buf;
-}
-
-void JsonWriter::elem_fmt(const char* fmt, double v) {
-  prefix(nullptr);
-  if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0) {
-    out_ += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, fmt, v);
-  out_ += buf;
-}
-
-void JsonWriter::elem_string(const std::string& v) {
-  prefix(nullptr);
-  out_ += json_quote(v);
-}
-
 }  // namespace netsmith::util

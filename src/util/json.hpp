@@ -1,14 +1,11 @@
 #pragma once
 // Minimal JSON support shared by the experiment API and the perf harness.
 //
-// Two layers:
-//  - JsonValue: an ordered-object DOM with parse() and dump(). Objects keep
-//    insertion order, integers stay integers, and doubles are emitted with
-//    shortest round-trippable formatting, so serialize -> parse -> serialize
-//    is byte-stable. This backs ExperimentSpec/Report serialization.
-//  - JsonWriter: a streaming writer with caller-controlled printf formatting
-//    for numbers (2-space pretty printing, same layout as dump()). This backs
-//    BENCH_perf.json, whose fields are fixed-precision by contract.
+// JsonValue is an ordered-object DOM with parse() and dump(). Objects keep
+// insertion order, integers stay integers, and doubles are emitted with
+// shortest round-trippable formatting, so serialize -> parse -> serialize is
+// byte-stable. This backs ExperimentSpec/Report serialization and
+// BENCH_perf.json.
 //
 // Deliberately small: no comments, no trailing commas, UTF-8 passthrough
 // with \uXXXX decoding. Parse errors throw std::runtime_error with a byte
@@ -92,44 +89,5 @@ class JsonValue {
 
 // Escapes and quotes `s` as a JSON string token.
 std::string json_quote(const std::string& s);
-
-// Streaming pretty-printer. Usage:
-//   JsonWriter w;
-//   w.begin_object();
-//   w.field_int("schema", 2);
-//   w.begin_object("anneal");
-//   w.field_fmt("moves_per_sec", "%.1f", mps);
-//   w.end();   // anneal
-//   w.end();   // root (appends the trailing newline)
-//   write(w.str());
-class JsonWriter {
- public:
-  void begin_object() { open('{', nullptr); }
-  void begin_object(const char* key) { open('{', key); }
-  void begin_array() { open('[', nullptr); }
-  void begin_array(const char* key) { open('[', key); }
-  void end();
-
-  void field_int(const char* key, long long v);
-  void field_bool(const char* key, bool v);
-  void field_string(const char* key, const std::string& v);
-  // printf-formatted number (fmt must produce a bare JSON number token).
-  void field_fmt(const char* key, const char* fmt, double v);
-  // Array elements.
-  void elem_fmt(const char* fmt, double v);
-  void elem_string(const std::string& v);
-
-  const std::string& str() const { return out_; }
-
- private:
-  void open(char c, const char* key);
-  void prefix(const char* key);  // separator + indent + optional "key":
-
-  std::string out_;
-  // One frame per open container: first flag for comma placement plus the
-  // matching closer character.
-  std::vector<bool> first_;
-  std::vector<char> closer_;
-};
 
 }  // namespace netsmith::util

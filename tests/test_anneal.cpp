@@ -15,20 +15,25 @@
 namespace netsmith::core {
 namespace {
 
-SynthesisConfig small_cfg(Objective obj, double secs = 1.5) {
+// Move-budgeted, so every test below is deterministic and load-insensitive.
+SynthesisConfig small_cfg(Objective obj) {
   SynthesisConfig cfg;
   cfg.layout = topo::Layout{2, 3, 2.0};
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.radix = 3;
   cfg.objective = obj;
-  cfg.time_limit_s = secs;
+  cfg.max_moves = 20000;
   cfg.restarts = 2;
   cfg.seed = 11;
   return cfg;
 }
 
+// The one wall-clock-budgeted run covers the time-driven schedule. Its
+// assertions are structural only, so CPU contention cannot fail it.
 TEST(Anneal, ProducesValidTopology) {
-  const auto cfg = small_cfg(Objective::kLatOp);
+  auto cfg = small_cfg(Objective::kLatOp);
+  cfg.max_moves = 0;
+  cfg.time_limit_s = 0.2;
   const auto r = anneal_synthesize(cfg);
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   EXPECT_TRUE(topo::respects_radix(r.graph, cfg.radix));
@@ -63,7 +68,7 @@ TEST(Anneal, BoundIsValidLowerBound) {
 }
 
 TEST(Anneal, ScopMaximizesCut) {
-  const auto r = anneal_synthesize(small_cfg(Objective::kSCOp, 2.0));
+  const auto r = anneal_synthesize(small_cfg(Objective::kSCOp));
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   const auto cut = topo::sparsest_cut_exact(r.graph);
   EXPECT_NEAR(r.objective_value, cut.bandwidth, 1e-9);
@@ -72,15 +77,15 @@ TEST(Anneal, ScopMaximizesCut) {
 }
 
 TEST(Anneal, ScopBeatsOrMatchesLatOpOnBandwidth) {
-  const auto lat = anneal_synthesize(small_cfg(Objective::kLatOp, 2.0));
-  const auto scp = anneal_synthesize(small_cfg(Objective::kSCOp, 2.0));
+  const auto lat = anneal_synthesize(small_cfg(Objective::kLatOp));
+  const auto scp = anneal_synthesize(small_cfg(Objective::kSCOp));
   const auto bw_lat = topo::sparsest_cut_exact(lat.graph).bandwidth;
   const auto bw_scp = topo::sparsest_cut_exact(scp.graph).bandwidth;
   EXPECT_GE(bw_scp + 1e-9, bw_lat);
 }
 
 TEST(Anneal, PatternObjectiveSpecializes) {
-  auto cfg = small_cfg(Objective::kPattern, 2.0);
+  auto cfg = small_cfg(Objective::kPattern);
   const int n = cfg.layout.n();
   // Traffic only between the two far corners.
   cfg.pattern = util::Matrix<double>(n, n, 0.0);
@@ -95,18 +100,17 @@ TEST(Anneal, PatternObjectiveSpecializes) {
 }
 
 TEST(Anneal, DiameterBoundHonored) {
-  auto cfg = small_cfg(Objective::kLatOp, 1.5);
+  auto cfg = small_cfg(Objective::kLatOp);
   cfg.diameter_bound = 3;
   const auto r = anneal_synthesize(cfg);
   EXPECT_LE(topo::diameter(r.graph), 3);
 }
 
 TEST(Anneal, DeterministicForSeed) {
-  // Time-based annealing is not bit-reproducible across runs, but the
-  // *result quality* for a fixed seed and ample budget must be stable: both
-  // runs reach the small-instance optimum.
-  const auto a = anneal_synthesize(small_cfg(Objective::kLatOp, 1.0));
-  const auto b = anneal_synthesize(small_cfg(Objective::kLatOp, 1.0));
+  // The *result quality* for a fixed seed and ample budget must be stable:
+  // both runs reach the small-instance optimum.
+  const auto a = anneal_synthesize(small_cfg(Objective::kLatOp));
+  const auto b = anneal_synthesize(small_cfg(Objective::kLatOp));
   EXPECT_NEAR(a.objective_value, b.objective_value, 0.15);
 }
 
@@ -114,10 +118,9 @@ TEST(Anneal, DeterministicForSeed) {
 TEST(Anneal, MoveBudgetDeterministicAcrossRuns) {
   auto cfg = small_cfg(Objective::kLatOp);
   cfg.restarts = 2;
-  AnnealOptions opts;
-  opts.max_moves = 2000;
-  const auto a = anneal_synthesize(cfg, opts);
-  const auto b = anneal_synthesize(cfg, opts);
+  cfg.max_moves = 2000;
+  const auto a = anneal_synthesize(cfg);
+  const auto b = anneal_synthesize(cfg);
   EXPECT_TRUE(a.graph == b.graph);
   EXPECT_EQ(a.objective_value, b.objective_value);
 }
@@ -139,13 +142,12 @@ TEST(Anneal, ChannelLoadObjectiveBeatsHopProxyOnLoad) {
   cfg.radix = 4;
   cfg.restarts = 2;
   cfg.seed = 9;
-  AnnealOptions opts;
-  opts.max_moves = 2500;  // move-budgeted: deterministic and load-insensitive
+  cfg.max_moves = 2500;  // move-budgeted: deterministic and load-insensitive
 
   cfg.objective = Objective::kLatOp;
-  const auto lat = anneal_synthesize(cfg, opts);
+  const auto lat = anneal_synthesize(cfg);
   cfg.objective = Objective::kChannelLoad;
-  const auto cl = anneal_synthesize(cfg, opts);
+  const auto cl = anneal_synthesize(cfg);
 
   EXPECT_TRUE(topo::strongly_connected(cl.graph));
   EXPECT_TRUE(topo::respects_radix(cl.graph, cfg.radix));
@@ -171,13 +173,12 @@ TEST(Anneal, LatLoadCombinedObjectiveBalancesBoth) {
   cfg.radix = 4;
   cfg.restarts = 2;
   cfg.seed = 9;
-  AnnealOptions opts;
-  opts.max_moves = 2500;
+  cfg.max_moves = 2500;
 
   cfg.objective = Objective::kLatOp;
-  const auto lat = anneal_synthesize(cfg, opts);
+  const auto lat = anneal_synthesize(cfg);
   cfg.objective = Objective::kLatLoad;
-  const auto ll = anneal_synthesize(cfg, opts);
+  const auto ll = anneal_synthesize(cfg);
 
   EXPECT_TRUE(topo::strongly_connected(ll.graph));
   // The combined mode may trade a little latency for load, but not much...
@@ -240,9 +241,8 @@ TEST(AnnealGolden, RouteAwareSynthesisDigests) {
     cfg.objective = c.objective;
     cfg.restarts = c.restarts;
     cfg.seed = 23;
-    AnnealOptions opts;
-    opts.max_moves = c.max_moves;
-    const auto r = anneal_synthesize(cfg, opts);
+    cfg.max_moves = c.max_moves;
+    const auto r = anneal_synthesize(cfg);
     EXPECT_EQ(synthesis_digest(r), c.digest)
         << c.name << ": 0x" << std::hex << synthesis_digest(r);
   }
@@ -265,15 +265,12 @@ std::uint64_t restart_digest(const SynthesisResult& r) {
 // outcome, so the winner, the summed counters and the merged trace are all
 // pinned here.
 TEST(AnnealGolden, MultiRestartDigests) {
-  const auto with = [](SynthesisConfig cfg, int restarts) {
+  const auto with = [](SynthesisConfig cfg, int restarts, long moves,
+                       int landmarks) {
     cfg.restarts = restarts;
+    cfg.max_moves = moves;
+    cfg.landmark_sources = landmarks;
     return cfg;
-  };
-  const auto budget = [](long moves, int landmarks) {
-    AnnealOptions o;
-    o.max_moves = moves;
-    o.landmark_sources = landmarks;
-    return o;
   };
   SynthesisConfig grid86 = small_cfg(Objective::kLatOp);
   grid86.layout = topo::Layout{8, 6, 2.0};
@@ -282,20 +279,20 @@ TEST(AnnealGolden, MultiRestartDigests) {
   const struct {
     const char* name;
     SynthesisConfig cfg;
-    AnnealOptions opts;
     std::uint64_t digest;
   } cases[] = {
-      {"2x3 latop 4x3000", with(small_cfg(Objective::kLatOp), 4),
-       budget(3000, 0), 0x5fa91a7208835e12ull},
-      {"2x3 scop 3x1500", with(small_cfg(Objective::kSCOp), 3),
-       budget(1500, 0), 0x6ea1dfb48d37ad58ull},
-      {"2x3 channel-load 3x1200", with(small_cfg(Objective::kChannelLoad), 3),
-       budget(1200, 0), 0xb464b360c94eb66eull},
-      {"8x6 landmark latop 2x3000", with(grid86, 2), budget(3000, 12),
+      {"2x3 latop 4x3000", with(small_cfg(Objective::kLatOp), 4, 3000, 0),
+       0x5fa91a7208835e12ull},
+      {"2x3 scop 3x1500", with(small_cfg(Objective::kSCOp), 3, 1500, 0),
+       0x6ea1dfb48d37ad58ull},
+      {"2x3 channel-load 3x1200",
+       with(small_cfg(Objective::kChannelLoad), 3, 1200, 0),
+       0xb464b360c94eb66eull},
+      {"8x6 landmark latop 2x3000", with(grid86, 2, 3000, 12),
        0x1e02826f6be66783ull},
   };
   for (const auto& c : cases) {
-    const auto r = anneal_synthesize(c.cfg, c.opts);
+    const auto r = anneal_synthesize(c.cfg);
     EXPECT_EQ(restart_digest(r), c.digest)
         << c.name << ": 0x" << std::hex << restart_digest(r);
   }
@@ -306,13 +303,13 @@ TEST(Anneal, FillsPortBudgetOnLargerInstance) {
   cfg.layout = topo::Layout::noi_4x5();
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.objective = Objective::kLatOp;
-  cfg.time_limit_s = 2.0;
+  cfg.max_moves = 50000;
   cfg.restarts = 1;
   cfg.seed = 5;
   const auto r = anneal_synthesize(cfg);
   // Paper SV-D: NetSmith "maximally uses all available router ports".
   EXPECT_GE(r.graph.num_directed_edges(), 70);  // of 80 possible
-  // Even a 2-second budget must land below the folded torus (2.32); the
+  // Even a short budget must land below the folded torus (2.32); the
   // full-budget runs reach ~2.07 (Table II reproduction).
   EXPECT_LT(topo::average_hops(r.graph), 2.32);
 }

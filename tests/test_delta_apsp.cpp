@@ -199,11 +199,10 @@ SynthesisConfig scale_cfg(Objective obj, int rows, int cols) {
 }
 
 TEST(LandmarkAnneal, IncumbentObjectiveIsExact) {
-  const auto cfg = scale_cfg(Objective::kLatOp, 8, 6);
-  AnnealOptions ao;
-  ao.max_moves = 4000;
-  ao.landmark_sources = 12;
-  const auto r = anneal_synthesize(cfg, ao);
+  auto cfg = scale_cfg(Objective::kLatOp, 8, 6);
+  cfg.max_moves = 4000;
+  cfg.landmark_sources = 12;
+  const auto r = anneal_synthesize(cfg);
   // The estimate only steers: the reported objective must equal the exact
   // average hops of the returned graph to the last bit, and the incumbent
   // path must actually have taken the exact-re-score branch.
@@ -213,10 +212,9 @@ TEST(LandmarkAnneal, IncumbentObjectiveIsExact) {
 }
 
 TEST(LandmarkAnneal, FullModeReportsResweepAccounting) {
-  const auto cfg = scale_cfg(Objective::kLatOp, 2, 3);
-  AnnealOptions ao;
-  ao.max_moves = 1500;
-  const auto r = anneal_synthesize(cfg, ao);
+  auto cfg = scale_cfg(Objective::kLatOp, 2, 3);
+  cfg.max_moves = 1500;
+  const auto r = anneal_synthesize(cfg);
   EXPECT_GT(r.apsp_resweeps, 0);
   EXPECT_EQ(r.exact_rescores, 0);  // no landmark mode, no re-score path
 }

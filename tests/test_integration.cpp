@@ -20,7 +20,7 @@ TEST(Pipeline, SynthesizeRoutePlanSimulate) {
   cfg.layout = topo::Layout::noi_4x5();
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.objective = core::Objective::kLatOp;
-  cfg.time_limit_s = 2.0;
+  cfg.max_moves = 50000;  // deterministic and load-insensitive
   cfg.restarts = 1;
   cfg.seed = 31;
   const auto synth = core::anneal_synthesize(cfg);

@@ -113,51 +113,5 @@ TEST(JsonValue, TypeErrors) {
   EXPECT_THROW(JsonValue::array().at("k"), std::runtime_error);
 }
 
-TEST(JsonWriter, MatchesHandwrittenLayout) {
-  // The exact shape perf_report emitted before the writer existed
-  // (2-space indent, "key": value, closing brace on its own line).
-  JsonWriter w;
-  w.begin_object();
-  w.field_int("schema", 2);
-  w.field_bool("smoke", false);
-  w.begin_object("anneal");
-  w.field_fmt("moves_per_sec", "%.1f", 1234.56);
-  w.field_fmt("accept_rate", "%.4f", 0.25);
-  w.end();
-  w.begin_array("tags");
-  w.elem_string("a");
-  w.elem_fmt("%.2f", 1.5);
-  w.end();
-  w.field_string("note", "x\"y");
-  w.end();
-  EXPECT_EQ(w.str(),
-            "{\n"
-            "  \"schema\": 2,\n"
-            "  \"smoke\": false,\n"
-            "  \"anneal\": {\n"
-            "    \"moves_per_sec\": 1234.6,\n"
-            "    \"accept_rate\": 0.2500\n"
-            "  },\n"
-            "  \"tags\": [\n"
-            "    \"a\",\n"
-            "    1.50\n"
-            "  ],\n"
-            "  \"note\": \"x\\\"y\"\n"
-            "}\n");
-  // And it parses.
-  EXPECT_EQ(JsonValue::parse(w.str()).at("schema").as_int(), 2);
-}
-
-TEST(JsonWriter, EmptyContainers) {
-  JsonWriter w;
-  w.begin_object();
-  w.begin_object("o");
-  w.end();
-  w.begin_array("a");
-  w.end();
-  w.end();
-  EXPECT_EQ(w.str(), "{\n  \"o\": {},\n  \"a\": []\n}\n");
-}
-
 }  // namespace
 }  // namespace netsmith::util

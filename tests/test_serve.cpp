@@ -31,6 +31,7 @@
 #include <fstream>
 #include <mutex>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -632,6 +633,16 @@ std::string run_request(const api::ExperimentSpec& spec) {
   return req.dump_compact();
 }
 
+// The socket is the daemon's only front end: without a path there is
+// nothing to serve (an empty path would otherwise bind an anonymous
+// abstract socket no client can name).
+TEST(ServeDaemon, StartRequiresSocketPath) {
+  serve::ServerOptions opts;
+  opts.threads = 1;
+  serve::Server server(opts);
+  EXPECT_THROW(server.start(), std::runtime_error);
+}
+
 class ServeDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -802,50 +813,6 @@ TEST_F(ServeDaemonTest, ConcurrentClientsGetIdenticalReports) {
     EXPECT_EQ(misses[static_cast<std::size_t>(i)], 0)
         << "client " << i << " was not served from the shared store";
   }
-}
-
-TEST(ServeSpool, DirectoryModeProducesReports) {
-  const std::string dir = temp_dir("spool");
-  serve::ServerOptions opts;
-  opts.spool_dir = dir + "/spool";
-  opts.cache_dir = dir + "/cache";
-  opts.threads = 2;
-  opts.spool_poll_ms = 20;
-  serve::Server server(opts);
-  server.start();
-
-  const api::ExperimentSpec spec = baseline_spec();
-  {
-    // Write under a name the poller ignores, then rename into place, so the
-    // daemon never reads a half-written spec.
-    std::ofstream f(dir + "/spool/job1.json.tmp", std::ios::binary);
-    f << api::serialize(spec);
-  }
-  fs::rename(dir + "/spool/job1.json.tmp", dir + "/spool/job1.json");
-  std::string report_path = dir + "/spool/job1.report.json";
-  for (int i = 0; i < 500 && !fs::exists(dir + "/spool/job1.json.done"); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(fs::exists(dir + "/spool/job1.json.done"));
-  ASSERT_TRUE(fs::exists(report_path));
-  std::ifstream in(report_path, std::ios::binary);
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(body, api::report_to_json(api::run_experiment(spec)));
-
-  // A broken spec fails in place without touching the daemon.
-  {
-    std::ofstream f(dir + "/spool/bad.json", std::ios::binary);
-    f << "{\"topologies\": []}";
-  }
-  for (int i = 0; i < 500 && !fs::exists(dir + "/spool/bad.json.failed");
-       ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(fs::exists(dir + "/spool/bad.json.failed"));
-  EXPECT_TRUE(fs::exists(dir + "/spool/bad.error.txt"));
-
-  server.request_stop();
-  server.wait();
-  fs::remove_all(dir);
 }
 
 }  // namespace

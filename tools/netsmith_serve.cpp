@@ -1,16 +1,13 @@
 // netsmith_serve: memory-resident study daemon. Accepts ExperimentSpec jobs
 // over a Unix-domain socket (newline-delimited JSON, see src/serve/
-// protocol.hpp) and/or a spool directory, runs them on one shared thread
-// pool, and answers repeated specs from a persistent content-addressed
+// protocol.hpp), runs them on one shared thread pool, and answers repeated specs from a persistent content-addressed
 // artifact store — a warm identical spec performs zero synthesis, planning
 // or simulation work.
 //
-//   netsmith_serve --socket PATH [--spool DIR] [--cache DIR] [--lru-mb N]
-//                  [--threads N] [--metrics]
+//   netsmith_serve --socket PATH [--cache DIR] [--lru-mb N] [--threads N]
+//                  [--metrics]
 //
-//   --socket PATH  Unix socket to listen on (removed on exit)
-//   --spool DIR    also poll DIR for "*.json" specs; each produces
-//                  "<stem>.report.json" and the input is renamed ".done"
+//   --socket PATH  Unix socket to listen on (required; removed on exit)
 //   --cache DIR    persist artifacts under DIR (default: memory-only)
 //   --lru-mb N     in-memory LRU budget in MiB (default 64)
 //   --threads N    shared pool width (0 = hardware concurrency)
@@ -18,8 +15,7 @@
 //                  reports stay byte-identical to netsmith_run's, whose
 //                  metrics block is {} unless --metrics is passed there too)
 //
-// SIGINT/SIGTERM (or a client "shutdown" op) drain and exit. At least one
-// of --socket/--spool is required.
+// SIGINT/SIGTERM (or a client "shutdown" op) drain and exit.
 //
 // Exit status: 0 = clean shutdown, 1 = startup error, 2 = usage.
 
@@ -44,8 +40,8 @@ void on_signal(int) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: netsmith_serve --socket PATH [--spool DIR] "
-               "[--cache DIR] [--lru-mb N] [--threads N] [--metrics]\n");
+               "usage: netsmith_serve --socket PATH [--cache DIR] "
+               "[--lru-mb N] [--threads N] [--metrics]\n");
   return 2;
 }
 
@@ -57,8 +53,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
       opts.socket_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--spool") && i + 1 < argc) {
-      opts.spool_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--cache") && i + 1 < argc) {
       opts.cache_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--lru-mb") && i + 1 < argc) {
@@ -71,7 +65,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (opts.socket_path.empty() && opts.spool_dir.empty()) return usage();
+  if (opts.socket_path.empty()) return usage();
 
   if (metrics) obs::set_metrics_enabled(true);
   try {
@@ -81,11 +75,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGPIPE, SIG_IGN);  // dead clients surface as write errors
     server.start();
-    std::fprintf(stderr, "netsmith_serve: listening%s%s%s%s (cache: %s)\n",
-                 opts.socket_path.empty() ? "" : " on ",
+    std::fprintf(stderr, "netsmith_serve: listening on %s (cache: %s)\n",
                  opts.socket_path.c_str(),
-                 opts.spool_dir.empty() ? "" : ", spooling ",
-                 opts.spool_dir.c_str(),
                  opts.cache_dir.empty() ? "memory-only"
                                         : opts.cache_dir.c_str());
     server.wait();
