@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <exception>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -184,7 +185,7 @@ util::Matrix<int> matrix_from_json(const JsonValue& o) {
 // Packed integer lists: the plan's bulk arrays (routing table, per-flow VC)
 // travel as one JSON string each instead of one JSON number per element.
 // A list is its integers separated by single spaces; the empty list is "".
-void append_ints(std::string& out, const std::vector<int>& v) {
+void append_ints(std::string& out, std::span<const int> v) {
   char buf[16];
   for (std::size_t k = 0; k < v.size(); ++k) {
     if (k) out += ' ';
@@ -213,6 +214,8 @@ bool unpack_ints(std::string_view s, int lo, int hi, std::vector<int>& out) {
   return p == end;
 }
 
+}  // namespace
+
 // Routing table, flow-major (s * n + d): routes joined by ';', each route a
 // packed list of its routers (empty for the absent s == d flows).
 std::string pack_table(const routing::RoutingTable& t) {
@@ -226,25 +229,39 @@ std::string pack_table(const routing::RoutingTable& t) {
   return out;
 }
 
-// Decodes an n-router table; every hop must name a router in [0, n), so
-// consistent_with never indexes the graph out of range.
+// Decodes an n-router table in one pass, straight into the arrays that
+// become its route arena; every hop must name a router in [0, n), so
+// consistent_with never indexes the graph out of range. Accepts exactly
+// what unpack_ints would accept route by route after splitting on ';', with
+// exactly n * n routes.
 bool unpack_table(std::string_view text, int n, routing::RoutingTable& t) {
-  const auto seps = std::count(text.begin(), text.end(), ';');
-  if (static_cast<std::size_t>(seps) + 1 != static_cast<std::size_t>(n) * n)
-    return false;
-  t = routing::RoutingTable(n);
-  std::size_t pos = 0;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      const std::size_t stop = std::min(text.find(';', pos), text.size());
-      if (!unpack_ints(text.substr(pos, stop - pos), 0, n, t.path(s, d)))
-        return false;
-      pos = stop + 1;
+  if (n <= 0) return false;
+  const std::size_t flows = static_cast<std::size_t>(n) * n;
+  std::vector<std::uint32_t> lengths(flows, 0);
+  std::vector<int> hops;
+  // Every hop takes a digit and all but the last a separator.
+  hops.reserve((text.size() + 1) / 2);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (std::size_t f = 0; f < flows; ++f) {
+    if (f && (p == end || *p++ != ';')) return false;
+    if (p == end || *p == ';') continue;
+    const std::size_t first = hops.size();
+    while (true) {
+      int hop = 0;
+      const auto [next, ec] = std::from_chars(p, end, hop);
+      if (ec != std::errc() || hop < 0 || hop >= n) return false;
+      hops.push_back(hop);
+      p = next;
+      if (p == end || *p == ';') break;
+      if (*p++ != ' ') return false;
     }
+    lengths[f] = static_cast<std::uint32_t>(hops.size() - first);
+  }
+  if (p != end) return false;
+  t = routing::RoutingTable::from_flat(n, std::move(hops), std::move(lengths));
   return true;
 }
-
-}  // namespace
 
 std::string plan_artifact_payload(const PlanArtifact& p) {
   JsonValue o = header(kPlanArtifactKind);
@@ -326,6 +343,16 @@ bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
             static_cast<std::size_t>(plan.vc_map.num_vcs) ||
         plan.vc_map.weight_of_vc.size() != plan.vc_map.layer_of_vc.size())
       return false;
+    // Reports copy num_vcs and vc_layers, so they must agree with the VC
+    // map they describe: every VC in a layer, every routed flow (all s != d
+    // after consistent_with) on a VC, and no s == d flow on one.
+    if (plan.vc_map.num_vcs != plan.num_vcs ||
+        plan.vc_map.num_layers != plan.vc_layers)
+      return false;
+    for (int l : plan.vc_map.layer_of_vc)
+      if (l < 0 || l >= plan.vc_map.num_layers) return false;
+    for (std::size_t f = 0; f < plan.vc_map.vc.size(); ++f)
+      if ((f / n == f % n) != (plan.vc_map.vc[f] < 0)) return false;
     if (const JsonValue* sys = doc.find("system")) {
       system::ChipletSystem cs;
       cs.graph = topo::DiGraph::from_string(sys->at("graph").as_string());

@@ -24,9 +24,11 @@
 // shape, sizes, ranges and schema: ANY anomaly — parse error, wrong kind,
 // unknown schema, a plan whose seed differs from the slot's, mismatched
 // array lengths, a route hop outside [0, n) or a VC outside [-1, num_vcs),
-// a route that leaves the plan's graph, adjacency that contradicts the
-// already-resolved topology — returns false so the caller treats the entry
-// as a cache miss and recomputes. restore_* never throws.
+// a route that leaves the plan's graph, a VC map that disagrees with the
+// plan's num_vcs / vc_layers or puts a routed flow on no VC (or an s == d
+// flow on one), adjacency that contradicts the already-resolved topology —
+// returns false so the caller treats the entry as a cache miss and
+// recomputes. restore_* never throws.
 //
 // Round-trip contract (asserted in tests/test_serve.cpp): restoring a
 // payload into a fresh artifact slot reproduces every report-visible field
@@ -34,6 +36,7 @@
 // recomputed studies serialize byte-identical reports.
 
 #include <string>
+#include <string_view>
 
 #include "api/study.hpp"
 #include "sim/sweep.hpp"
@@ -59,6 +62,14 @@ bool restore_topology_artifact(const std::string& payload, bool analytic,
 
 std::string plan_artifact_payload(const PlanArtifact& p);
 bool restore_plan_artifact(const std::string& payload, PlanArtifact& p);
+
+// The plan payload's packed `table` string, on its own: pack_table writes
+// the flow-major routes as described above; unpack_table decodes an n-router
+// table in one pass and returns false, leaving `t` untouched, on a route
+// count other than n * n, a hop outside [0, n), or any token that is not a
+// decimal integer separated by single spaces.
+std::string pack_table(const routing::RoutingTable& t);
+bool unpack_table(std::string_view text, int n, routing::RoutingTable& t);
 
 std::string sweep_artifact_payload(const sim::SweepResult& r);
 bool restore_sweep_artifact(const std::string& payload, sim::SweepResult& r);

@@ -403,17 +403,24 @@ void Study::run_topology_job(TopologyArtifact& t) {
 }
 
 void Study::run_plan_job(PlanArtifact& p) {
+  const auto& t = utopos_[static_cast<std::size_t>(p.topology)];
+  const auto policy = policy_for(t);
   if (opts_.cache) {
     std::string payload;
+    // A restored plan built under another policy, VC budget, path cap or
+    // system shape would change report rows, so it counts as a miss like
+    // any other corrupt payload.
     if (opts_.cache->load(kPlanArtifactKind, p.key, payload) &&
-        restore_plan_artifact(payload, p)) {
+        restore_plan_artifact(payload, p) && p.plan.policy == policy &&
+        p.plan.num_vcs == spec_.num_vcs &&
+        p.plan.max_paths_per_flow == spec_.max_paths_per_flow &&
+        p.has_system == spec_.chiplet_system) {
       plan_hits_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    p.has_system = false;  // a rejected restore may have set it
     plan_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  const auto& t = utopos_[static_cast<std::size_t>(p.topology)];
-  const auto policy = policy_for(t);
   if (spec_.chiplet_system) {
     p.system = system::build_chiplet_system(t.topo.graph, t.topo.layout);
     p.has_system = true;

@@ -1,6 +1,7 @@
 #include "routing/channel_load.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -9,7 +10,8 @@ namespace netsmith::routing {
 
 namespace {
 
-void add_path_load(util::Matrix<double>& load, const Path& p, double w) {
+void add_path_load(util::Matrix<double>& load, std::span<const int> p,
+                   double w) {
   for (std::size_t i = 0; i + 1 < p.size(); ++i)
     load(p[i], p[i + 1]) += w;
 }
@@ -35,7 +37,7 @@ LoadAnalysis analyze_uniform(const RoutingTable& rt) {
   for (int s = 0; s < n; ++s)
     for (int d = 0; d < n; ++d) {
       if (s == d) continue;
-      const Path& p = rt.path(s, d);
+      const auto p = rt.path(s, d);
       if (p.size() < 2) continue;
       add_path_load(load, p, w);
       ++flows;
@@ -75,7 +77,7 @@ LoadAnalysis analyze_pattern(const RoutingTable& rt,
   for (int s = 0; s < n; ++s)
     for (int d = 0; d < n; ++d) {
       if (s == d || weight(s, d) <= 0.0) continue;
-      const Path& p = rt.path(s, d);
+      const auto p = rt.path(s, d);
       if (p.size() < 2) continue;
       add_path_load(load, p, weight(s, d) * scale);
       ++flows;

@@ -1,6 +1,7 @@
 #include "routing/repair.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,7 +23,7 @@ struct EdgeSet {
   }
 };
 
-bool crosses(const Path& p, const EdgeSet& down) {
+bool crosses(std::span<const int> p, const EdgeSet& down) {
   for (std::size_t i = 0; i + 1 < p.size(); ++i)
     if (down.contains(p[i], p[i + 1])) return true;
   return false;
@@ -47,7 +48,7 @@ RepairResult repair_routes(const topo::DiGraph& base_graph,
   for (int s = 0; s < n; ++s) {
     for (int d = 0; d < n; ++d) {
       if (s == d) continue;
-      const Path& p = base_table.path(s, d);
+      const auto p = base_table.path(s, d);
       if (!p.empty() && crosses(p, down)) {
         affected[static_cast<std::size_t>(s) * n + d] = 1;
         ++r.flows_affected;
@@ -70,8 +71,8 @@ RepairResult repair_routes(const topo::DiGraph& base_graph,
       if (s == d) continue;
       const std::size_t f = static_cast<std::size_t>(s) * n + d;
       if (!affected[f]) {
-        const Path& p = base_table.path(s, d);
-        if (!p.empty()) ps.at(s, d) = {p};
+        const auto p = base_table.path(s, d);
+        if (!p.empty()) ps.at(s, d) = {Path(p.begin(), p.end())};
         continue;
       }
       ps.at(s, d) = enumerate_flow_paths(degraded, dist, s, d,

@@ -2,13 +2,45 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "topo/metrics.hpp"
 
 namespace netsmith::routing {
 
+void RoutingTable::set_path(int s, int d, std::span<const int> route) {
+  const std::size_t f = static_cast<std::size_t>(s) * n_ + d;
+  if (route.size() > len_[f]) {
+    assert(hops_.size() + route.size() <=
+           std::numeric_limits<std::uint32_t>::max());
+    offset_[f] = static_cast<std::uint32_t>(hops_.size());
+    hops_.insert(hops_.end(), route.begin(), route.end());
+  } else {
+    std::copy(route.begin(), route.end(), hops_.begin() + offset_[f]);
+  }
+  len_[f] = static_cast<std::uint32_t>(route.size());
+}
+
+RoutingTable RoutingTable::from_flat(int n, std::vector<int> hops,
+                                     std::vector<std::uint32_t> lengths) {
+  assert(lengths.size() == static_cast<std::size_t>(n) * n);
+  assert(hops.size() <= std::numeric_limits<std::uint32_t>::max());
+  RoutingTable rt;
+  rt.n_ = n;
+  rt.offset_.resize(lengths.size());
+  std::uint32_t at = 0;
+  for (std::size_t f = 0; f < lengths.size(); ++f) {
+    rt.offset_[f] = at;
+    at += lengths[f];
+  }
+  assert(at == hops.size());
+  rt.hops_ = std::move(hops);
+  rt.len_ = std::move(lengths);
+  return rt;
+}
+
 int RoutingTable::next_hop(int cur, int s, int d) const {
-  const Path& p = path(s, d);
+  const auto p = path(s, d);
   for (std::size_t i = 0; i + 1 < p.size(); ++i)
     if (p[i] == cur) return p[i + 1];
   return -1;
@@ -17,17 +49,28 @@ int RoutingTable::next_hop(int cur, int s, int d) const {
 RoutingTable RoutingTable::from_choice(const PathSet& ps,
                                        const std::vector<int>& choice) {
   const int n = ps.num_nodes();
-  RoutingTable rt(n);
+  // Size the arena exactly first, so it is filled without regrowing.
+  std::vector<std::uint32_t> lengths(static_cast<std::size_t>(n) * n, 0);
+  std::size_t total = 0;
   for (int s = 0; s < n; ++s)
     for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
       const auto& alts = ps.at(s, d);
-      if (alts.empty()) continue;
-      const int c = choice[static_cast<std::size_t>(s) * n + d];
-      assert(c >= 0 && c < static_cast<int>(alts.size()));
-      rt.path(s, d) = alts[c];
+      if (s == d || alts.empty()) continue;
+      const std::size_t f = static_cast<std::size_t>(s) * n + d;
+      assert(choice[f] >= 0 && choice[f] < static_cast<int>(alts.size()));
+      lengths[f] = static_cast<std::uint32_t>(alts[choice[f]].size());
+      total += lengths[f];
     }
-  return rt;
+  std::vector<int> hops;
+  hops.reserve(total);
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      const std::size_t f = static_cast<std::size_t>(s) * n + d;
+      if (lengths[f] == 0) continue;
+      const Path& p = ps.at(s, d)[choice[f]];
+      hops.insert(hops.end(), p.begin(), p.end());
+    }
+  return from_flat(n, std::move(hops), std::move(lengths));
 }
 
 RoutingTable RoutingTable::select_first(const PathSet& ps) {
@@ -52,7 +95,7 @@ bool RoutingTable::consistent_with(const topo::DiGraph& g) const {
   for (int s = 0; s < n_; ++s)
     for (int d = 0; d < n_; ++d) {
       if (s == d) continue;
-      const Path& p = path(s, d);
+      const auto p = path(s, d);
       if (p.size() < 2 || p.front() != s || p.back() != d) return false;
       for (std::size_t i = 0; i + 1 < p.size(); ++i)
         if (!g.has_edge(p[i], p[i + 1])) return false;
@@ -65,8 +108,7 @@ bool RoutingTable::is_minimal(const topo::DiGraph& g) const {
   for (int s = 0; s < n_; ++s)
     for (int d = 0; d < n_; ++d) {
       if (s == d) continue;
-      const Path& p = path(s, d);
-      if (static_cast<int>(p.size()) - 1 != dist(s, d)) return false;
+      if (static_cast<int>(path(s, d).size()) - 1 != dist(s, d)) return false;
     }
   return true;
 }

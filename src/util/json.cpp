@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace netsmith::util {
@@ -389,14 +390,27 @@ class Parser {
   std::string parse_string() {
     expect('"');
     std::string out;
+    const char* const begin = s_.data();
+    const char* const end = begin + s_.size();
+    // The next '"' at or after pos_ (end when there is none); found once and
+    // reused until an escape moves pos_ past it, so scanning stays linear.
+    const char* quote = nullptr;
     while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Copy the run up to the next '"' or '\\' with one append.
+      const char* const run = begin + pos_;
+      if (quote == nullptr || quote < run) {
+        const void* q =
+            std::memchr(run, '"', static_cast<std::size_t>(end - run));
+        quote = q ? static_cast<const char*>(q) : end;
       }
+      const void* b =
+          std::memchr(run, '\\', static_cast<std::size_t>(quote - run));
+      const char* const stop = b ? static_cast<const char*>(b) : quote;
+      out.append(run, stop);
+      pos_ = static_cast<std::size_t>(stop - begin);
+      if (stop == end) fail("unterminated string");
+      ++pos_;
+      if (*stop == '"') return out;
       if (pos_ >= s_.size()) fail("unterminated escape");
       const char e = s_[pos_++];
       switch (e) {

@@ -31,7 +31,7 @@ void Cdg::remove_dep(int from, int to) {
   }
 }
 
-std::vector<std::pair<int, int>> Cdg::add_path(const routing::Path& p,
+std::vector<std::pair<int, int>> Cdg::add_path(std::span<const int> p,
                                                const LinkIds& ids) {
   std::vector<std::pair<int, int>> inserted;
   for (std::size_t i = 0; i + 2 < p.size(); ++i) {

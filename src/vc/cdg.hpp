@@ -5,10 +5,10 @@
 // restricted to that VC's routes is acyclic (paper SII-F).
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "routing/paths.hpp"
 #include "topo/graph.hpp"
 
 namespace netsmith::vc {
@@ -38,7 +38,7 @@ class Cdg {
 
   // Adds every consecutive-link dependency of the path. Returns the list of
   // (from, to) pairs actually inserted, so the caller can roll back.
-  std::vector<std::pair<int, int>> add_path(const routing::Path& p,
+  std::vector<std::pair<int, int>> add_path(std::span<const int> p,
                                             const LinkIds& ids);
   void remove_deps(const std::vector<std::pair<int, int>>& deps);
 

@@ -29,8 +29,7 @@ VcAssignment try_assign(const routing::RoutingTable& rt, const topo::DiGraph& g,
     Cdg cdg(ids.count());
     std::vector<FlowRef> deferred;
     for (const auto& f : pending) {
-      const auto& p = rt.path(f.s, f.d);
-      const auto inserted = cdg.add_path(p, ids);
+      const auto inserted = cdg.add_path(rt.path(f.s, f.d), ids);
       // The layer's CDG is acyclic before every insertion (a cycle-closing
       // path is rolled back below), so the incremental check is exact.
       if (cdg.closes_cycle(inserted)) {

@@ -6,19 +6,29 @@
 //  - restore_* never throws, whatever the bytes;
 //  - a restore that reports success leaves an artifact the simulator can
 //    consume: every route starts and ends right and walks the plan's own
-//    graph, every VC id is in [-1, num_vcs), and sizes agree.
+//    graph, every VC id is in [-1, num_vcs), and sizes agree;
+//  - the VC-map fields a report copies agree with the map itself, and a
+//    Study counts a plan built for another policy, VC budget, path cap or
+//    system shape as a miss;
+//  - the one-pass table decoder accepts exactly what the split-then-parse
+//    decoder it replaced accepts, with the same routes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "api/artifact_cache.hpp"
 #include "api/artifact_io.hpp"
+#include "api/report.hpp"
 #include "api/spec.hpp"
 #include "api/study.hpp"
 #include "util/json.hpp"
@@ -43,6 +53,10 @@ class RecordingCache : public ArtifactCache {
   }
   std::map<std::string, std::string>& kind(const std::string& k) {
     return entries_[k];
+  }
+  const std::map<std::string, std::map<std::string, std::string>>& entries()
+      const {
+    return entries_;
   }
 
  private:
@@ -112,16 +126,20 @@ void collect(const ExperimentSpec& spec, Corpus& c) {
     c.sweeps.push_back(payload);
 }
 
+ExperimentSpec chiplet_spec() {
+  ExperimentSpec chiplet = base_spec();
+  chiplet.name = "artifact-fuzz-chiplet";
+  chiplet.topologies = {catalog_row("Kite-small")};
+  chiplet.traffic.clear();
+  chiplet.chiplet_system = true;
+  return chiplet;
+}
+
 const Corpus& corpus() {
   static const Corpus c = [] {
     Corpus out;
     collect(base_spec(), out);
-    ExperimentSpec chiplet = base_spec();
-    chiplet.name = "artifact-fuzz-chiplet";
-    chiplet.topologies = {catalog_row("Kite-small")};
-    chiplet.traffic.clear();
-    chiplet.chiplet_system = true;
-    collect(chiplet, out);
+    collect(chiplet_spec(), out);
     return out;
   }();
   return c;
@@ -371,8 +389,228 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
     ASSERT_TRUE(
         restore_plan_artifact(with_vc(std::to_string(num_vcs - 1)), edge));
     expect_usable_plan(edge, "vc at num_vcs - 1");
+
+    // The VC map must agree with the num_vcs / vc_layers a report copies,
+    // and put exactly the routed (s != d) flows on a VC. Each edit below
+    // keeps every array length right, so only these checks can catch it.
+    const int layers = static_cast<int>(doc.at("vc_layers").as_int());
+    auto with_top = [&](const char* field, long long v) {
+      JsonValue d = doc;
+      d.set(field, JsonValue::integer(v));
+      return d.dump_compact();
+    };
+    auto with_map = [&](const char* field, JsonValue v) {
+      JsonValue d = doc;
+      JsonValue m = doc.at("vc_map");
+      m.set(field, std::move(v));
+      d.set("vc_map", std::move(m));
+      return d.dump_compact();
+    };
+    auto with_layer_of_vc0 = [&](long long layer) {
+      JsonValue lov = doc.at("vc_map").at("layer_of_vc");
+      JsonValue out = JsonValue::array();
+      for (std::size_t i = 0; i < lov.items().size(); ++i)
+        out.push_back(i == 0 ? JsonValue::integer(layer) : lov.items()[i]);
+      return with_map("layer_of_vc", std::move(out));
+    };
+    const struct {
+      std::string payload;
+      const char* what;
+    } bad[] = {
+        {with_top("num_vcs", num_vcs + 1), "num_vcs + 1"},
+        {with_top("num_vcs", num_vcs - 1), "num_vcs - 1"},
+        {with_top("vc_layers", layers + 1), "vc_layers + 1"},
+        {with_map("num_layers", JsonValue::integer(layers + 1)),
+         "vc_map.num_layers + 1"},
+        {with_layer_of_vc0(layers), "layer_of_vc[0] = num_layers"},
+        {with_layer_of_vc0(-1), "layer_of_vc[0] = -1"},
+        {with_vc("-1"), "routed flow (0, 1) on no VC"},
+        {[&] {
+           auto vcs = split(doc.at("vc_map").at("vc").as_string(), ' ');
+           vcs[0] = "0";  // flow (0, 0): absent
+           return with_map("vc", JsonValue::string(join(vcs, ' ')));
+         }(),
+         "s == d flow (0, 0) on VC 0"},
+    };
+    for (const auto& b : bad) {
+      PlanArtifact p = slot;
+      EXPECT_FALSE(restore_plan_artifact(b.payload, p)) << b.what;
+    }
   }
   EXPECT_GE(hop_checked, 2);
+}
+
+// The split-then-parse decoder unpack_table replaced, kept as its oracle:
+// count the ';'-separated routes, then decode each route's space-separated
+// hops with std::from_chars.
+bool split_decode(std::string_view text, int n,
+                  std::vector<std::vector<int>>& out) {
+  const auto flows = static_cast<std::size_t>(n) * n;
+  if (static_cast<std::size_t>(std::count(text.begin(), text.end(), ';')) +
+          1 !=
+      flows)
+    return false;
+  out.assign(flows, {});
+  std::size_t pos = 0;
+  for (auto& route : out) {
+    const std::size_t stop = std::min(text.find(';', pos), text.size());
+    const std::string_view r = text.substr(pos, stop - pos);
+    pos = stop + 1;
+    if (r.empty()) continue;
+    route.resize(static_cast<std::size_t>(std::count(r.begin(), r.end(), ' ')) +
+                 1);
+    const char* p = r.data();
+    const char* const end = p + r.size();
+    for (std::size_t k = 0; k < route.size(); ++k) {
+      if (k && (p == end || *p++ != ' ')) return false;
+      const auto [next, ec] = std::from_chars(p, end, route[k]);
+      if (ec != std::errc() || route[k] < 0 || route[k] >= n) return false;
+      p = next;
+    }
+    if (p != end) return false;
+  }
+  return true;
+}
+
+// The one-pass decoder accepts exactly the tables the split decoder does,
+// with the same routes: on every corpus table, its truncations and byte
+// substitutions, and the malformed tokens named in its contract.
+TEST(ArtifactFuzz, UnpackTableMatchesSplitDecoder) {
+  std::uint64_t seed = 300;
+  int accepted = 0, rejected = 0;
+  for (const auto& [good, slot] : corpus().plans) {
+    const JsonValue doc = JsonValue::parse(good);
+    const int n = std::stoi(doc.at("graph").as_string());
+    const std::string table = doc.at("table").as_string();
+    std::vector<std::string> inputs = variants(table, seed++);
+    inputs.push_back(table);
+    for (const char* bad : {"+1", "1x", " ", "  ", "-1", "x"}) {
+      for (const std::size_t at : {std::size_t{0}, table.find(' '),
+                                   table.find(';'), table.size()}) {
+        std::string v = table;
+        v.insert(std::min(at, v.size()), bad);
+        inputs.push_back(std::move(v));
+      }
+    }
+    inputs.push_back(table + ";");
+    inputs.push_back(";" + table);
+    inputs.push_back(table.substr(0, table.rfind(';')));
+    for (const auto& in : inputs) {
+      std::vector<std::vector<int>> want;
+      routing::RoutingTable got;
+      const bool ok = split_decode(in, n, want);
+      ASSERT_EQ(unpack_table(in, n, got), ok) << in;
+      (ok ? accepted : rejected)++;
+      if (!ok) continue;
+      for (int f = 0; f < n * n; ++f)
+        ASSERT_TRUE(std::ranges::equal(got.path(f / n, f % n),
+                                       want[static_cast<std::size_t>(f)]))
+            << in << " flow " << f;
+    }
+    routing::RoutingTable t;
+    EXPECT_FALSE(unpack_table(table, n + 1, t)) << "route count";
+  }
+  EXPECT_GT(accepted, 3);
+  EXPECT_GT(rejected, 100);
+}
+
+// Serves fixed payloads per (kind, key) and drops stores.
+class ServingCache : public ArtifactCache {
+ public:
+  using Entries = std::map<std::string, std::map<std::string, std::string>>;
+  explicit ServingCache(Entries entries) : entries_(std::move(entries)) {}
+  bool load(const std::string& kind, const std::string& key,
+            std::string& payload) override {
+    const auto k = entries_.find(kind);
+    if (k == entries_.end()) return false;
+    const auto it = k->second.find(key);
+    if (it == k->second.end()) return false;
+    payload = it->second;
+    return true;
+  }
+  void store(const std::string&, const std::string&,
+             const std::string&) override {}
+
+ private:
+  Entries entries_;
+};
+
+// Runs `spec` once, recording every payload, then again serving the
+// recording with each plan payload passed through `edit`. The edited
+// payloads still restore on their own, but describe a plan built for
+// another spec, so the Study must count every plan a miss, recompute it and
+// assemble the recorded report.
+void expect_plans_missed(const ExperimentSpec& spec,
+                         const std::function<void(JsonValue&)>& edit) {
+  RecordingCache recorded;
+  std::string cold;
+  std::vector<PlanArtifact> slots;
+  {
+    StudyOptions opts;
+    opts.cache = &recorded;
+    Study study(spec, opts);
+    cold = report_to_json(study.run());
+    for (const auto& p : study.plan_artifacts()) {
+      PlanArtifact slot;
+      slot.key = p.key;
+      slot.topology = p.topology;
+      slot.seed = p.seed;
+      slots.push_back(std::move(slot));
+    }
+  }
+  ASSERT_FALSE(slots.empty());
+  ServingCache::Entries served = recorded.entries();
+  auto& plans = served[kPlanArtifactKind];
+  for (const auto& slot : slots) {
+    JsonValue doc = JsonValue::parse(plans.at(slot.key));
+    edit(doc);
+    plans.at(slot.key) = doc.dump_compact();
+    PlanArtifact p = slot;
+    EXPECT_TRUE(restore_plan_artifact(plans.at(slot.key), p)) << slot.key;
+  }
+  ServingCache cache(std::move(served));
+  StudyOptions opts;
+  opts.cache = &cache;
+  Study study(spec, opts);
+  EXPECT_EQ(report_to_json(study.run()), cold);
+  const ArtifactCacheStats cs = study.artifact_cache_stats();
+  EXPECT_EQ(cs.plan_hits, 0);
+  EXPECT_EQ(cs.plan_misses, static_cast<long>(slots.size()));
+}
+
+TEST(ArtifactFuzz, PlansForAnotherSpecAreStudyMisses) {
+  const ExperimentSpec spec = base_spec();
+  expect_plans_missed(spec, [&](JsonValue& d) {
+    d.set("max_paths_per_flow",
+          JsonValue::integer(spec.max_paths_per_flow + 1));
+  });
+  // One more VC, idle: every size and range check still holds.
+  expect_plans_missed(spec, [&](JsonValue& d) {
+    d.set("num_vcs", JsonValue::integer(spec.num_vcs + 1));
+    JsonValue m = d.at("vc_map");
+    m.set("num_vcs", JsonValue::integer(spec.num_vcs + 1));
+    JsonValue lov = m.at("layer_of_vc");
+    lov.push_back(JsonValue::integer(0));
+    m.set("layer_of_vc", std::move(lov));
+    JsonValue w = m.at("weight_of_vc");
+    w.push_back(JsonValue::number(0.0));
+    m.set("weight_of_vc", std::move(w));
+    d.set("vc_map", std::move(m));
+  });
+  // The other routing policy: the Kite-small plan is NDBT, the synthesized
+  // one MCLB.
+  expect_plans_missed(spec, [](JsonValue& d) {
+    d.set("policy", JsonValue::string(d.at("policy").as_string() == "mclb"
+                                          ? "ndbt"
+                                          : "mclb"));
+  });
+  // A chiplet-system plan that lost its system block.
+  expect_plans_missed(chiplet_spec(), [](JsonValue& d) {
+    JsonValue stripped = JsonValue::object();
+    for (const auto& [k, x] : d.members())
+      if (k != "system") stripped.set(k, x);
+    d = std::move(stripped);
+  });
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+
 namespace netsmith::util {
 namespace {
 
@@ -41,6 +46,103 @@ TEST(JsonParse, NestedDocument) {
 TEST(JsonParse, StringEscapes) {
   const auto v = JsonValue::parse(R"("a\"b\\c\nd\tA")");
   EXPECT_EQ(v.as_string(), "a\"b\\c\nd\tA");
+}
+
+// The byte-at-a-time string decoder the run-copying parser replaced, as its
+// oracle: decodes the string body that starts after the opening quote at
+// text[1]. Returns the decoded bytes and sets `end` past the closing quote,
+// or sets `error` to the message the parser throws.
+std::string reference_string(const std::string& text, std::size_t& end,
+                             std::string& error) {
+  std::size_t pos = 1;
+  std::string out;
+  auto fail = [&](const char* msg) {
+    error = "json parse error at byte " + std::to_string(pos) + ": " + msg;
+    return std::string();
+  };
+  while (true) {
+    if (pos >= text.size()) return fail("unterminated string");
+    const char c = text[pos++];
+    if (c == '"') break;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (pos >= text.size()) return fail("unterminated escape");
+    const char e = text[pos++];
+    switch (e) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (pos + 4 > text.size()) return fail("truncated \\u escape");
+        unsigned cp = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text[pos++];
+          cp <<= 4;
+          if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
+          else return fail("bad \\u escape digit");
+        }
+        if (cp < 0x80) {
+          out += static_cast<char>(cp);
+        } else if (cp < 0x800) {
+          out += static_cast<char>(0xC0 | (cp >> 6));
+          out += static_cast<char>(0x80 | (cp & 0x3F));
+        } else {
+          out += static_cast<char>(0xE0 | (cp >> 12));
+          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (cp & 0x3F));
+        }
+        break;
+      }
+      default: return fail("bad escape");
+    }
+  }
+  end = pos;
+  return out;
+}
+
+// Random byte strings over quotes, backslashes, escape letters, hex digits,
+// raw control bytes, NULs and high bytes: the parser decodes exactly what
+// the byte-at-a-time decoder does, and fails with the same message at the
+// same offset.
+TEST(JsonParse, StringsMatchByteAtATimeDecoder) {
+  const char alphabet[] = {'a', '"', '\\', 'n', 'u', 't', '0', 'F', '/',
+                           ' ', '\0', '\x01', '\x1f', '\x7f', '\xff'};
+  std::mt19937_64 rng(5);
+  int decoded = 0, failed = 0;
+  for (int k = 0; k < 20000; ++k) {
+    std::string text = "\"";
+    const int len = static_cast<int>(rng() % 14);
+    for (int i = 0; i < len; ++i) text += alphabet[rng() % sizeof alphabet];
+    if (k % 2) text += '"';  // closed more often than chance alone
+    std::size_t end = 0;
+    std::string error;
+    const std::string want = reference_string(text, end, error);
+    if (!error.empty()) {
+      ++failed;
+      try {
+        JsonValue::parse(text);
+        ADD_FAILURE() << "accepted: " << text;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), error);
+      }
+    } else if (text.find_first_not_of(' ', end) == std::string::npos) {
+      ++decoded;
+      EXPECT_EQ(JsonValue::parse(text).as_string(), want);
+    } else {
+      EXPECT_THROW(JsonValue::parse(text), std::runtime_error) << text;
+    }
+  }
+  EXPECT_GT(decoded, 1000);
+  EXPECT_GT(failed, 1000);
 }
 
 TEST(JsonParse, Errors) {

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <random>
 #include <stdexcept>
@@ -298,7 +299,8 @@ TEST(ArtifactPayloads, PlanRoundTripIsExact) {
     ASSERT_EQ(b.table.num_nodes(), n);
     for (int s = 0; s < n; ++s)
       for (int d = 0; d < n; ++d)
-        ASSERT_EQ(a.table.path(s, d), b.table.path(s, d)) << s << "->" << d;
+        ASSERT_TRUE(std::ranges::equal(a.table.path(s, d), b.table.path(s, d)))
+            << s << "->" << d;
     EXPECT_EQ(a.vc_map.vc, b.vc_map.vc);
     EXPECT_EQ(std::count(b.vc_map.vc.begin(), b.vc_map.vc.end(), -1), n)
         << "absent s == d flows keep their -1 sentinel";
@@ -631,6 +633,69 @@ std::string run_request(const api::ExperimentSpec& spec) {
   req.set("op", JsonValue::string("run"));
   req.set("spec", api::spec_to_json(spec));
   return req.dump_compact();
+}
+
+// ------------------------------------------------------- request fuzz --
+
+// parse_request runs on untrusted socket bytes. Every truncation and
+// single-byte substitution of a well-formed ping / stats / run line (the
+// run line carrying specs/smoke.json) must either parse or throw
+// std::invalid_argument, the one failure the daemon turns into an error
+// event; the intact lines parse back to their op and spec.
+TEST(ServeProtocol, RequestParserSurvivesTruncationAndMutation) {
+  std::ifstream in(NETSMITH_SOURCE_DIR "/specs/smoke.json");
+  ASSERT_TRUE(in) << "specs/smoke.json";
+  const std::string spec_text((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  const JsonValue spec = JsonValue::parse(spec_text);
+  JsonValue run = JsonValue::object();
+  run.set("op", JsonValue::string("run"));
+  run.set("spec", spec);
+  const std::pair<std::string, std::string> lines[] = {
+      {"ping", "{\"op\":\"ping\"}"},
+      {"stats", "{\"op\":\"stats\"}"},
+      {"run", run.dump_compact()}};
+
+  std::mt19937_64 rng(17);
+  int parsed = 0, rejected = 0;
+  for (const auto& [op, good] : lines) {
+    SCOPED_TRACE(op);
+    const serve::Request req = serve::parse_request(good);
+    EXPECT_EQ(req.op, op);
+    if (op == "run") {
+      EXPECT_EQ(req.spec.dump_compact(), spec.dump_compact());
+      EXPECT_EQ(api::spec_from_json(req.spec), api::parse_spec(spec_text));
+    }
+
+    std::vector<std::string> variants;
+    const std::size_t step = good.size() / 64 + 1;
+    for (std::size_t cut = 0; cut < good.size(); cut += step)
+      variants.push_back(good.substr(0, cut));
+    const char subs[] = {'0', '9', '-', ' ', ';', ',', '"', '}', '\0'};
+    for (int k = 0; k < 64; ++k) {
+      const std::size_t pos = rng() % good.size();
+      for (char c : subs) {
+        if (good[pos] == c) continue;
+        std::string v = good;
+        v[pos] = c;
+        variants.push_back(std::move(v));
+      }
+    }
+    for (const auto& v : variants) {
+      try {
+        serve::parse_request(v);
+        ++parsed;
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "threw " << e.what() << " on: " << v;
+      } catch (...) {
+        ADD_FAILURE() << "threw a non-exception on: " << v;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 100);
 }
 
 // The socket is the daemon's only front end: without a path there is

@@ -61,7 +61,7 @@ TEST(Cdg, AddPathCreatesConsecutiveDeps) {
   g.add_edge(2, 3);
   const LinkIds ids(g);
   Cdg cdg(ids.count());
-  const auto ins = cdg.add_path({0, 1, 2, 3}, ids);
+  const auto ins = cdg.add_path(std::vector<int>{0, 1, 2, 3}, ids);
   EXPECT_EQ(ins.size(), 2u);  // (0-1)->(1-2), (1-2)->(2-3)
   EXPECT_FALSE(cdg.has_cycle());
 }
