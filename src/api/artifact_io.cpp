@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <exception>
 #include <span>
 #include <string_view>
@@ -301,6 +302,38 @@ std::string plan_artifact_payload(const PlanArtifact& p) {
   return o.dump_compact();
 }
 
+namespace {
+
+// max_channel_load and ndbt_fallback_flows are derived values that reports
+// copy, and re-deriving them (a channel-load analysis, an NDBT filter) would
+// cost more than the rest of a warm restore. Instead accept only values the
+// plan's own formulas can produce. Every s != d flow is routed (the table
+// passed consistent_with), so the busiest link carries k of the n(n-1)
+// flows, 1 <= k <= n(n-1), and its load is k / (n-1) under MCLB (an integer
+// flow count divided once) or the sum of k terms 1 / (n-1) under NDBT (as
+// routing::analyze_uniform accumulates it). O(k) at most.
+bool plausible_derived_fields(const core::NetworkPlan& plan) {
+  const int n = plan.graph.num_nodes();
+  const long flows = static_cast<long>(n) * (n - 1);
+  const bool mclb = plan.policy == core::RoutingPolicy::kMclb;
+  if (mclb ? plan.ndbt_fallback_flows != 0
+           : plan.ndbt_fallback_flows < 0 || plan.ndbt_fallback_flows > flows)
+    return false;
+  if (flows < 1) return false;
+  const double k_real = plan.max_channel_load * (n - 1);
+  if (!(k_real >= 0.5 && k_real < static_cast<double>(flows) + 0.5))
+    return false;  // also rejects NaN
+  const long k = std::lround(k_real);
+  if (mclb)
+    return static_cast<double>(k) / (n - 1) == plan.max_channel_load;
+  const double w = 1.0 / (n - 1);
+  double load = 0.0;
+  for (long i = 0; i < k; ++i) load += w;
+  return load == plan.max_channel_load;
+}
+
+}  // namespace
+
 bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
   try {
     const JsonValue doc = parse_payload(payload, kPlanArtifactKind);
@@ -325,7 +358,8 @@ bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
     plan.graph = topo::DiGraph::from_string(doc.at("graph").as_string());
     const int n = plan.graph.num_nodes();
     if (!unpack_table(doc.at("table").as_string(), n, plan.table) ||
-        !plan.table.consistent_with(plan.graph))
+        !plan.table.consistent_with(plan.graph) ||
+        !plausible_derived_fields(plan))
       return false;
     const JsonValue& vc = doc.at("vc_map");
     plan.vc_map.num_vcs = static_cast<int>(vc.at("num_vcs").as_int());

@@ -124,14 +124,24 @@ void Server::accept_loop() {
       return;  // listener is gone; wait() reaps us
     }
     set_recv_timeout(fd, 500);
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    reap_finished_connections();
-    Connection& conn = conns_.emplace_back();
-    conn.thread = std::thread([this, fd, &conn] {
-      handle_connection(fd);
-      ::close(fd);
-      conn.done.store(true, std::memory_order_release);
-    });
+    {
+      std::lock_guard<std::mutex> lk(conn_mu_);
+      reap_finished_connections();
+      if (conns_.size() < kMaxConnections) {
+        Connection& conn = conns_.emplace_back();
+        conn.thread = std::thread([this, fd, &conn] {
+          handle_connection(fd);
+          ::close(fd);
+          conn.done.store(true, std::memory_order_release);
+        });
+        continue;
+      }
+    }
+    // At the cap: answered like an oversized line, with no handler thread.
+    write_line(fd, error_event("daemon already serves " +
+                               std::to_string(kMaxConnections) +
+                               " connections; closing the connection"));
+    ::close(fd);
   }
 }
 

@@ -38,6 +38,11 @@ using api::SharedPool;
 // client cannot make the daemon buffer without bound.
 inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
 
+// Most client connections the daemon serves at once, each on its own handler
+// thread. One more is answered with an error event and closed at once,
+// without a thread, so clients cannot make the daemon spawn without bound.
+inline constexpr std::size_t kMaxConnections = 64;
+
 struct ServerOptions {
   std::string socket_path;  // required: the daemon's one front end
   std::string cache_dir;    // empty = memory-only store

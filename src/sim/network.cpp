@@ -156,12 +156,14 @@ class Simulator {
       channels_.push_back(std::move(ch));
     }
     out_rr_.assign(channels_.size(), 0);
-    // Every arrival lies at most one channel latency ahead, so a ring of
-    // max latency + 1 buckets never files two different cycles together.
+    // Every arrival lies at most one channel latency ahead, so a ring of at
+    // least max latency + 1 buckets never files two different cycles
+    // together; a power of two turns the bucket index into a mask.
     int max_latency = 1;
     for (const Channel& ch : channels_)
       max_latency = std::max(max_latency, ch.latency);
-    wheel_.resize(static_cast<std::size_t>(max_latency) + 1);
+    wheel_.resize(std::bit_ceil(static_cast<std::size_t>(max_latency) + 1));
+    wheel_mask_ = wheel_.size() - 1;
     // Per-port request words (see req_mask_), laid out CSR-style: the
     // out-edges of u in out_edges_ order, then u's ejection word. Usable when
     // every slot index — including the injection input at k == in_degree —
@@ -177,6 +179,12 @@ class Simulator {
     mask_ok_.resize(n_);
     for (int u = 0; u < n_; ++u)
       mask_ok_[u] = (in_edges_[u].size() + 1) * cfg_.num_vcs <= 64;
+    // Mask-mode slot decode: slot = k * num_vcs + vc, for every slot index a
+    // request word can hold.
+    for (int slot = 0; slot < 64 && cfg_.num_vcs > 0; ++slot) {
+      slot_k_[slot] = static_cast<std::uint8_t>(slot / cfg_.num_vcs);
+      slot_vc_[slot] = static_cast<std::uint8_t>(slot % cfg_.num_vcs);
+    }
   }
 
   void prepare_traffic() {
@@ -522,19 +530,20 @@ class Simulator {
   // monotone (FIFO wire, fixed latency), so the invariant "on the wheel iff
   // flight non-empty" survives pops and re-arms. Every arm lies in
   // (cycle, cycle + max latency] — except a link-up re-arm at this very
-  // cycle, which runs before delivery — so one ring of max latency + 1
-  // buckets suffices. Deliveries due in one cycle commute (each moves flits
-  // of its own channel, then ORs mask bits and bumps counters at the
-  // destination), so bucket order gives the same state as any other order.
+  // cycle, which runs before delivery — so one ring of at least max
+  // latency + 1 buckets suffices (a power of two, so the bucket is a mask).
+  // Deliveries due in one cycle commute (each moves flits of its own
+  // channel, then ORs mask bits and bumps counters at the destination), so
+  // bucket order gives the same state as any other order.
   // Every delivery re-arms the downstream router's active bit.
   void arm(long t, int id) {
-    wheel_[static_cast<std::size_t>(t) % wheel_.size()].push_back(id);
+    wheel_[static_cast<std::size_t>(t) & wheel_mask_].push_back(id);
   }
 
   void deliver_arrivals(long cycle) {
     // Re-arms land in other buckets, so `due` is stable while we walk it.
     std::vector<int>& due =
-        wheel_[static_cast<std::size_t>(cycle) % wheel_.size()];
+        wheel_[static_cast<std::size_t>(cycle) & wheel_mask_];
     for (const int id : due) {
       ++stats_.arrival_heap_pops;
       Channel& ch = channels_[id];
@@ -589,9 +598,24 @@ class Simulator {
   }
 
   void switch_router(int u, long cycle) {
-    ejection(u, cycle);
-    for (std::size_t j = 0; j < out_edges_[u].size(); ++j)
-      arbitrate_output(u, j, cycle);
+    if (cfg_.reference_mode || !mask_ok_[u]) {
+      ejection(u, cycle);
+      for (std::size_t j = 0; j < out_edges_[u].size(); ++j)
+        arbitrate_output(u, j, cycle);
+      return;
+    }
+    // Mask mode: a port whose request word is empty, and that the source
+    // head is not bound for, returns from arbitration without a side effect,
+    // so it is not visited. The source head is re-read per port: a grant can
+    // pop it, and an ejection can enqueue a reply behind an empty queue.
+    const std::size_t base = static_cast<std::size_t>(port_base_[u]);
+    const std::size_t eject = static_cast<std::size_t>(port_base_[u + 1]) - 1;
+    if (req_mask_[eject] != 0) ejection(u, cycle);
+    const auto& sq = sources_[u];
+    for (std::size_t p = base; p < eject; ++p)
+      if (req_mask_[p] != 0 ||
+          (!sq.packets.empty() && sq.packets.front()->src_next == port_dst_[p]))
+        arbitrate_output(u, p - base, cycle);
   }
 
   // Per-cycle activity accounting. The SimStats sum is always maintained
@@ -733,10 +757,8 @@ class Simulator {
     const std::size_t slots = num_inputs * cfg_.num_vcs;
     int& rr = out_rr_[eid];
 
-    // Returns true when the slot wins the output this cycle.
-    const auto try_slot = [&](std::size_t slot) {
-      const std::size_t k = slot / cfg_.num_vcs;
-      const int vc = static_cast<int>(slot % cfg_.num_vcs);
+    // Returns true when slot = (input k, vc) wins the output this cycle.
+    const auto try_slot = [&](std::size_t k, int vc, std::size_t slot) {
       if (!input_port_free(u, k, cycle)) return false;
       Flit* f = peek(u, k, vc);
       if (!f) return false;
@@ -768,7 +790,7 @@ class Simulator {
         if (faults_) wire_armed_[eid] = 1;
       }
       out.wire_push({cycle + out.latency, sent, vc});
-      rr = static_cast<int>((slot + 1) % slots);
+      rr = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
       return true;  // one flit per output per cycle
     };
 
@@ -788,12 +810,18 @@ class Simulator {
         while (part) {
           const int slot = std::countr_zero(part);
           part &= part - 1;
-          if (try_slot(static_cast<std::size_t>(slot))) return;
+          if (try_slot(slot_k_[slot], slot_vc_[slot],
+                       static_cast<std::size_t>(slot)))
+            return;
         }
       return;
     }
-    for (std::size_t step = 0; step < slots; ++step)
-      if (try_slot((rr + step) % slots)) return;
+    for (std::size_t step = 0; step < slots; ++step) {
+      const std::size_t slot = (rr + step) % slots;
+      if (try_slot(slot / cfg_.num_vcs, static_cast<int>(slot % cfg_.num_vcs),
+                   slot))
+        return;
+    }
   }
 
   void ejection(int u, long cycle) {
@@ -803,9 +831,7 @@ class Simulator {
     if (slots == 0) return;
     int& rr = eject_rr_[u];
 
-    const auto try_slot = [&](std::size_t slot) {
-      const std::size_t k = slot / cfg_.num_vcs;
-      const int vc = static_cast<int>(slot % cfg_.num_vcs);
+    const auto try_slot = [&](std::size_t k, int vc, std::size_t slot) {
       if (!input_port_free(u, k, cycle)) return false;
       Channel& ch = channels_[ins[k]];
       if (ch.empty(vc)) return false;
@@ -814,7 +840,7 @@ class Simulator {
       pop(u, k, vc, cycle);
       ++flits_ejected_;
       if (f.tail) complete_packet(f.pkt, cycle);
-      rr = static_cast<int>((slot + 1) % slots);
+      rr = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
       return true;
     };
 
@@ -830,13 +856,17 @@ class Simulator {
           while (part && !any) {
             const int slot = std::countr_zero(part);
             part &= part - 1;
-            any = try_slot(static_cast<std::size_t>(slot));
+            any = try_slot(slot_k_[slot], slot_vc_[slot],
+                           static_cast<std::size_t>(slot));
           }
           if (any) break;
         }
       } else {
-        for (std::size_t step = 0; step < slots && !any; ++step)
-          any = try_slot((rr + step) % slots);
+        for (std::size_t step = 0; step < slots && !any; ++step) {
+          const std::size_t slot = (rr + step) % slots;
+          any = try_slot(slot / cfg_.num_vcs,
+                         static_cast<int>(slot % cfg_.num_vcs), slot);
+        }
       }
       if (!any) return;
     }
@@ -913,6 +943,7 @@ class Simulator {
   // flit arrives at cycle t; see deliver_arrivals. Buckets keep their
   // capacity, so the steady state allocates nothing.
   std::vector<std::vector<int>> wheel_;
+  std::size_t wheel_mask_ = 0;  // wheel_.size() - 1 (a power of two)
   std::vector<std::vector<int>> out_edges_, in_edges_;
   std::vector<int> out_rr_, eject_rr_;
   std::vector<long> last_input_pop_;
@@ -937,11 +968,14 @@ class Simulator {
   // order) and a last one for ejection, and port_dst_ names each word's
   // next hop (-1 for ejection). Bit (k, vc) of word p is set iff the head
   // flit of input slot (k, vc) requests port p. Maintained only while the
-  // slot space fits one word (mask_ok_).
+  // slot space fits one word (mask_ok_, per router). slot_k_ / slot_vc_
+  // decode a request-word bit into its (input, VC) pair.
   std::vector<int> port_base_;
   std::vector<int> port_dst_;
   std::vector<std::uint64_t> req_mask_;
-  std::vector<bool> mask_ok_;
+  std::vector<std::uint8_t> mask_ok_;
+  std::uint8_t slot_k_[64] = {};
+  std::uint8_t slot_vc_[64] = {};
 
   // Injection schedule: next injection cycle per source index, mirrored in a
   // (cycle, idx) min-heap in optimized mode.

@@ -62,27 +62,36 @@ struct Channel {
   Flit& front(int vc) {
     return buf[static_cast<std::size_t>(vc) * cap + head[vc]];
   }
+  // Ring indices wrap by comparison: head < cap and count <= cap, so one
+  // subtraction suffices (no division on the per-flit path).
   void push(int vc, const Flit& f) {
     assert(count[vc] < cap);  // credits guarantee a free slot
-    buf[static_cast<std::size_t>(vc) * cap + (head[vc] + count[vc]) % cap] = f;
+    int i = head[vc] + count[vc];
+    if (i >= cap) i -= cap;
+    buf[static_cast<std::size_t>(vc) * cap + i] = f;
     ++count[vc];
   }
   void pop(int vc) {
     assert(count[vc] > 0);
-    head[vc] = static_cast<std::uint16_t>((head[vc] + 1) % cap);
+    head[vc] =
+        head[vc] + 1 == cap ? 0 : static_cast<std::uint16_t>(head[vc] + 1);
     --count[vc];
   }
 
   bool wire_empty() const { return wire_count == 0; }
   InFlight& wire_front() { return wire[wire_head]; }
   void wire_push(const InFlight& f) {
-    assert(wire_count < static_cast<int>(wire.size()));
-    wire[(wire_head + wire_count) % wire.size()] = f;
+    const int size = static_cast<int>(wire.size());
+    assert(wire_count < size);
+    int i = wire_head + wire_count;
+    if (i >= size) i -= size;
+    wire[i] = f;
     ++wire_count;
   }
   void wire_pop() {
     assert(wire_count > 0);
-    wire_head = static_cast<int>((wire_head + 1) % wire.size());
+    wire_head =
+        wire_head + 1 == static_cast<int>(wire.size()) ? 0 : wire_head + 1;
     --wire_count;
   }
 };

@@ -1,6 +1,8 @@
 #include "vc/layers.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -12,36 +14,35 @@ struct FlowRef {
   int s, d;
 };
 
-VcAssignment try_assign(const routing::RoutingTable& rt, const topo::DiGraph& g,
-                        std::vector<FlowRef> order, int max_layers) {
+// One greedy pass over `pending`, in order: each layer takes every flow whose
+// path keeps the layer's CDG acyclic and defers the rest to the next layer.
+// Returns num_layers == -1 when more than max_layers would be needed.
+VcAssignment try_assign(const routing::RoutingTable& rt, const LinkIds& ids,
+                        OrderedCdg& cdg, std::vector<FlowRef> pending,
+                        int max_layers) {
   const int n = rt.num_nodes();
-  const LinkIds ids(g);
   VcAssignment a;
   a.layer.assign(static_cast<std::size_t>(n) * n, -1);
 
-  std::vector<FlowRef> pending = std::move(order);
+  std::vector<FlowRef> deferred;
   int layer = 0;
   while (!pending.empty()) {
     if (layer >= max_layers) {
       a.num_layers = -1;  // signal failure
       return a;
     }
-    Cdg cdg(ids.count());
-    std::vector<FlowRef> deferred;
+    cdg.clear();
+    deferred.clear();
     for (const auto& f : pending) {
-      const auto inserted = cdg.add_path(rt.path(f.s, f.d), ids);
-      // The layer's CDG is acyclic before every insertion (a cycle-closing
-      // path is rolled back below), so the incremental check is exact.
-      if (cdg.closes_cycle(inserted)) {
-        // This path closes a cycle in the current layer: defer it. This is
-        // the DFSSSP move of peeling the cycle-forming route into a new VC.
-        cdg.remove_deps(inserted);
-        deferred.push_back(f);
-      } else {
+      // A path that closes a cycle in the current layer was rolled back:
+      // defer it. This is the DFSSSP move of peeling the cycle-forming route
+      // into a new VC.
+      if (cdg.add_path(rt.path(f.s, f.d), ids))
         a.layer[static_cast<std::size_t>(f.s) * n + f.d] = layer;
-      }
+      else
+        deferred.push_back(f);
     }
-    pending = std::move(deferred);
+    std::swap(pending, deferred);
     ++layer;
   }
   a.num_layers = layer;
@@ -60,21 +61,41 @@ VcAssignment assign_layers(const routing::RoutingTable& rt,
     for (int d = 0; d < n; ++d)
       if (s != d && rt.path(s, d).size() >= 2) flows.push_back({s, d});
 
+  const LinkIds ids(g);
+  OrderedCdg cdg(g, ids);
+  std::vector<FlowRef> order;
   VcAssignment best;
   best.num_layers = -1;
-  int tried = 0;
+  int tried = 0, capped = 0;
   for (int r = 0; r < restarts; ++r) {
+    if (r > 0 && best.num_layers == 2) {
+      // Two layers cannot be beaten: a deferral means the whole route set's
+      // CDG has a cycle, so no order fits one layer. The skipped restart
+      // still draws its shuffle (a shuffle's draws depend only on the
+      // length), leaving rng where the full loop would.
+      rng.shuffle(order);
+      continue;
+    }
     ++tried;
-    std::vector<FlowRef> order = flows;
+    order = flows;
     if (r > 0) rng.shuffle(order);
-    const auto a = try_assign(rt, g, std::move(order), max_layers);
-    if (a.num_layers < 0) continue;
-    if (best.num_layers < 0 || a.num_layers < best.num_layers) best = a;
+    // Only a strictly smaller count replaces the best, so a restart may stop
+    // as soon as it would need best layers.
+    const int cap = best.num_layers < 0
+                        ? max_layers
+                        : std::min(max_layers, best.num_layers - 1);
+    auto a = try_assign(rt, ids, cdg, order, cap);
+    if (a.num_layers < 0) {
+      if (cap < max_layers) ++capped;
+      continue;
+    }
+    best = std::move(a);
     if (best.num_layers == 1) break;
   }
   span.arg("flows", static_cast<long>(flows.size()));
   span.arg("layers", best.num_layers);
   span.arg("restarts", tried);
+  span.arg("capped", capped);
   if (best.num_layers < 0)
     throw std::runtime_error("assign_layers: exceeded max_layers");
   return best;

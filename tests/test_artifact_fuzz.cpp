@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -31,6 +32,8 @@
 #include "api/report.hpp"
 #include "api/spec.hpp"
 #include "api/study.hpp"
+#include "core/plan.hpp"
+#include "topologies/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -340,6 +343,15 @@ std::string join(const std::vector<std::string>& parts, char sep) {
 // Targeted range checks: a hop or VC id just outside its range is a miss
 // (an out-of-range intermediate hop used to reach the graph's adjacency
 // lookup unchecked); the edge of the range still restores.
+// max_channel_load of an n-router plan whose busiest link carries k flows:
+// k / (n-1) under MCLB, the sum of k terms 1 / (n-1) under NDBT.
+double derived_load(bool mclb, int n, long k) {
+  if (mclb) return static_cast<double>(k) / (n - 1);
+  double sum = 0.0;
+  for (long i = 0; i < k; ++i) sum += 1.0 / (n - 1);
+  return sum;
+}
+
 TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
   int hop_checked = 0;
   for (const auto& [good, slot] : corpus().plans) {
@@ -436,8 +448,70 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
       PlanArtifact p = slot;
       EXPECT_FALSE(restore_plan_artifact(b.payload, p)) << b.what;
     }
+
+    // max_channel_load and ndbt_fallback_flows are copied into reports, so
+    // only values the plan's own formulas produce restore: the busiest link
+    // carries k of the n(n-1) routed flows, at load k / (n-1) under MCLB or
+    // the sum of k terms 1 / (n-1) under NDBT. Kite-small's NDBT plan has
+    // max_channel_load 1; rewritten to 0.5 it used to restore.
+    const bool mclb = doc.at("policy").as_string() == "mclb";
+    const double load = doc.at("max_channel_load").as_double();
+    const long flows = static_cast<long>(n) * (n - 1);
+    const auto formula = [&](long k) { return derived_load(mclb, n, k); };
+    const long k = std::lround(load * (n - 1));
+    ASSERT_EQ(formula(k), load);
+    auto with_load = [&](double v) {
+      JsonValue d = doc;
+      d.set("max_channel_load", JsonValue::number(v));
+      return d.dump_compact();
+    };
+    std::vector<std::pair<std::string, std::string>> derived = {
+        {with_load(std::nextafter(load, 2 * load)), "load + 1 ulp"},
+        {with_load(std::nextafter(load, 0.0)), "load - 1 ulp"},
+        {with_load(0.0), "load 0"},
+        {with_load(-load), "negative load"},
+        {with_load(formula(flows + 1)), "load of more flows than routed"},
+        {with_top("ndbt_fallback_flows", mclb ? 1 : -1),
+         "fallback flows out of range"},
+        {with_top("ndbt_fallback_flows", flows + 1),
+         "more fallback flows than routed"},
+    };
+    if ((n - 1) % 2 == 1) derived.emplace_back(with_load(0.5), "load 0.5");
+    for (const auto& [payload, what] : derived) {
+      PlanArtifact p = slot;
+      EXPECT_FALSE(restore_plan_artifact(payload, p)) << what;
+    }
+    // A plausible value is not proof: another formula value still restores.
+    PlanArtifact other = slot;
+    EXPECT_TRUE(restore_plan_artifact(
+        with_load(formula(k < flows ? k + 1 : k - 1)), other));
   }
   EXPECT_GE(hop_checked, 2);
+}
+
+// The derived-field check accepts every real plan: the 20-, 30- and
+// 48-router catalogs and baselines, each under both routing policies.
+TEST(ArtifactFuzz, EveryCatalogPlanRestores) {
+  int plans = 0;
+  for (const int routers : {20, 30, 48}) {
+    std::vector<topologies::NamedTopology> rows = topologies::catalog(routers);
+    for (const auto& t : topologies::baseline_catalog(routers))
+      rows.push_back(t);
+    for (const auto& t : rows)
+      for (const auto policy :
+           {core::RoutingPolicy::kMclb, core::RoutingPolicy::kNdbt}) {
+        PlanArtifact a;
+        a.seed = 1;
+        a.plan = core::plan_network(t.graph, t.layout, policy, 6, a.seed);
+        PlanArtifact back;
+        back.seed = a.seed;
+        ASSERT_TRUE(restore_plan_artifact(plan_artifact_payload(a), back))
+            << t.name << " " << core::to_string(policy);
+        EXPECT_EQ(back.plan.max_channel_load, a.plan.max_channel_load);
+        ++plans;
+      }
+  }
+  EXPECT_GE(plans, 80);
 }
 
 // The split-then-parse decoder unpack_table replaced, kept as its oracle:
@@ -598,11 +672,16 @@ TEST(ArtifactFuzz, PlansForAnotherSpecAreStudyMisses) {
     d.set("vc_map", std::move(m));
   });
   // The other routing policy: the Kite-small plan is NDBT, the synthesized
-  // one MCLB.
+  // one MCLB. The derived fields are rewritten to what the other policy's
+  // formulas give for the same busiest link, so the payload stays plausible.
   expect_plans_missed(spec, [](JsonValue& d) {
-    d.set("policy", JsonValue::string(d.at("policy").as_string() == "mclb"
-                                          ? "ndbt"
-                                          : "mclb"));
+    const bool to_mclb = d.at("policy").as_string() != "mclb";
+    const int n = std::stoi(d.at("graph").as_string());
+    const long k =
+        std::lround(d.at("max_channel_load").as_double() * (n - 1));
+    d.set("policy", JsonValue::string(to_mclb ? "mclb" : "ndbt"));
+    d.set("max_channel_load", JsonValue::number(derived_load(to_mclb, n, k)));
+    if (to_mclb) d.set("ndbt_fallback_flows", JsonValue::integer(0));
   });
   // A chiplet-system plan that lost its system block.
   expect_plans_missed(chiplet_spec(), [](JsonValue& d) {

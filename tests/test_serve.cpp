@@ -812,6 +812,47 @@ TEST_F(ServeDaemonTest, FinishedConnectionThreadsAreReaped) {
   EXPECT_LE(server_->connection_threads(), 8u);
 }
 
+// At most kMaxConnections clients are served at once. One more is answered
+// in-band and closed without a handler thread; the clients already
+// connected keep being served, and once some of them hang up a new client
+// is accepted again.
+TEST_F(ServeDaemonTest, ConnectionsBeyondTheCapAreRefused) {
+  std::vector<std::unique_ptr<ServeClient>> idle;
+  for (std::size_t i = 0; i < serve::kMaxConnections; ++i) {
+    idle.push_back(std::make_unique<ServeClient>(socket_));
+    ASSERT_TRUE(idle.back()->ok()) << "client " << i;
+  }
+  {
+    // Accepted in connection order, so this one arrives at the cap.
+    ServeClient extra(socket_);
+    ASSERT_TRUE(extra.ok());
+    const JsonValue err = extra.next_event();
+    ASSERT_FALSE(err.is_null());
+    EXPECT_EQ(err.at("event").as_string(), "error");
+    EXPECT_NE(err.at("message").as_string().find("connections"),
+              std::string::npos);
+    EXPECT_TRUE(extra.next_event().is_null());
+  }
+  EXPECT_EQ(server_->connection_threads(), serve::kMaxConnections);
+  ASSERT_TRUE(idle.front()->send("{\"op\":\"ping\"}"));
+  EXPECT_EQ(idle.front()->wait_for("pong").at("event").as_string(), "pong");
+
+  idle.resize(idle.size() - 4);
+  // The closed clients' handlers finish on their own; a refused attempt
+  // (error, then EOF) is retried. send_raw never raises SIGPIPE.
+  std::string last = "none";
+  for (int attempt = 0; attempt < 100 && last != "pong"; ++attempt) {
+    ServeClient c(socket_);
+    ASSERT_TRUE(c.ok());
+    c.send_raw("{\"op\":\"ping\"}\n");
+    const JsonValue ev = c.next_event();
+    last = ev.is_null() ? "eof" : ev.at("event").as_string();
+    if (last != "pong")
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(last, "pong");
+}
+
 TEST_F(ServeDaemonTest, RepeatedSpecIsWarmAndByteIdentical) {
   const api::ExperimentSpec spec = synth_spec();
   ServeClient c(socket_);

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/plan.hpp"
+#include "obs/trace.hpp"
 #include "routing/mclb.hpp"
+#include "routing/repair.hpp"
 #include "topo/builders.hpp"
 #include "topologies/registry.hpp"
 
@@ -66,19 +71,34 @@ TEST(Cdg, AddPathCreatesConsecutiveDeps) {
   EXPECT_FALSE(cdg.has_cycle());
 }
 
-// Property: on a CDG that was acyclic before the insertion, the incremental
-// check agrees with a full rescan after every add_path — including paths
-// that only re-insert existing dependencies, and rollbacks on a cycle.
-TEST(Cdg, ClosesCycleMatchesFullRescan) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+// A random digraph on n routers with edge probability p; router 0 is
+// optionally a hub linked both ways to every other router, which pushes its
+// degree past 64 when n > 65 (the multi-word port masks).
+topo::DiGraph random_graph(util::Rng& rng, int n, double p, bool hub) {
+  topo::DiGraph g(n);
+  for (int u = 0; u < n; ++u)
+    for (int v = 0; v < n; ++v)
+      if (u != v && ((hub && (u == 0 || v == 0)) || rng.uniform() < p))
+        g.add_edge(u, v);
+  return g;
+}
+
+// Property: the ordered CDG accepts a path iff the plain CDG plus that path
+// is acyclic (checked by a full has_cycle rescan), holds exactly the
+// accepted dependencies, and keeps ord[a] < ord[b] for every dependency
+// after every insertion and rollback — including paths that only re-insert
+// existing dependencies.
+TEST(OrderedCdg, InsertMatchesFullRescan) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     util::Rng rng(seed);
-    const int n = static_cast<int>(rng.uniform_int(4, 12));
-    topo::DiGraph g(n);
-    for (int u = 0; u < n; ++u)
-      for (int v = 0; v < n; ++v)
-        if (u != v && rng.uniform() < 0.35) g.add_edge(u, v);
+    const bool wide = seed > 20;  // a degree > 64 hub
+    const int n = wide ? static_cast<int>(rng.uniform_int(66, 72))
+                       : static_cast<int>(rng.uniform_int(4, 12));
+    const topo::DiGraph g = random_graph(rng, n, wide ? 0.03 : 0.35, wide);
     const LinkIds ids(g);
-    Cdg cdg(ids.count());
+    Cdg ref(ids.count());
+    OrderedCdg cdg(g, ids);
+    std::set<std::pair<int, int>> deps;
     int closed = 0;
     for (int step = 0; step < 300; ++step) {
       // Random walk along the graph's links.
@@ -90,18 +110,51 @@ TEST(Cdg, ClosesCycleMatchesFullRescan) {
         p.push_back(succ[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(succ.size()) - 1))]);
       }
-      const auto inserted = cdg.add_path(p, ids);
-      const bool full = cdg.has_cycle();
-      ASSERT_EQ(cdg.closes_cycle(inserted), full)
+      const auto inserted = ref.add_path(p, ids);
+      const bool full = ref.has_cycle();
+      ASSERT_EQ(cdg.add_path(p, ids), !full)
           << "seed " << seed << " step " << step;
       if (full) {
-        cdg.remove_deps(inserted);
+        ref.remove_deps(inserted);
         ++closed;
+      } else {
+        deps.insert(inserted.begin(), inserted.end());
       }
+      const auto held = cdg.deps();
+      const std::set<std::pair<int, int>> held_set(held.begin(), held.end());
+      ASSERT_EQ(held_set, deps) << "seed " << seed << " step " << step;
+      for (const auto& [a, b] : held)
+        ASSERT_LT(cdg.order(a), cdg.order(b))
+            << "seed " << seed << " step " << step;
     }
-    EXPECT_FALSE(cdg.has_cycle());
+    EXPECT_FALSE(ref.has_cycle());
     if (ids.count() > 8) EXPECT_GT(closed, 0) << "seed " << seed;
+    cdg.clear();
+    EXPECT_TRUE(cdg.deps().empty());
   }
+}
+
+TEST(OrderedCdg, RejectsCycleAndKeepsGraph) {
+  topo::DiGraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  const LinkIds ids(g);
+  const int e01 = ids.id(0, 1), e12 = ids.id(1, 2), e20 = ids.id(2, 0);
+  OrderedCdg cdg(g, ids);
+  // Inserted against the initial order, so each one reorders.
+  EXPECT_TRUE(cdg.insert(e20, e01));
+  EXPECT_TRUE(cdg.insert(e12, e20));
+  EXPECT_TRUE(cdg.insert(e12, e20));  // present: accepted as is
+  EXPECT_FALSE(cdg.insert(e01, e12));
+  EXPECT_FALSE(cdg.has_dep(e01, e12));
+  EXPECT_EQ(cdg.deps().size(), 2u);
+  EXPECT_LT(cdg.order(e12), cdg.order(e20));
+  EXPECT_LT(cdg.order(e20), cdg.order(e01));
+  // A path whose last dependency closes the cycle leaves nothing behind.
+  cdg.remove(e20, e01);
+  EXPECT_FALSE(cdg.add_path(std::vector<int>{2, 0, 1, 2}, ids));
+  EXPECT_EQ(cdg.deps(), (std::vector<std::pair<int, int>>{{e12, e20}}));
 }
 
 // Full-rescan reference for assign_layers, written against the public Cdg
@@ -149,23 +202,85 @@ VcAssignment rescan_layers(const routing::RoutingTable& rt,
   return best;
 }
 
-// Oracle: the incremental check reproduces the full-rescan layering exactly
-// on every 48-router catalog and baseline plan.
+// assign_layers plus the restart counters its vc/assign_layers span
+// records: restarts actually run, and restarts stopped by the best-so-far
+// cap.
+struct LayerRun {
+  VcAssignment a;
+  int restarts = -1;
+  int capped = -1;
+};
+
+LayerRun traced_assign(const routing::RoutingTable& rt, const topo::DiGraph& g,
+                       util::Rng& rng) {
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  LayerRun run{assign_layers(rt, g, rng)};
+  obs::set_trace_enabled(false);
+  for (const auto& ev : obs::collect_trace_events())
+    if (ev.name == "vc/assign_layers")
+      for (const auto& [key, v] : ev.num_args) {
+        if (key == "restarts") run.restarts = static_cast<int>(v);
+        if (key == "capped") run.capped = static_cast<int>(v);
+      }
+  obs::reset_trace();
+  return run;
+}
+
+// Oracle: the ordered CDG and the restart bound reproduce the full-rescan
+// layering exactly, RNG state included, on every 48-router catalog and
+// baseline plan, on each of those with one duplex link cut and its routes
+// repaired, on the 20- and 30-router catalogs, and on a graph whose hub has
+// degree > 64. Both restart-bound branches must be exercised somewhere.
 TEST(Layers, MatchFullRescanOn48RouterPlans) {
+  int stopped_at_two = 0, capped = 0;
+  const auto expect_match = [&](const routing::RoutingTable& rt,
+                                const topo::DiGraph& g,
+                                const std::string& name) {
+    util::Rng fast_rng(11), ref_rng(11);
+    const LayerRun fast = traced_assign(rt, g, fast_rng);
+    const auto ref = rescan_layers(rt, g, ref_rng);
+    EXPECT_EQ(fast.a.num_layers, ref.num_layers) << name;
+    EXPECT_EQ(fast.a.layer, ref.layer) << name;
+    EXPECT_EQ(fast_rng.next(), ref_rng.next()) << name;
+    if (fast.a.num_layers == 2 && fast.restarts < 8) ++stopped_at_two;
+    capped += fast.capped;
+  };
+  const auto policy_of = [](const topologies::NamedTopology& t) {
+    return t.is_netsmith || t.parametric ? core::RoutingPolicy::kMclb
+                                         : core::RoutingPolicy::kNdbt;
+  };
+
   std::vector<topologies::NamedTopology> rows = topologies::catalog(48);
   for (const auto& t : topologies::baseline_catalog(48)) rows.push_back(t);
   for (const auto& t : rows) {
-    const auto policy = t.is_netsmith || t.parametric
-                            ? core::RoutingPolicy::kMclb
-                            : core::RoutingPolicy::kNdbt;
-    const auto plan = core::plan_network(t.graph, t.layout, policy, 6);
-    util::Rng fast_rng(11), ref_rng(11);
-    const auto fast = assign_layers(plan.table, t.graph, fast_rng);
-    const auto ref = rescan_layers(plan.table, t.graph, ref_rng);
-    EXPECT_EQ(fast.num_layers, ref.num_layers) << t.name;
-    EXPECT_EQ(fast.layer, ref.layer) << t.name;
-    EXPECT_EQ(fast_rng.next(), ref_rng.next()) << t.name;
+    const auto plan = core::plan_network(t.graph, t.layout, policy_of(t), 6);
+    expect_match(plan.table, t.graph, t.name);
+    const auto [u, v] = t.graph.edges().front();
+    const auto repaired = routing::repair_routes(
+        t.graph, plan.table, {{u, v}, {v, u}}, plan.max_paths_per_flow);
+    expect_match(repaired.table, t.graph, t.name + " repaired");
   }
+  for (const int routers : {20, 30})
+    for (const auto& t : topologies::catalog(routers)) {
+      const auto plan = core::plan_network(t.graph, t.layout, policy_of(t), 6);
+      expect_match(plan.table, t.graph, t.name);
+    }
+
+  // A 70-router star plus a ring through the leaves: the hub's 69 ports
+  // span two mask words.
+  topo::DiGraph star(70);
+  for (int leaf = 1; leaf < 70; ++leaf) {
+    star.add_duplex(0, leaf);
+    star.add_duplex(leaf, leaf % 69 + 1);
+  }
+  ASSERT_GT(star.out_degree(0), 64);
+  expect_match(routing::RoutingTable::select_first(
+                   routing::enumerate_shortest_paths(star)),
+               star, "star70");
+
+  EXPECT_GT(stopped_at_two, 0) << "no case stopped early at two layers";
+  EXPECT_GT(capped, 0) << "no restart stopped at the best-so-far cap";
 }
 
 TEST(Layers, SingleLayerForMeshXy) {
