@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "routing/ndbt.hpp"
 #include "util/json.hpp"
 
 namespace netsmith::api {
@@ -305,19 +306,23 @@ std::string plan_artifact_payload(const PlanArtifact& p) {
 namespace {
 
 // max_channel_load and ndbt_fallback_flows are derived values that reports
-// copy, and re-deriving them (a channel-load analysis, an NDBT filter) would
-// cost more than the rest of a warm restore. Instead accept only values the
-// plan's own formulas can produce. Every s != d flow is routed (the table
-// passed consistent_with), so the busiest link carries k of the n(n-1)
-// flows, 1 <= k <= n(n-1), and its load is k / (n-1) under MCLB (an integer
-// flow count divided once) or the sum of k terms 1 / (n-1) under NDBT (as
-// routing::analyze_uniform accumulates it). O(k) at most.
-bool plausible_derived_fields(const core::NetworkPlan& plan) {
+// copy. Re-deriving max_channel_load (a channel-load analysis) would cost
+// more than the rest of a warm restore, so accept only values the plan's own
+// formula can produce. Every s != d flow is routed (the table passed
+// consistent_with), so the busiest link carries k of the n(n-1) flows,
+// 1 <= k <= n(n-1), and its load is k / (n-1) under MCLB (an integer flow
+// count divided once) or the sum of k terms 1 / (n-1) under NDBT (as
+// routing::analyze_uniform accumulates it). O(k) at most. The NDBT fallback
+// count is exact and cheap: a flow fell back iff its route doubles back in x
+// on the layout plan_network was given (routing::ndbt_filter), so it is
+// recounted in O(total hops). MCLB plans have none.
+bool plausible_derived_fields(const core::NetworkPlan& plan,
+                              const topo::Layout& layout) {
   const int n = plan.graph.num_nodes();
   const long flows = static_cast<long>(n) * (n - 1);
   const bool mclb = plan.policy == core::RoutingPolicy::kMclb;
-  if (mclb ? plan.ndbt_fallback_flows != 0
-           : plan.ndbt_fallback_flows < 0 || plan.ndbt_fallback_flows > flows)
+  if (plan.ndbt_fallback_flows !=
+      (mclb ? 0 : routing::count_double_backs(plan.table, layout)))
     return false;
   if (flows < 1) return false;
   const double k_real = plan.max_channel_load * (n - 1);
@@ -334,7 +339,8 @@ bool plausible_derived_fields(const core::NetworkPlan& plan) {
 
 }  // namespace
 
-bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
+bool restore_plan_artifact(const std::string& payload,
+                           const topo::Layout& layout, PlanArtifact& p) {
   try {
     const JsonValue doc = parse_payload(payload, kPlanArtifactKind);
     if (!doc.is_object()) return false;
@@ -359,7 +365,7 @@ bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
     const int n = plan.graph.num_nodes();
     if (!unpack_table(doc.at("table").as_string(), n, plan.table) ||
         !plan.table.consistent_with(plan.graph) ||
-        !plausible_derived_fields(plan))
+        !plausible_derived_fields(plan, layout))
       return false;
     const JsonValue& vc = doc.at("vc_map");
     plan.vc_map.num_vcs = static_cast<int>(vc.at("num_vcs").as_int());

@@ -61,7 +61,12 @@ bool restore_topology_artifact(const std::string& payload, bool analytic,
                                TopologyArtifact& t);
 
 std::string plan_artifact_payload(const PlanArtifact& p);
-bool restore_plan_artifact(const std::string& payload, PlanArtifact& p);
+// `layout` is the one plan_network was given (the topology's, also for a
+// chiplet-system plan); an NDBT plan restores only when its
+// ndbt_fallback_flows equals the number of its routes that double back in x
+// on it.
+bool restore_plan_artifact(const std::string& payload,
+                           const topo::Layout& layout, PlanArtifact& p);
 
 // The plan payload's packed `table` string, on its own: pack_table writes
 // the flow-major routes as described above; unpack_table decodes an n-router

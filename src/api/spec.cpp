@@ -1,6 +1,9 @@
 #include "api/spec.hpp"
 
+#include <concepts>
+#include <ranges>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/json.hpp"
 
@@ -69,260 +72,143 @@ sim::SimConfig make_sim_config(const ExperimentSpec& spec) {
   return c;
 }
 
-// ----------------------------------------------------------- serializing ---
+// ---------------------------------------------------------- member lists ---
+//
+// Each spec record's JSON form is described once: members(rec, io) calls
+// io("key", rec.field) for every member, in serialization order. The writer
+// turns each call into one JSON member, the reader fills the field when its
+// key is present (an absent key keeps the struct default), and the
+// unknown-key check matches a document's keys against the same list. The
+// member's C++ type picks its JSON form (json_value / ObjReader::read);
+// range and structure checks are validate(rec, where), run after reading.
 
 namespace {
 
-JsonValue to_json(const TopologySpec& t) {
-  JsonValue o = JsonValue::object();
-  o.set("source", JsonValue::string(to_string(t.source)));
-  o.set("name", JsonValue::string(t.name));
-  o.set("baseline", JsonValue::string(t.baseline));
-  o.set("catalog_routers", JsonValue::integer(t.catalog_routers));
-  o.set("include_baselines", JsonValue::boolean(t.include_baselines));
-  o.set("adjacency", JsonValue::string(t.adjacency));
-  o.set("rows", JsonValue::integer(t.rows));
-  o.set("cols", JsonValue::integer(t.cols));
-  o.set("link_class", JsonValue::string(t.link_class));
-  JsonValue objs = JsonValue::array();
-  for (const auto& ob : t.objectives) objs.push_back(JsonValue::string(ob));
-  o.set("objectives", std::move(objs));
-  o.set("radix", JsonValue::integer(t.radix));
-  o.set("symmetric_links", JsonValue::boolean(t.symmetric_links));
-  o.set("diameter_bound", JsonValue::integer(t.diameter_bound));
-  o.set("min_cut_bandwidth", JsonValue::number(t.min_cut_bandwidth));
-  o.set("load_weight", JsonValue::number(t.load_weight));
-  o.set("time_limit_s", JsonValue::number(t.time_limit_s));
-  o.set("synth_seed", JsonValue::integer(static_cast<long long>(t.synth_seed)));
-  o.set("restarts", JsonValue::integer(t.restarts));
-  o.set("max_moves", JsonValue::integer(t.max_moves));
-  o.set("landmark_sources", JsonValue::integer(t.landmark_sources));
-  return o;
+// members() takes a record the reader fills or, const, one the writer and
+// the unknown-key check only look at.
+template <class T, class Rec>
+concept RecordOf = std::same_as<std::remove_const_t<T>, Rec>;
+
+// The one tagged member: `faults` is written only when non-empty, so a
+// faultless spec keeps the exact v1 byte layout (reports embed specs
+// verbatim, so this preserves report bytes too).
+constexpr bool kOmitIfEmpty = true;
+
+void members(RecordOf<TopologySpec> auto& t, auto&& io) {
+  io("source", t.source);
+  io("name", t.name);
+  io("baseline", t.baseline);
+  io("catalog_routers", t.catalog_routers);
+  io("include_baselines", t.include_baselines);
+  io("adjacency", t.adjacency);
+  io("rows", t.rows);
+  io("cols", t.cols);
+  io("link_class", t.link_class);
+  io("objectives", t.objectives);
+  io("radix", t.radix);
+  io("symmetric_links", t.symmetric_links);
+  io("diameter_bound", t.diameter_bound);
+  io("min_cut_bandwidth", t.min_cut_bandwidth);
+  io("load_weight", t.load_weight);
+  io("time_limit_s", t.time_limit_s);
+  io("synth_seed", t.synth_seed);
+  io("restarts", t.restarts);
+  io("max_moves", t.max_moves);
+  io("landmark_sources", t.landmark_sources);
 }
 
-JsonValue to_json(const TrafficSpec& t) {
-  JsonValue o = JsonValue::object();
-  o.set("name", JsonValue::string(t.name));
-  o.set("kind", JsonValue::string(t.kind));
-  o.set("ctrl_flits", JsonValue::integer(t.ctrl_flits));
-  o.set("data_flits", JsonValue::integer(t.data_flits));
-  o.set("data_fraction", JsonValue::number(t.data_fraction));
-  return o;
+void members(RecordOf<TrafficSpec> auto& t, auto&& io) {
+  io("name", t.name);
+  io("kind", t.kind);
+  io("ctrl_flits", t.ctrl_flits);
+  io("data_flits", t.data_flits);
+  io("data_fraction", t.data_fraction);
 }
 
-JsonValue to_json(const SweepSpec& s) {
-  JsonValue o = JsonValue::object();
-  o.set("points", JsonValue::integer(s.points));
-  o.set("max_rate", JsonValue::number(s.max_rate));
-  o.set("adaptive", JsonValue::boolean(s.adaptive));
-  o.set("warmup", JsonValue::integer(s.warmup));
-  o.set("measure", JsonValue::integer(s.measure));
-  o.set("drain", JsonValue::integer(s.drain));
-  o.set("buf_flits", JsonValue::integer(s.buf_flits));
-  o.set("io_flits_per_cycle", JsonValue::integer(s.io_flits_per_cycle));
-  o.set("router_delay", JsonValue::integer(s.router_delay));
-  o.set("link_delay", JsonValue::integer(s.link_delay));
-  o.set("sim_seed", JsonValue::integer(static_cast<long long>(s.sim_seed)));
-  return o;
+void members(RecordOf<SweepSpec> auto& s, auto&& io) {
+  io("points", s.points);
+  io("max_rate", s.max_rate);
+  io("adaptive", s.adaptive);
+  io("warmup", s.warmup);
+  io("measure", s.measure);
+  io("drain", s.drain);
+  io("buf_flits", s.buf_flits);
+  io("io_flits_per_cycle", s.io_flits_per_cycle);
+  io("router_delay", s.router_delay);
+  io("link_delay", s.link_delay);
+  io("sim_seed", s.sim_seed);
 }
 
-JsonValue to_json(const PowerSpec& p) {
-  JsonValue o = JsonValue::object();
-  o.set("enabled", JsonValue::boolean(p.enabled));
-  o.set("flits_per_node_cycle", JsonValue::number(p.flits_per_node_cycle));
-  return o;
+void members(RecordOf<PowerSpec> auto& p, auto&& io) {
+  io("enabled", p.enabled);
+  io("flits_per_node_cycle", p.flits_per_node_cycle);
 }
 
-JsonValue to_json(const fault::FaultEvent& e) {
-  JsonValue o = JsonValue::object();
-  o.set("cycle", JsonValue::integer(e.cycle));
-  o.set("kind", JsonValue::string(fault::to_string(e.kind)));
-  o.set("a", JsonValue::integer(e.a));
-  o.set("b", JsonValue::integer(e.b));
-  return o;
+void members(RecordOf<fault::FaultEvent> auto& e, auto&& io) {
+  io("cycle", e.cycle);
+  io("kind", e.kind);
+  io("a", e.a);
+  io("b", e.b);
 }
 
-JsonValue to_json(const fault::FaultScenarioSpec& f) {
-  JsonValue o = JsonValue::object();
-  o.set("name", JsonValue::string(f.name));
-  o.set("mode", JsonValue::string(f.mode));
-  o.set("k", JsonValue::integer(f.k));
-  o.set("fail_at", JsonValue::integer(f.fail_at));
-  o.set("recover_at", JsonValue::integer(f.recover_at));
-  o.set("link_mtbf", JsonValue::number(f.link_mtbf));
-  o.set("link_mttr", JsonValue::number(f.link_mttr));
-  o.set("router_mtbf", JsonValue::number(f.router_mtbf));
-  o.set("router_mttr", JsonValue::number(f.router_mttr));
-  o.set("seed", JsonValue::integer(static_cast<long long>(f.seed)));
-  o.set("lossy", JsonValue::boolean(f.lossy));
-  o.set("repair", JsonValue::boolean(f.repair));
-  JsonValue events = JsonValue::array();
-  for (const auto& e : f.events) events.push_back(to_json(e));
-  o.set("events", std::move(events));
-  return o;
+void members(RecordOf<fault::FaultScenarioSpec> auto& f, auto&& io) {
+  io("name", f.name);
+  io("mode", f.mode);
+  io("k", f.k);
+  io("fail_at", f.fail_at);
+  io("recover_at", f.recover_at);
+  io("link_mtbf", f.link_mtbf);
+  io("link_mttr", f.link_mttr);
+  io("router_mtbf", f.router_mtbf);
+  io("router_mttr", f.router_mttr);
+  io("seed", f.seed);
+  io("lossy", f.lossy);
+  io("repair", f.repair);
+  io("events", f.events);
 }
 
-}  // namespace
-
-int spec_schema_version(const ExperimentSpec& spec) {
-  return spec.faults.empty() ? kSpecMinSchemaVersion : kSpecSchemaVersion;
+void members(RecordOf<ExperimentSpec> auto& s, auto&& io) {
+  // Not a field: stamped from spec_schema_version, range-checked when read.
+  long schema = spec_schema_version(s);
+  io("schema_version", schema);
+  if (schema < kSpecMinSchemaVersion || schema > kSpecSchemaVersion)
+    throw std::invalid_argument(
+        "spec: schema_version " + std::to_string(schema) +
+        " unsupported (this build speaks " +
+        std::to_string(kSpecMinSchemaVersion) + ".." +
+        std::to_string(kSpecSchemaVersion) + ")");
+  io("name", s.name);
+  io("topologies", s.topologies);
+  io("routing", s.routing);
+  io("num_vcs", s.num_vcs);
+  io("max_paths_per_flow", s.max_paths_per_flow);
+  io("chiplet_system", s.chiplet_system);
+  io("seeds", s.seeds);
+  io("analytic", s.analytic);
+  io("traffic", s.traffic);
+  io("sweep", s.sweep);
+  io("power", s.power);
+  io("faults", s.faults, kOmitIfEmpty);
+  io("threads", s.threads);
 }
 
-JsonValue spec_to_json(const ExperimentSpec& spec) {
-  JsonValue o = JsonValue::object();
-  o.set("schema_version", JsonValue::integer(spec_schema_version(spec)));
-  o.set("name", JsonValue::string(spec.name));
-  JsonValue topos = JsonValue::array();
-  for (const auto& t : spec.topologies) topos.push_back(to_json(t));
-  o.set("topologies", std::move(topos));
-  o.set("routing", JsonValue::string(spec.routing));
-  o.set("num_vcs", JsonValue::integer(spec.num_vcs));
-  o.set("max_paths_per_flow", JsonValue::integer(spec.max_paths_per_flow));
-  o.set("chiplet_system", JsonValue::boolean(spec.chiplet_system));
-  JsonValue seeds = JsonValue::array();
-  for (auto s : spec.seeds)
-    seeds.push_back(JsonValue::integer(static_cast<long long>(s)));
-  o.set("seeds", std::move(seeds));
-  o.set("analytic", JsonValue::boolean(spec.analytic));
-  JsonValue traffic = JsonValue::array();
-  for (const auto& t : spec.traffic) traffic.push_back(to_json(t));
-  o.set("traffic", std::move(traffic));
-  o.set("sweep", to_json(spec.sweep));
-  o.set("power", to_json(spec.power));
-  // v2 key, emitted only when used: a faultless spec keeps the exact v1
-  // byte layout (reports embed specs verbatim, so this preserves report
-  // bytes too).
-  if (!spec.faults.empty()) {
-    JsonValue faults = JsonValue::array();
-    for (const auto& f : spec.faults) faults.push_back(to_json(f));
-    o.set("faults", std::move(faults));
-  }
-  o.set("threads", JsonValue::integer(spec.threads));
-  return o;
-}
+// ------------------------------------------------------------ validation ---
 
-std::string serialize(const ExperimentSpec& spec) {
-  return spec_to_json(spec).dump();
-}
-
-// -------------------------------------------------------------- parsing ----
-
-namespace {
-
-// Strict-object cursor: typed getters with defaults, and a final check that
-// every present key was consumed (catches typos in hand-written specs).
-class ObjReader {
- public:
-  ObjReader(const JsonValue& v, std::string where)
-      : obj_(v), where_(std::move(where)) {
-    if (!v.is_object())
-      throw std::invalid_argument("spec: " + where_ + " must be an object");
-  }
-
-  const JsonValue* take(const std::string& key) {
-    seen_.push_back(key);
-    return obj_.find(key);
-  }
-
-  long long get_int(const std::string& key, long long def) {
-    const JsonValue* v = take(key);
-    return v ? typed(key, [&] { return v->as_int(); }) : def;
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t def) {
-    const JsonValue* v = take(key);
-    return v ? typed(key, [&] { return v->as_u64(); }) : def;
-  }
-  double get_double(const std::string& key, double def) {
-    const JsonValue* v = take(key);
-    return v ? typed(key, [&] { return v->as_double(); }) : def;
-  }
-  bool get_bool(const std::string& key, bool def) {
-    const JsonValue* v = take(key);
-    return v ? typed(key, [&] { return v->as_bool(); }) : def;
-  }
-  std::string get_string(const std::string& key, const std::string& def) {
-    const JsonValue* v = take(key);
-    return v ? typed(key, [&] { return v->as_string(); }) : def;
-  }
-
-  // Wraps a type-mismatched value in an error naming the full path to the
-  // bad key, so "spec: bad value for 'warmup' in sweep" instead of a bare
-  // json type error.
-  template <class Fn>
-  auto typed(const std::string& key, Fn fn) -> decltype(fn()) {
-    try {
-      return fn();
-    } catch (const std::exception& e) {
-      throw std::invalid_argument("spec: bad value for '" + key + "' in " +
-                                  where_ + ": " + e.what());
-    }
-  }
-
-  void finish() const {
-    for (const auto& [key, v] : obj_.members()) {
-      bool known = false;
-      for (const auto& s : seen_)
-        if (s == key) known = true;
-      if (!known)
-        throw std::invalid_argument("spec: unknown key '" + key + "' in " +
-                                    where_);
-    }
-  }
-
- private:
-  const JsonValue& obj_;
-  std::string where_;
-  std::vector<std::string> seen_;
-};
-
-TopologySpec parse_topology(const JsonValue& v, int index) {
-  TopologySpec t;
-  ObjReader r(v, "topologies[" + std::to_string(index) + "]");
-  t.source = topology_source_from_string(r.get_string("source", "baseline"));
-  t.name = r.get_string("name", t.name);
-  t.baseline = r.get_string("baseline", t.baseline);
-  t.catalog_routers =
-      static_cast<int>(r.get_int("catalog_routers", t.catalog_routers));
-  t.include_baselines = r.get_bool("include_baselines", t.include_baselines);
-  t.adjacency = r.get_string("adjacency", t.adjacency);
-  t.rows = static_cast<int>(r.get_int("rows", t.rows));
-  t.cols = static_cast<int>(r.get_int("cols", t.cols));
-  t.link_class = r.get_string("link_class", t.link_class);
-  if (const JsonValue* objs = r.take("objectives")) {
-    t.objectives.clear();
-    for (const auto& o : objs->items()) {
-      objective_from_string(o.as_string());  // validate early
-      t.objectives.push_back(o.as_string());
-    }
-    if (t.objectives.empty())
-      throw std::invalid_argument("spec: objectives must not be empty");
-  }
-  t.radix = static_cast<int>(r.get_int("radix", t.radix));
-  t.symmetric_links = r.get_bool("symmetric_links", t.symmetric_links);
-  t.diameter_bound = static_cast<int>(r.get_int("diameter_bound", t.diameter_bound));
-  t.min_cut_bandwidth = r.get_double("min_cut_bandwidth", t.min_cut_bandwidth);
-  t.load_weight = r.get_double("load_weight", t.load_weight);
-  t.time_limit_s = r.get_double("time_limit_s", t.time_limit_s);
-  t.synth_seed = r.get_u64("synth_seed", t.synth_seed);
-  t.restarts = static_cast<int>(r.get_int("restarts", t.restarts));
-  t.max_moves = r.get_int("max_moves", t.max_moves);
-  t.landmark_sources =
-      static_cast<int>(r.get_int("landmark_sources", t.landmark_sources));
-  r.finish();
+void validate(const TopologySpec& t, const std::string& at) {
+  if (t.objectives.empty())
+    throw std::invalid_argument("spec: objectives must not be empty");
+  for (const auto& o : t.objectives) objective_from_string(o);
 
   // Range checks: reject values no synthesis/catalog run can honour.
   if (t.radix < 1)
-    throw std::invalid_argument("spec: radix must be >= 1 in topologies[" +
-                                std::to_string(index) + "]");
+    throw std::invalid_argument("spec: radix must be >= 1 in " + at);
   if (t.restarts < 1)
-    throw std::invalid_argument("spec: restarts must be >= 1 in topologies[" +
-                                std::to_string(index) + "]");
+    throw std::invalid_argument("spec: restarts must be >= 1 in " + at);
   if (t.time_limit_s < 0 || t.max_moves < 0 || t.landmark_sources < 0 ||
       t.min_cut_bandwidth < 0 || t.diameter_bound < 0)
     throw std::invalid_argument(
         "spec: time_limit_s, max_moves, landmark_sources, min_cut_bandwidth "
-        "and diameter_bound must be >= 0 in topologies[" +
-        std::to_string(index) + "]");
+        "and diameter_bound must be >= 0 in " + at);
 
   // Per-source structural validation.
   switch (t.source) {
@@ -350,48 +236,21 @@ TopologySpec parse_topology(const JsonValue& v, int index) {
             "with include_baselines");
       break;
   }
-  return t;
 }
 
-TrafficSpec parse_traffic(const JsonValue& v, int index) {
-  TrafficSpec t;
-  ObjReader r(v, "traffic[" + std::to_string(index) + "]");
-  t.kind = r.get_string("kind", t.kind);
+void validate(const TrafficSpec& t, const std::string& at) {
   if (t.kind != "coherence" && t.kind != "memory" && t.kind != "shuffle" &&
       t.kind != "tornado")
     throw std::invalid_argument("spec: unknown traffic kind '" + t.kind + "'");
-  t.name = r.get_string("name", t.name);
-  t.ctrl_flits = static_cast<int>(r.get_int("ctrl_flits", t.ctrl_flits));
-  t.data_flits = static_cast<int>(r.get_int("data_flits", t.data_flits));
-  t.data_fraction = r.get_double("data_fraction", t.data_fraction);
-  r.finish();
   if (t.ctrl_flits < 1 || t.data_flits < 1)
     throw std::invalid_argument(
-        "spec: ctrl_flits and data_flits must be >= 1 in traffic[" +
-        std::to_string(index) + "]");
+        "spec: ctrl_flits and data_flits must be >= 1 in " + at);
   if (t.data_fraction < 0.0 || t.data_fraction > 1.0)
-    throw std::invalid_argument(
-        "spec: data_fraction must be in [0, 1] in traffic[" +
-        std::to_string(index) + "]");
-  return t;
+    throw std::invalid_argument("spec: data_fraction must be in [0, 1] in " +
+                                at);
 }
 
-SweepSpec parse_sweep(const JsonValue& v) {
-  SweepSpec s;
-  ObjReader r(v, "sweep");
-  s.points = static_cast<int>(r.get_int("points", s.points));
-  s.max_rate = r.get_double("max_rate", s.max_rate);
-  s.adaptive = r.get_bool("adaptive", s.adaptive);
-  s.warmup = r.get_int("warmup", s.warmup);
-  s.measure = r.get_int("measure", s.measure);
-  s.drain = r.get_int("drain", s.drain);
-  s.buf_flits = static_cast<int>(r.get_int("buf_flits", s.buf_flits));
-  s.io_flits_per_cycle =
-      static_cast<int>(r.get_int("io_flits_per_cycle", s.io_flits_per_cycle));
-  s.router_delay = static_cast<int>(r.get_int("router_delay", s.router_delay));
-  s.link_delay = static_cast<int>(r.get_int("link_delay", s.link_delay));
-  s.sim_seed = r.get_u64("sim_seed", s.sim_seed);
-  r.finish();
+void validate(const SweepSpec& s, const std::string&) {
   if (s.points <= 0)
     throw std::invalid_argument("spec: sweep.points must be positive");
   if (s.measure <= 0)
@@ -408,28 +267,11 @@ SweepSpec parse_sweep(const JsonValue& v) {
     throw std::invalid_argument(
         "spec: sweep.router_delay and sweep.link_delay must be >= 0 and sum "
         "to >= 1");
-  return s;
 }
 
-PowerSpec parse_power(const JsonValue& v) {
-  PowerSpec p;
-  ObjReader r(v, "power");
-  p.enabled = r.get_bool("enabled", p.enabled);
-  p.flits_per_node_cycle =
-      r.get_double("flits_per_node_cycle", p.flits_per_node_cycle);
-  r.finish();
-  return p;
-}
+void validate(const PowerSpec&, const std::string&) {}
 
-fault::FaultEvent parse_fault_event(const JsonValue& v, const std::string& at) {
-  fault::FaultEvent e;
-  ObjReader r(v, at);
-  e.cycle = r.get_int("cycle", e.cycle);
-  e.kind = fault::fault_event_kind_from_string(
-      r.get_string("kind", fault::to_string(e.kind)));
-  e.a = static_cast<int>(r.get_int("a", e.a));
-  e.b = static_cast<int>(r.get_int("b", e.b));
-  r.finish();
+void validate(const fault::FaultEvent& e, const std::string& at) {
   if (e.cycle < 0)
     throw std::invalid_argument("spec: event cycle must be >= 0 in " + at);
   const bool link = e.kind == fault::FaultEventKind::kLinkDown ||
@@ -438,35 +280,12 @@ fault::FaultEvent parse_fault_event(const JsonValue& v, const std::string& at) {
     throw std::invalid_argument(
         "spec: event endpoints must name routers (a" +
         std::string(link ? " and b" : "") + " >= 0) in " + at);
-  return e;
 }
 
-fault::FaultScenarioSpec parse_fault_scenario(const JsonValue& v, int index) {
-  fault::FaultScenarioSpec f;
-  const std::string at = "faults[" + std::to_string(index) + "]";
-  ObjReader r(v, at);
-  f.name = r.get_string("name", f.name);
-  f.mode = r.get_string("mode", f.mode);
+void validate(const fault::FaultScenarioSpec& f, const std::string& at) {
   if (f.mode != "targeted" && f.mode != "random" && f.mode != "explicit")
     throw std::invalid_argument(
         "spec: mode must be targeted|random|explicit in " + at);
-  f.k = static_cast<int>(r.get_int("k", f.k));
-  f.fail_at = r.get_int("fail_at", f.fail_at);
-  f.recover_at = r.get_int("recover_at", f.recover_at);
-  f.link_mtbf = r.get_double("link_mtbf", f.link_mtbf);
-  f.link_mttr = r.get_double("link_mttr", f.link_mttr);
-  f.router_mtbf = r.get_double("router_mtbf", f.router_mtbf);
-  f.router_mttr = r.get_double("router_mttr", f.router_mttr);
-  f.seed = r.get_u64("seed", f.seed);
-  f.lossy = r.get_bool("lossy", f.lossy);
-  f.repair = r.get_bool("repair", f.repair);
-  if (const JsonValue* events = r.take("events")) {
-    int i = 0;
-    for (const auto& e : events->items())
-      f.events.push_back(
-          parse_fault_event(e, at + ".events[" + std::to_string(i++) + "]"));
-  }
-  r.finish();
   if (f.k < 0)
     throw std::invalid_argument("spec: k must be >= 0 in " + at);
   if (f.fail_at < 0)
@@ -479,63 +298,173 @@ fault::FaultScenarioSpec parse_fault_scenario(const JsonValue& v, int index) {
     throw std::invalid_argument("spec: MTBF/MTTR must be >= 0 in " + at);
   if (f.mode == "explicit" && f.events.empty())
     throw std::invalid_argument("spec: explicit mode needs events in " + at);
-  return f;
 }
 
-}  // namespace
-
-ExperimentSpec spec_from_json(const JsonValue& root) {
-  ExperimentSpec spec;
-  ObjReader r(root, "spec");
-  const long long schema = r.get_int("schema_version", kSpecSchemaVersion);
-  if (schema < kSpecMinSchemaVersion || schema > kSpecSchemaVersion)
-    throw std::invalid_argument(
-        "spec: schema_version " + std::to_string(schema) +
-        " unsupported (this build speaks " +
-        std::to_string(kSpecMinSchemaVersion) + ".." +
-        std::to_string(kSpecSchemaVersion) + ")");
-  spec.name = r.get_string("name", spec.name);
-  if (const JsonValue* topos = r.take("topologies")) {
-    int i = 0;
-    for (const auto& t : topos->items())
-      spec.topologies.push_back(parse_topology(t, i++));
-  }
+void validate(const ExperimentSpec& spec, const std::string&) {
   if (spec.topologies.empty())
     throw std::invalid_argument("spec: needs at least one topology");
-  spec.routing = r.get_string("routing", spec.routing);
   if (spec.routing != "auto" && spec.routing != "mclb" &&
       spec.routing != "ndbt")
     throw std::invalid_argument("spec: routing must be auto|mclb|ndbt");
-  spec.num_vcs = static_cast<int>(r.get_int("num_vcs", spec.num_vcs));
-  spec.max_paths_per_flow = static_cast<int>(
-      r.get_int("max_paths_per_flow", spec.max_paths_per_flow));
-  spec.chiplet_system = r.get_bool("chiplet_system", spec.chiplet_system);
-  if (const JsonValue* seeds = r.take("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : seeds->items()) spec.seeds.push_back(s.as_u64());
-    if (spec.seeds.empty())
-      throw std::invalid_argument("spec: seeds must not be empty");
-  }
-  spec.analytic = r.get_bool("analytic", spec.analytic);
-  if (const JsonValue* traffic = r.take("traffic")) {
-    int i = 0;
-    for (const auto& t : traffic->items())
-      spec.traffic.push_back(parse_traffic(t, i++));
-  }
-  if (const JsonValue* sweep = r.take("sweep")) spec.sweep = parse_sweep(*sweep);
-  if (const JsonValue* power = r.take("power")) spec.power = parse_power(*power);
-  if (const JsonValue* faults = r.take("faults")) {
-    int i = 0;
-    for (const auto& f : faults->items())
-      spec.faults.push_back(parse_fault_scenario(f, i++));
-  }
-  spec.threads = static_cast<int>(r.get_int("threads", spec.threads));
-  r.finish();
+  if (spec.seeds.empty())
+    throw std::invalid_argument("spec: seeds must not be empty");
   if (spec.num_vcs < 1 || spec.max_paths_per_flow < 1)
     throw std::invalid_argument(
         "spec: num_vcs and max_paths_per_flow must be positive");
   if (spec.threads < 0)
     throw std::invalid_argument("spec: threads must be >= 0");
+}
+
+// ----------------------------------------------------------------- writer ---
+
+template <class T>
+JsonValue json_value(const T& v);
+
+// One JSON member per io call.
+struct JsonWriter {
+  JsonValue out = JsonValue::object();
+
+  template <class T>
+  void operator()(const char* key, const T& field, bool omit_if_empty = false) {
+    if constexpr (std::ranges::range<T>)
+      if (omit_if_empty && field.empty()) return;
+    out.set(key, json_value(field));
+  }
+};
+
+template <class T>
+JsonValue json_value(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return JsonValue::boolean(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return JsonValue::integer(static_cast<long long>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    return JsonValue::number(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return JsonValue::string(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return JsonValue::string(to_string(v));
+  } else if constexpr (std::ranges::range<T>) {
+    JsonValue a = JsonValue::array();
+    for (const auto& e : v) a.push_back(json_value(e));
+    return a;
+  } else {
+    JsonWriter w;
+    members(v, w);
+    return std::move(w.out);
+  }
+}
+
+// ----------------------------------------------------------------- reader ---
+
+// Strict-object cursor: fills each member whose key is present, then checks
+// that the members found account for every key of the object (catches typos
+// in hand-written specs). `path` locates the object in the document, e.g.
+// "faults[0].events[2]"; the root's is empty and reads as "spec".
+class ObjReader {
+ public:
+  ObjReader(const JsonValue& v, std::string path)
+      : obj_(v), path_(std::move(path)) {
+    if (!v.is_object())
+      throw std::invalid_argument("spec: " + where() + " must be an object");
+  }
+
+  // Reads, checks and validates one record.
+  template <class Rec>
+  static void read_record(const JsonValue& v, std::string path, Rec& rec) {
+    ObjReader r(v, std::move(path));
+    members(rec, r);
+    r.finish(rec);
+    validate(rec, r.where());
+  }
+
+  std::string where() const { return path_.empty() ? "spec" : path_; }
+
+  template <class T>
+  void operator()(const char* key, T& field, bool /*omit_if_empty*/ = false) {
+    const JsonValue* v = obj_.find(key);
+    if (!v) return;
+    ++found_;
+    read(*v, key, field);
+  }
+
+ private:
+  template <class T>
+  void read(const JsonValue& v, const char* key, T& out, int index = -1) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out = typed(key, [&] { return v.as_bool(); });
+    } else if constexpr (std::is_integral_v<T>) {
+      // Also the uint64_t seeds: JsonValue::as_u64 is this same cast.
+      out = static_cast<T>(typed(key, [&] { return v.as_int(); }));
+    } else if constexpr (std::is_same_v<T, double>) {
+      out = typed(key, [&] { return v.as_double(); });
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out = typed(key, [&] { return v.as_string(); });
+    } else if constexpr (std::is_same_v<T, TopologySource>) {
+      out = topology_source_from_string(
+          typed(key, [&] { return v.as_string(); }));
+    } else if constexpr (std::is_same_v<T, fault::FaultEventKind>) {
+      out = fault::fault_event_kind_from_string(
+          typed(key, [&] { return v.as_string(); }));
+    } else if constexpr (std::ranges::range<T>) {
+      const auto& items = typed(key, [&]() -> const auto& { return v.items(); });
+      out.clear();
+      for (std::size_t i = 0; i < items.size(); ++i)
+        read(items[i], key, out.emplace_back(), static_cast<int>(i));
+    } else {
+      std::string path = path_.empty() ? key : path_ + "." + key;
+      if (index >= 0) path += "[" + std::to_string(index) + "]";
+      read_record(v, std::move(path), out);
+    }
+  }
+
+  // Wraps a type-mismatched value in an error naming the full path to the
+  // bad key, so "spec: bad value for 'warmup' in sweep" instead of a bare
+  // json type error.
+  template <class Fn>
+  auto typed(const char* key, Fn fn) const -> decltype(fn()) {
+    try {
+      return fn();
+    } catch (const std::exception& e) {
+      throw std::invalid_argument(std::string("spec: bad value for '") + key +
+                                  "' in " + where() + ": " + e.what());
+    }
+  }
+
+  // Every member found once (the JSON parser rejects duplicate keys), so a
+  // shortfall means a key outside the member list; name the first.
+  template <class Rec>
+  void finish(const Rec& rec) const {
+    if (found_ == obj_.members().size()) return;
+    for (const auto& [key, v] : obj_.members()) {
+      bool known = false;
+      members(rec, [&](const char* k, auto&&...) { known = known || key == k; });
+      if (!known)
+        throw std::invalid_argument("spec: unknown key '" + key + "' in " +
+                                    where());
+    }
+  }
+
+  const JsonValue& obj_;
+  std::string path_;
+  std::size_t found_ = 0;
+};
+
+}  // namespace
+
+int spec_schema_version(const ExperimentSpec& spec) {
+  return spec.faults.empty() ? kSpecMinSchemaVersion : kSpecSchemaVersion;
+}
+
+JsonValue spec_to_json(const ExperimentSpec& spec) { return json_value(spec); }
+
+std::string serialize(const ExperimentSpec& spec) {
+  return spec_to_json(spec).dump();
+}
+
+ExperimentSpec spec_from_json(const JsonValue& root) {
+  ExperimentSpec spec;
+  ObjReader::read_record(root, "", spec);
   return spec;
 }
 

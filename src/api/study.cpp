@@ -411,8 +411,8 @@ void Study::run_plan_job(PlanArtifact& p) {
     // system shape would change report rows, so it counts as a miss like
     // any other corrupt payload.
     if (opts_.cache->load(kPlanArtifactKind, p.key, payload) &&
-        restore_plan_artifact(payload, p) && p.plan.policy == policy &&
-        p.plan.num_vcs == spec_.num_vcs &&
+        restore_plan_artifact(payload, t.topo.layout, p) &&
+        p.plan.policy == policy && p.plan.num_vcs == spec_.num_vcs &&
         p.plan.max_paths_per_flow == spec_.max_paths_per_flow &&
         p.has_system == spec_.chiplet_system) {
       plan_hits_.fetch_add(1, std::memory_order_relaxed);

@@ -550,8 +550,8 @@ class RestartRun {
   // its arrays instead of reallocating a ragged PathSet every move.
   double route_max_load(const topo::DiGraph& g) {
     ws_.path_compiler.enumerate(g, ws_.engine.rows(),
-                                cfg_.anneal_paths_per_flow, ws_.cps);
-    return routing::mclb_local_search(ws_.cps, {}, cfg_.anneal_mclb_rounds)
+                                kAnnealPathsPerFlow, ws_.cps);
+    return routing::mclb_local_search(ws_.cps, {}, kAnnealMclbRounds)
         .max_load;
   }
 

@@ -27,6 +27,12 @@
 
 namespace netsmith::core {
 
+// kChannelLoad / kLatLoad: budget of the per-move routing pipeline. Path
+// enumeration is capped per flow and the MCLB improvement loop gets a fixed
+// round budget; both trade move-evaluation fidelity for throughput.
+inline constexpr int kAnnealPathsPerFlow = 8;
+inline constexpr int kAnnealMclbRounds = 8;
+
 SynthesisResult anneal_synthesize(const SynthesisConfig& cfg);
 
 }  // namespace netsmith::core

@@ -37,11 +37,6 @@ struct SynthesisConfig {
   // kLatLoad only: weight on the MCLB max normalized channel load relative
   // to average hops in the combined score.
   double load_weight = 1.0;
-  // kChannelLoad / kLatLoad: budget of the per-move routing pipeline. Path
-  // enumeration is capped per flow and the MCLB improvement loop gets a
-  // fixed round budget; both trade move-evaluation fidelity for throughput.
-  int anneal_paths_per_flow = 8;
-  int anneal_mclb_rounds = 8;
 
   double time_limit_s = 10.0;
   std::uint64_t seed = 1;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 namespace netsmith::routing {
 
-int x_direction_changes(const Path& p, const topo::Layout& layout) {
+int x_direction_changes(std::span<const int> p, const topo::Layout& layout) {
   int changes = 0;
   int last_sign = 0;
   for (std::size_t i = 0; i + 1 < p.size(); ++i) {
@@ -18,8 +19,30 @@ int x_direction_changes(const Path& p, const topo::Layout& layout) {
   return changes;
 }
 
-bool double_backs_x(const Path& p, const topo::Layout& layout) {
+bool double_backs_x(std::span<const int> p, const topo::Layout& layout) {
   return x_direction_changes(p, layout) > 0;
+}
+
+int count_double_backs(const RoutingTable& t, const topo::Layout& layout) {
+  const int n = t.num_nodes();
+  std::vector<int> col(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) col[static_cast<std::size_t>(v)] = layout.col(v);
+  // A route changes x direction iff it has both a +x and a -x hop; testing
+  // that per hop needs no branch on the hop's sign.
+  int count = 0;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      const std::span<const int> p = t.path(s, d);
+      bool east = false, west = false;
+      for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+        const int dx = col[static_cast<std::size_t>(p[i + 1])] -
+                       col[static_cast<std::size_t>(p[i])];
+        east |= dx > 0;
+        west |= dx < 0;
+      }
+      count += east && west;
+    }
+  return count;
 }
 
 NdbtFilterResult ndbt_filter(const PathSet& ps, const topo::Layout& layout) {

@@ -158,9 +158,9 @@ TEST(Anneal, ChannelLoadObjectiveBeatsHopProxyOnLoad) {
   // objective_value is exactly what the move evaluator saw: the capped
   // pipeline re-run on the returned graph reproduces it.
   const auto capped = routing::enumerate_shortest_paths(
-      cl.graph, cfg.anneal_paths_per_flow);
+      cl.graph, kAnnealPathsPerFlow);
   EXPECT_NEAR(cl.objective_value,
-              routing::mclb_local_search(capped, {}, cfg.anneal_mclb_rounds)
+              routing::mclb_local_search(capped, {}, kAnnealMclbRounds)
                   .max_load,
               1e-12);
   EXPECT_GE(cl.objective_value + 1e-9, cl.bound);  // analytic load bound

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 #include "api/report.hpp"
 #include "api/study.hpp"
 
@@ -30,6 +33,7 @@ ExperimentSpec full_spec() {
   synth.synth_seed = 99;
   synth.restarts = 2;
   synth.max_moves = 500;
+  synth.landmark_sources = 4;
   TopologySpec base;
   base.source = TopologySource::kBaseline;
   base.baseline = "folded_torus:rows=3,cols=4";
@@ -37,6 +41,10 @@ ExperimentSpec full_spec() {
   cat.source = TopologySource::kCatalog;
   cat.catalog_routers = 20;
   cat.name = "Kite-small";
+  TopologySpec cat_all;
+  cat_all.source = TopologySource::kCatalog;
+  cat_all.catalog_routers = 30;
+  cat_all.include_baselines = true;
   TopologySpec expl;
   expl.source = TopologySource::kExplicit;
   expl.name = "tiny-ring";
@@ -44,7 +52,7 @@ ExperimentSpec full_spec() {
   expl.rows = 2;
   expl.cols = 2;
   expl.link_class = "small";
-  spec.topologies = {synth, base, cat, expl};
+  spec.topologies = {synth, base, cat, cat_all, expl};
   spec.routing = "mclb";
   spec.num_vcs = 4;
   spec.max_paths_per_flow = 9;
@@ -66,6 +74,28 @@ ExperimentSpec full_spec() {
   spec.sweep.sim_seed = 21;
   spec.power.enabled = true;
   spec.power.flits_per_node_cycle = 0.0625;
+  fault::FaultScenarioSpec targeted;
+  targeted.name = "cut two";
+  targeted.k = 2;
+  targeted.fail_at = 100;
+  targeted.recover_at = 900;
+  targeted.lossy = true;
+  fault::FaultScenarioSpec random;
+  random.mode = "random";
+  random.link_mtbf = 5000.5;
+  random.link_mttr = 250;
+  random.router_mtbf = 1e5;
+  random.router_mttr = 300.25;
+  random.seed = 42;
+  random.repair = false;
+  fault::FaultScenarioSpec script;
+  script.name = "script";
+  script.mode = "explicit";
+  script.events = {{10, fault::FaultEventKind::kLinkDown, 1, 2},
+                   {15, fault::FaultEventKind::kRouterDown, 3, -1},
+                   {40, fault::FaultEventKind::kLinkUp, 1, 2},
+                   {60, fault::FaultEventKind::kRouterUp, 3, -1}};
+  spec.faults = {targeted, random, script};
   spec.threads = 3;
   return spec;
 }
@@ -77,6 +107,17 @@ TEST(SpecRoundTrip, ParseSerializeExact) {
   EXPECT_TRUE(back == spec);
   // Serialization is canonical: a second cycle is byte-identical.
   EXPECT_EQ(serialize(back), json);
+}
+
+// The canonical bytes: tests/golden/full_spec.json was written by the
+// hand-written serializer the member lists replaced, so a dropped, renamed,
+// reordered or re-typed key fails here.
+TEST(SpecRoundTrip, CanonicalBytesMatchGolden) {
+  std::ifstream in(NETSMITH_SOURCE_DIR "/tests/golden/full_spec.json");
+  ASSERT_TRUE(in) << "tests/golden/full_spec.json";
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(serialize(full_spec()), golden);
 }
 
 TEST(SpecRoundTrip, DefaultsFillIn) {

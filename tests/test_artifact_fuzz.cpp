@@ -24,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -102,7 +103,8 @@ ExperimentSpec base_spec() {
 struct Corpus {
   // Each payload with the expanded slot it restores into.
   std::vector<std::pair<std::string, TopologyArtifact>> topologies;
-  std::vector<std::pair<std::string, PlanArtifact>> plans;
+  // Plans also carry the layout plan_network was given.
+  std::vector<std::tuple<std::string, PlanArtifact, topo::Layout>> plans;
   std::vector<std::string> sweeps;
 };
 
@@ -123,7 +125,10 @@ void collect(const ExperimentSpec& spec, Corpus& c) {
     slot.key = p.key;
     slot.topology = p.topology;
     slot.seed = p.seed;
-    c.plans.emplace_back(cache.kind(kPlanArtifactKind).at(p.key), slot);
+    c.plans.emplace_back(
+        cache.kind(kPlanArtifactKind).at(p.key), slot,
+        study.topology_artifacts()[static_cast<std::size_t>(p.topology)]
+            .topo.layout);
   }
   for (const auto& [key, payload] : cache.kind(kSweepArtifactKind))
     c.sweeps.push_back(payload);
@@ -237,10 +242,10 @@ void restore_as_topology(const std::string& bytes, const TopologyArtifact& slot,
 }
 
 void restore_as_plan(const std::string& bytes, const PlanArtifact& slot,
-                     const std::string& what) {
+                     const topo::Layout& layout, const std::string& what) {
   PlanArtifact p = slot;
   bool ok = false;
-  EXPECT_NO_THROW(ok = restore_plan_artifact(bytes, p)) << what;
+  EXPECT_NO_THROW(ok = restore_plan_artifact(bytes, layout, p)) << what;
   if (ok) expect_usable_plan(p, what);
 }
 
@@ -253,8 +258,8 @@ void restore_as_sweep(const std::string& bytes, const std::string& what) {
 void restore_all(const std::string& bytes, const std::string& what) {
   for (const auto& [payload, slot] : corpus().topologies)
     restore_as_topology(bytes, slot, what);
-  for (const auto& [payload, slot] : corpus().plans)
-    restore_as_plan(bytes, slot, what);
+  for (const auto& [payload, slot, layout] : corpus().plans)
+    restore_as_plan(bytes, slot, layout, what);
   restore_as_sweep(bytes, what);
 }
 
@@ -270,9 +275,9 @@ TEST(ArtifactFuzz, CorpusCoversEveryKind) {
     ASSERT_TRUE(restore_topology_artifact(payload, true, t));
     synthesized |= t.synthesized;
   }
-  for (const auto& [payload, slot] : c.plans) {
+  for (const auto& [payload, slot, layout] : c.plans) {
     PlanArtifact p = slot;
-    ASSERT_TRUE(restore_plan_artifact(payload, p));
+    ASSERT_TRUE(restore_plan_artifact(payload, layout, p));
     expect_usable_plan(p, "unmodified");
     chiplet |= p.has_system;
     ++policies[p.plan.policy];
@@ -301,9 +306,9 @@ TEST(ArtifactFuzz, TopologyPayloadsNeverThrow) {
 
 TEST(ArtifactFuzz, PlanPayloadsNeverThrow) {
   std::uint64_t seed = 100;
-  for (const auto& [good, slot] : corpus().plans) {
+  for (const auto& [good, slot, layout] : corpus().plans) {
     for (const auto& v : variants(good, seed++))
-      restore_as_plan(v, slot, "plan variant");
+      restore_as_plan(v, slot, layout, "plan variant");
     restore_all(good, "plan payload");
     for (const auto& v : foreign_stamps(good)) restore_all(v, "plan stamp");
   }
@@ -354,7 +359,7 @@ double derived_load(bool mclb, int n, long k) {
 
 TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
   int hop_checked = 0;
-  for (const auto& [good, slot] : corpus().plans) {
+  for (const auto& [good, slot, layout] : corpus().plans) {
     const JsonValue doc = JsonValue::parse(good);
     const int n = std::stoi(doc.at("graph").as_string());
     const int num_vcs =
@@ -379,7 +384,8 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
            {std::to_string(n), std::to_string(n + 7), std::string("-1"),
             std::string("99999999999"), std::string("1x"), std::string("")}) {
         PlanArtifact p = slot;
-        EXPECT_FALSE(restore_plan_artifact(with_hop(bad), p)) << "hop " << bad;
+        EXPECT_FALSE(restore_plan_artifact(with_hop(bad), layout, p))
+            << "hop " << bad;
       }
     }
 
@@ -395,11 +401,12 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
     for (const std::string& bad : {std::to_string(num_vcs), std::string("-2"),
                                   std::string("+1"), std::string("")}) {
       PlanArtifact p = slot;
-      EXPECT_FALSE(restore_plan_artifact(with_vc(bad), p)) << "vc " << bad;
+      EXPECT_FALSE(restore_plan_artifact(with_vc(bad), layout, p))
+          << "vc " << bad;
     }
     PlanArtifact edge = slot;
-    ASSERT_TRUE(
-        restore_plan_artifact(with_vc(std::to_string(num_vcs - 1)), edge));
+    ASSERT_TRUE(restore_plan_artifact(with_vc(std::to_string(num_vcs - 1)),
+                                      layout, edge));
     expect_usable_plan(edge, "vc at num_vcs - 1");
 
     // The VC map must agree with the num_vcs / vc_layers a report copies,
@@ -446,7 +453,7 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
     };
     for (const auto& b : bad) {
       PlanArtifact p = slot;
-      EXPECT_FALSE(restore_plan_artifact(b.payload, p)) << b.what;
+      EXPECT_FALSE(restore_plan_artifact(b.payload, layout, p)) << b.what;
     }
 
     // max_channel_load and ndbt_fallback_flows are copied into reports, so
@@ -477,14 +484,25 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
          "more fallback flows than routed"},
     };
     if ((n - 1) % 2 == 1) derived.emplace_back(with_load(0.5), "load 0.5");
+    // The NDBT fallback count is recounted exactly: Kite-small's plan has 76
+    // fallback flows, and rewritten to 3 or to 75 it used to restore.
+    if (!mclb) {
+      const int fallbacks =
+          static_cast<int>(doc.at("ndbt_fallback_flows").as_int());
+      ASSERT_GT(fallbacks, 3);
+      derived.emplace_back(with_top("ndbt_fallback_flows", 3),
+                           "fallback flows rewritten to 3");
+      derived.emplace_back(with_top("ndbt_fallback_flows", fallbacks - 1),
+                           "one fallback flow fewer");
+    }
     for (const auto& [payload, what] : derived) {
       PlanArtifact p = slot;
-      EXPECT_FALSE(restore_plan_artifact(payload, p)) << what;
+      EXPECT_FALSE(restore_plan_artifact(payload, layout, p)) << what;
     }
     // A plausible value is not proof: another formula value still restores.
     PlanArtifact other = slot;
     EXPECT_TRUE(restore_plan_artifact(
-        with_load(formula(k < flows ? k + 1 : k - 1)), other));
+        with_load(formula(k < flows ? k + 1 : k - 1)), layout, other));
   }
   EXPECT_GE(hop_checked, 2);
 }
@@ -505,7 +523,8 @@ TEST(ArtifactFuzz, EveryCatalogPlanRestores) {
         a.plan = core::plan_network(t.graph, t.layout, policy, 6, a.seed);
         PlanArtifact back;
         back.seed = a.seed;
-        ASSERT_TRUE(restore_plan_artifact(plan_artifact_payload(a), back))
+        ASSERT_TRUE(
+            restore_plan_artifact(plan_artifact_payload(a), t.layout, back))
             << t.name << " " << core::to_string(policy);
         EXPECT_EQ(back.plan.max_channel_load, a.plan.max_channel_load);
         ++plans;
@@ -552,7 +571,7 @@ bool split_decode(std::string_view text, int n,
 TEST(ArtifactFuzz, UnpackTableMatchesSplitDecoder) {
   std::uint64_t seed = 300;
   int accepted = 0, rejected = 0;
-  for (const auto& [good, slot] : corpus().plans) {
+  for (const auto& [good, slot, layout] : corpus().plans) {
     const JsonValue doc = JsonValue::parse(good);
     const int n = std::stoi(doc.at("graph").as_string());
     const std::string table = doc.at("table").as_string();
@@ -618,7 +637,7 @@ void expect_plans_missed(const ExperimentSpec& spec,
                          const std::function<void(JsonValue&)>& edit) {
   RecordingCache recorded;
   std::string cold;
-  std::vector<PlanArtifact> slots;
+  std::vector<std::pair<PlanArtifact, topo::Layout>> slots;
   {
     StudyOptions opts;
     opts.cache = &recorded;
@@ -629,18 +648,22 @@ void expect_plans_missed(const ExperimentSpec& spec,
       slot.key = p.key;
       slot.topology = p.topology;
       slot.seed = p.seed;
-      slots.push_back(std::move(slot));
+      slots.emplace_back(
+          std::move(slot),
+          study.topology_artifacts()[static_cast<std::size_t>(p.topology)]
+              .topo.layout);
     }
   }
   ASSERT_FALSE(slots.empty());
   ServingCache::Entries served = recorded.entries();
   auto& plans = served[kPlanArtifactKind];
-  for (const auto& slot : slots) {
+  for (const auto& [slot, layout] : slots) {
     JsonValue doc = JsonValue::parse(plans.at(slot.key));
     edit(doc);
     plans.at(slot.key) = doc.dump_compact();
     PlanArtifact p = slot;
-    EXPECT_TRUE(restore_plan_artifact(plans.at(slot.key), p)) << slot.key;
+    EXPECT_TRUE(restore_plan_artifact(plans.at(slot.key), layout, p))
+        << slot.key;
   }
   ServingCache cache(std::move(served));
   StudyOptions opts;

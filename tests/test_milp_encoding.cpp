@@ -50,6 +50,9 @@ TEST(MilpEncoding, DVariablesMatchTrueDistances) {
     }
 }
 
+// The two cross-checks below run on node and move budgets, so they reach the
+// same incumbents on any host and under sanitizers; the time limits are only
+// a backstop against a hang.
 TEST(MilpEncoding, MatchesAnnealerOnProvenTinyInstance) {
   // 2x2 is small enough for the MILP to prove optimality; the annealer must
   // match the proven optimum.
@@ -61,9 +64,10 @@ TEST(MilpEncoding, MatchesAnnealerOnProvenTinyInstance) {
   cfg.diameter_bound = 3;
   cfg.objective = Objective::kLatOp;
   lp::MilpOptions opts;
-  opts.time_limit_s = 60.0;
+  opts.node_limit = 20000;  // proves optimality at 2224 nodes
+  opts.time_limit_s = 600.0;
   const auto exact = synthesize_exact(cfg, opts);
-  cfg.time_limit_s = 2.0;
+  cfg.max_moves = 2000;  // the optimum is reached within 30 moves
   cfg.restarts = 2;
   cfg.seed = 2;
   const auto anneal = anneal_synthesize(cfg);
@@ -84,9 +88,11 @@ TEST(MilpEncoding, AnytimeIncumbentCrossValidatesAnnealer) {
   cfg.diameter_bound = 4;
   cfg.objective = Objective::kLatOp;
   lp::MilpOptions opts;
-  opts.time_limit_s = 20.0;
+  // The first incumbent appears at ~510 nodes; by 1000 it has 58 total hops.
+  opts.node_limit = 1000;
+  opts.time_limit_s = 600.0;
   const auto milp = synthesize_exact(cfg, opts);  // anytime incumbent
-  cfg.time_limit_s = 3.0;
+  cfg.max_moves = 5000;  // 1.6 average hops within 300 moves
   cfg.restarts = 3;
   cfg.seed = 2;
   const auto anneal = anneal_synthesize(cfg);

@@ -90,5 +90,36 @@ TEST(NdbtFilter, PreservesFlowCoverage) {
   EXPECT_TRUE(f.paths.all_flows_covered());
 }
 
+// count_double_backs against double_backs_x route by route, on tables
+// picked from the filtered paths (where it equals the fallback count) and
+// from the unfiltered ones.
+TEST(NdbtFilter, CountDoubleBacksMatchesFallbacks) {
+  util::Rng rng(3);
+  int tables_with_double_backs = 0;
+  for (const auto& g :
+       {topo::build_folded_torus(kLay), topo::build_mesh(kLay)}) {
+    const auto ps = enumerate_shortest_paths(g);
+    const auto f = ndbt_filter(ps, kLay);
+    const auto filtered = RoutingTable::select_random(f.paths, rng);
+    EXPECT_EQ(count_double_backs(filtered, kLay), f.flows_without_legal_path);
+    const auto any = RoutingTable::select_random(ps, rng);
+    int oracle = 0;
+    for (int s = 0; s < 20; ++s)
+      for (int d = 0; d < 20; ++d) oracle += double_backs_x(any.path(s, d), kLay);
+    EXPECT_EQ(count_double_backs(any, kLay), oracle);
+    tables_with_double_backs += oracle > 0;
+  }
+  EXPECT_GT(tables_with_double_backs, 0);
+  // The fallback example above: flow 1 -> 2 can only double back.
+  const topo::Layout lay{1, 3, 2.0};
+  topo::DiGraph g(3);
+  g.add_duplex(1, 0);
+  g.add_duplex(0, 2);
+  const auto f = ndbt_filter(enumerate_shortest_paths(g), lay);
+  const auto t = RoutingTable::select_first(f.paths);
+  EXPECT_GE(f.flows_without_legal_path, 1);
+  EXPECT_EQ(count_double_backs(t, lay), f.flows_without_legal_path);
+}
+
 }  // namespace
 }  // namespace netsmith::routing

@@ -232,7 +232,8 @@ TEST(ArtifactPayloads, MalformedPayloadsAreMisses) {
   EXPECT_FALSE(api::restore_topology_artifact("{not json", false, t));
   EXPECT_FALSE(api::restore_topology_artifact("{\"artifact\":\"plan\"}",
                                               false, t));
-  EXPECT_FALSE(api::restore_plan_artifact("{\"artifact\":\"plan\"}", p));
+  EXPECT_FALSE(api::restore_plan_artifact("{\"artifact\":\"plan\"}",
+                                          topo::Layout::noi_4x5(), p));
   EXPECT_FALSE(api::restore_sweep_artifact("[1,2,3]", r));
   EXPECT_FALSE(api::restore_sweep_artifact(
       "{\"artifact\":\"sweep\",\"schema\":999}", r));
@@ -286,12 +287,14 @@ TEST(ArtifactPayloads, PlanRoundTripIsExact) {
   for (const auto& c : cases) {
     SCOPED_TRACE(std::string(c.row) + (c.chiplet ? " (chiplet)" : ""));
     const api::PlanArtifact orig = catalog_plan(c.row, c.policy, c.chiplet);
+    const topo::Layout layout =
+        topologies::find(topologies::catalog(20), c.row).layout;
     const std::string payload = api::plan_artifact_payload(orig);
     EXPECT_EQ(payload.find('\n'), std::string::npos) << "compact envelope";
 
     api::PlanArtifact got;
     got.seed = orig.seed;
-    ASSERT_TRUE(api::restore_plan_artifact(payload, got));
+    ASSERT_TRUE(api::restore_plan_artifact(payload, layout, got));
     const auto& a = orig.plan;
     const auto& b = got.plan;
     EXPECT_EQ(a.graph, b.graph);
@@ -338,7 +341,8 @@ TEST(ArtifactPayloads, PlanRoundTripIsExact) {
     old.set("schema", JsonValue::integer(1));
     api::PlanArtifact stale;
     stale.seed = orig.seed;
-    EXPECT_FALSE(api::restore_plan_artifact(old.dump_compact(), stale));
+    EXPECT_FALSE(
+        api::restore_plan_artifact(old.dump_compact(), layout, stale));
   }
 }
 
