@@ -19,6 +19,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -34,6 +35,8 @@
 #include "api/spec.hpp"
 #include "api/study.hpp"
 #include "core/plan.hpp"
+#include "routing/channel_load.hpp"
+#include "routing/repair.hpp"
 #include "topologies/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -507,10 +510,39 @@ TEST(ArtifactFuzz, OutOfRangeHopsAndVcsAreMisses) {
   EXPECT_GE(hop_checked, 2);
 }
 
+// Both directions of the duplex link carrying the most uniform-traffic load
+// under `t` (first in edge order on a tie).
+std::vector<std::pair<int, int>> busiest_duplex_link(
+    const topo::DiGraph& g, const routing::RoutingTable& t) {
+  const auto load = routing::analyze_uniform(t).load;
+  double best = -1.0;
+  std::vector<std::pair<int, int>> down;
+  for (const auto& [u, v] : g.edges())
+    if (u < v && g.has_edge(v, u) && load(u, v) + load(v, u) > best) {
+      best = load(u, v) + load(v, u);
+      down = {{u, v}, {v, u}};
+    }
+  return down;
+}
+
 // The derived-field check accepts every real plan: the 20-, 30- and
-// 48-router catalogs and baselines, each under both routing policies.
+// 48-router catalogs and baselines, each under both routing policies. The
+// plans' payloads (tables, VC maps, derived fields) and, per 48-router plan,
+// the table route repair leaves with the busiest duplex link down are folded
+// into one FNV-1a digest, recorded from the ragged path-set implementation
+// that preceded the flat one: any change to a route, a VC or a fault repair
+// of these plans fails here.
 TEST(ArtifactFuzz, EveryCatalogPlanRestores) {
-  int plans = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+  const auto fold = [&digest](const std::string& bytes) {
+    for (const unsigned char c : bytes) {
+      digest ^= c;
+      digest *= 1099511628211ull;
+    }
+    digest ^= '\n';
+    digest *= 1099511628211ull;
+  };
+  int plans = 0, repairs = 0;
   for (const int routers : {20, 30, 48}) {
     std::vector<topologies::NamedTopology> rows = topologies::catalog(routers);
     for (const auto& t : topologies::baseline_catalog(routers))
@@ -521,16 +553,30 @@ TEST(ArtifactFuzz, EveryCatalogPlanRestores) {
         PlanArtifact a;
         a.seed = 1;
         a.plan = core::plan_network(t.graph, t.layout, policy, 6, a.seed);
+        const std::string payload = plan_artifact_payload(a);
+        fold(payload);
         PlanArtifact back;
         back.seed = a.seed;
-        ASSERT_TRUE(
-            restore_plan_artifact(plan_artifact_payload(a), t.layout, back))
+        ASSERT_TRUE(restore_plan_artifact(payload, t.layout, back))
             << t.name << " " << core::to_string(policy);
         EXPECT_EQ(back.plan.max_channel_load, a.plan.max_channel_load);
         ++plans;
+        if (routers == 48) {
+          const auto down = busiest_duplex_link(t.graph, a.plan.table);
+          ASSERT_FALSE(down.empty()) << t.name;
+          const auto r = routing::repair_routes(t.graph, a.plan.table, down);
+          EXPECT_GT(r.flows_affected, 0) << t.name;
+          fold(pack_table(r.table));
+          ++repairs;
+        }
       }
   }
   EXPECT_GE(plans, 80);
+  EXPECT_GE(repairs, 20);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(std::string(hex), "f062260c9b8c7eb8");
 }
 
 // The split-then-parse decoder unpack_table replaced, kept as its oracle:

@@ -1,7 +1,10 @@
 // Golden bench tables: each deterministic bench named in
 // tests/golden/manifest.txt is run, and the FNV-1a 64 digest of its
 // standard output must match the recorded one. A digest pins every byte of
-// a table, so any change to a number a bench prints fails here.
+// a table, so any change to a number a bench prints fails here. Each bench
+// runs with OMP_NUM_THREADS=1: fig07_isolation's sweeps are adaptive and
+// print different numbers at other widths, so the pin is what makes its
+// digest independent of the host's core count.
 //
 // Re-record only on purpose, with a CHANGES.md line saying why:
 //   ./test_golden --record    (from the build directory)
@@ -38,9 +41,11 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-// Standard output of a bench built next to this test; empty on failure.
+// Standard output of a bench built next to this test, run single-threaded;
+// empty on failure.
 std::string run_bench(const std::string& name, int& status) {
-  const std::string cmd = std::string(NETSMITH_BENCH_DIR) + "/" + name;
+  const std::string cmd =
+      "OMP_NUM_THREADS=1 " + std::string(NETSMITH_BENCH_DIR) + "/" + name;
   std::string out;
   FILE* pipe = ::popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
