@@ -44,7 +44,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/compiled.hpp"
 #include "routing/mclb.hpp"
 #include "sim/network.hpp"
 #include "topo/builders.hpp"
@@ -288,26 +287,25 @@ int main(int argc, char** argv) {
   }
 
   // --- MCLB routing: flat incremental engine vs scan-based oracle. --------
-  // Same compiled path set (folded torus at n = 20, full enumeration), runs
+  // Same path set (folded torus at n = 20, full enumeration), runs
   // interleaved so machine-load noise cancels out of the ratio.
   {
     const auto g = topo::build_folded_torus(topo::Layout::noi_4x5());
-    const auto ps = routing::enumerate_shortest_paths(g);
     rep.mclb_compile_ms = time_ns_per_op(kernel_budget * 0.25, [&] {
-      volatile auto e = routing::compile_paths(ps).num_edges;
+      volatile auto e = routing::enumerate_shortest_paths(g).num_edges;
       (void)e;
     }) / 1e6;
-    const auto cps = routing::compile_paths(ps);
+    const auto ps = routing::enumerate_shortest_paths(g);
     const auto [flat, scan] = interleave(
         kernel_budget * 2.0,
         [&] {
-          volatile auto m = routing::mclb_local_search(cps).max_flows_on_link;
+          volatile auto m = routing::mclb_local_search(ps).max_flows_on_link;
           (void)m;
           return 1L;
         },
         [&] {
           volatile auto m =
-              routing::mclb_local_search_scan(cps).max_flows_on_link;
+              routing::mclb_local_search_scan(ps).max_flows_on_link;
           (void)m;
           return 1L;
         });
@@ -614,8 +612,8 @@ int main(int argc, char** argv) {
     cfg.warmup = 500;
     cfg.measure = 2000;
     cfg.drain = 2000;
-    const auto cps = routing::compile_paths(
-        routing::enumerate_shortest_paths(topo::build_folded_torus(lay)));
+    const auto ps =
+        routing::enumerate_shortest_paths(topo::build_folded_torus(lay));
 
     const auto set_obs = [](bool on) {
       obs::set_metrics_enabled(on);
@@ -658,7 +656,7 @@ int main(int argc, char** argv) {
           obs::WallTimer w;
           for (int k = 0; k < 20; ++k) {
             volatile auto m =
-                routing::mclb_local_search(cps).max_flows_on_link;
+                routing::mclb_local_search(ps).max_flows_on_link;
             (void)m;
           }
           auto& best = on ? mclb_on_s : mclb_off_s;

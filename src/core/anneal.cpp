@@ -11,7 +11,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/compiled.hpp"
 #include "routing/mclb.hpp"
 #include "routing/paths.hpp"
 #include "topo/builders.hpp"
@@ -153,7 +152,7 @@ struct EdgePool {
 };
 
 // Scratch reused across restarts: at n = 1024 the distance matrix alone is
-// 4 MB, so re-allocating it (plus the BFS bitsets and the compiled path
+// 4 MB, so re-allocating it (plus the BFS bitsets and the flat path-set
 // arrays) per restart churns the allocator for nothing.
 struct RestartWorkspace {
   topo::DeltaApsp engine;        // maintained distance rows + hop aggregates
@@ -161,7 +160,7 @@ struct RestartWorkspace {
   int bfs_n = 0;
   util::Matrix<int> exact_dist;  // full APSP scratch for exact re-scores
   routing::PathCompiler path_compiler;
-  routing::CompiledPathSet cps;
+  routing::PathSet paths;
   EdgePool pool;
 
   void ensure_exact(int n) {
@@ -545,13 +544,13 @@ class RestartRun {
 
   // MCLB max normalized channel load of g, routed over the maintained
   // shortest-path matrix (route-aware objectives always run the engine in
-  // full mode). The compiler enumerates straight into the persistent
-  // compiled set, so the enumeration half of the per-move pipeline reuses
-  // its arrays instead of reallocating a ragged PathSet every move.
+  // full mode). The compiler enumerates straight into the persistent path
+  // set, so the enumeration half of the per-move pipeline reuses its arrays
+  // instead of reallocating them every move.
   double route_max_load(const topo::DiGraph& g) {
     ws_.path_compiler.enumerate(g, ws_.engine.rows(),
-                                kAnnealPathsPerFlow, ws_.cps);
-    return routing::mclb_local_search(ws_.cps, {}, kAnnealMclbRounds)
+                                kAnnealPathsPerFlow, ws_.paths);
+    return routing::mclb_local_search(ws_.paths, {}, kAnnealMclbRounds)
         .max_load;
   }
 

@@ -10,7 +10,7 @@
 // worst cuts (cutting-plane style): cheap surrogate evaluations against the
 // cached partitions, with periodic exact sparsest-cut refreshes that insert
 // newly violated partitions. The route-aware objectives (kChannelLoad,
-// kLatLoad) score every move by running the compiled shortest-path-enum ->
+// kLatLoad) score every move by running the flat shortest-path-enum ->
 // flat MCLB pipeline on the candidate graph, reusing the move's APSP for
 // the shortest-path DAG (see DESIGN.md "Channel-load-aware annealing").
 //

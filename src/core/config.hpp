@@ -15,7 +15,7 @@ enum class Objective {
   kLatOp,    // O1: minimize total (average) hop count
   kSCOp,     // O2: maximize sparsest-cut bandwidth (ties broken on hops)
   kPattern,  // weighted hops for an explicit traffic matrix (e.g. shuffle)
-  // Route-aware objectives: every move is scored by running the compiled
+  // Route-aware objectives: every move is scored by running the flat
   // shortest-path-enumeration -> MCLB pipeline (flat incremental engine,
   // routing/mclb.hpp) on the candidate graph, reusing the move's APSP.
   kChannelLoad,  // minimize MCLB max normalized channel load (ties: hops)

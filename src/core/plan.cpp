@@ -1,5 +1,6 @@
 #include "core/plan.hpp"
 
+#include "obs/trace.hpp"
 #include "routing/channel_load.hpp"
 #include "routing/mclb.hpp"
 #include "routing/ndbt.hpp"
@@ -28,10 +29,16 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
 
   if (policy == RoutingPolicy::kMclb) {
     // Deterministic local search only: abl_mclb shows it matches the exact
-    // Table III MILP on these instances at a fraction of the cost.
+    // Table III MILP on these instances at a fraction of the cost. One
+    // search per planned topology (not per annealer move), so a span per
+    // call is cheap.
+    obs::Span span("routing/mclb_local_search");
     const auto mclb = routing::mclb_local_search(all_paths);
     plan.table = mclb.table(all_paths);
     plan.max_channel_load = mclb.max_load;
+    span.arg("n", g.num_nodes());
+    span.arg("iterations", mclb.iterations);
+    span.arg("max_load", mclb.max_load);
   } else {
     const auto filtered = routing::ndbt_filter(all_paths, layout);
     plan.ndbt_fallback_flows = filtered.flows_without_legal_path;

@@ -49,17 +49,12 @@ LoadAnalysis analyze_uniform_fractional(const PathSet& ps) {
   const int n = ps.num_nodes();
   util::Matrix<double> load(n, n, 0.0);
   const double w = 1.0 / (n - 1);
-  int flows = 0;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& alts = ps.at(s, d);
-      if (alts.empty()) continue;
-      const double share = w / static_cast<double>(alts.size());
-      for (const auto& p : alts) add_path_load(load, p, share);
-      ++flows;
-    }
-  return finish(std::move(load), flows);
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const double share = w / static_cast<double>(ps.paths_of(f));
+    for (int p = ps.path_begin[f]; p < ps.path_begin[f + 1]; ++p)
+      add_path_load(load, ps.nodes_of(p), share);
+  }
+  return finish(std::move(load), ps.num_flows());
 }
 
 LoadAnalysis analyze_pattern(const RoutingTable& rt,

@@ -5,10 +5,8 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <tuple>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace netsmith::routing {
 
@@ -29,7 +27,7 @@ LoadObjective LoadObjective::of(const std::vector<double>& loads) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Objective evaluators. Both run on the compiled path set and expose the
+// Objective evaluators. Both run on the flat path set and expose the
 // same interface to the shared local-search driver:
 //   current()         objective of the present loads
 //   eval_add(p, w)    objective if path p gained w more load (pure, w >= 0)
@@ -45,19 +43,19 @@ namespace {
 // flat engine's.
 class ScanEvaluator {
  public:
-  explicit ScanEvaluator(const CompiledPathSet& cps)
-      : cps_(cps), loads_(cps.num_edges, 0.0), on_path_(cps.num_edges, 0) {}
+  explicit ScanEvaluator(const PathSet& ps)
+      : ps_(ps), loads_(ps.num_edges, 0.0), on_path_(ps.num_edges, 0) {}
 
   double load(int e) const { return loads_[e]; }
 
   LoadObjective current() const { return LoadObjective::of(loads_); }
 
   LoadObjective eval_add(int p, double w) {
-    const std::int32_t* e = cps_.edges_of(p);
-    const int len = cps_.path_length(p);
+    const std::int32_t* e = ps_.edges_of(p);
+    const int len = ps_.path_length(p);
     for (int i = 0; i < len; ++i) on_path_[e[i]] = 1;
     LoadObjective o;
-    for (int idx = 0; idx < cps_.num_edges; ++idx) {
+    for (int idx = 0; idx < ps_.num_edges; ++idx) {
       const double v = on_path_[idx] ? loads_[idx] + w : loads_[idx];
       o.sumsq += v * v;
       if (v > o.max) {
@@ -72,13 +70,13 @@ class ScanEvaluator {
   }
 
   void apply(int p, double w) {
-    const std::int32_t* e = cps_.edges_of(p);
-    const int len = cps_.path_length(p);
+    const std::int32_t* e = ps_.edges_of(p);
+    const int len = ps_.path_length(p);
     for (int i = 0; i < len; ++i) loads_[e[i]] += w;
   }
 
  private:
-  const CompiledPathSet& cps_;
+  const PathSet& ps_;
   std::vector<double> loads_;
   std::vector<std::uint8_t> on_path_;
 };
@@ -103,17 +101,17 @@ class ScanEvaluator {
 //                  representable (integers / dyadic rationals).
 class FlatEvaluator {
  public:
-  FlatEvaluator(const CompiledPathSet& cps, bool unit_weights)
-      : cps_(cps), loads_(cps.num_edges, 0.0), unit_(unit_weights) {
+  FlatEvaluator(const PathSet& ps, bool unit_weights)
+      : ps_(ps), loads_(ps.num_edges, 0.0), unit_(unit_weights) {
     obj_.max = 0.0;
-    obj_.at_max = cps_.num_edges;
+    obj_.at_max = ps_.num_edges;
     obj_.sumsq = 0.0;
     if (unit_) {
-      level_.assign(cps_.num_edges, 0);
-      hist_.assign(1, cps_.num_edges);
+      level_.assign(ps_.num_edges, 0);
+      hist_.assign(1, ps_.num_edges);
       max_level_ = 0;
     } else {
-      buckets_[0.0] = cps_.num_edges;
+      buckets_[0.0] = ps_.num_edges;
     }
   }
 
@@ -126,9 +124,9 @@ class FlatEvaluator {
   const LoadObjective& current() const { return obj_; }
 
   LoadObjective eval_add(int p, double w) {
-    const int len = cps_.path_length(p);
+    const int len = ps_.path_length(p);
     if (w == 0.0 || len == 0) return obj_;
-    const std::int32_t* e = cps_.edges_of(p);
+    const std::int32_t* e = ps_.edges_of(p);
     LoadObjective o = obj_;
     // A shortest path never repeats an edge, so the per-edge deltas below
     // are independent.
@@ -160,8 +158,8 @@ class FlatEvaluator {
   }
 
   void apply(int p, double w) {
-    const std::int32_t* e = cps_.edges_of(p);
-    const int len = cps_.path_length(p);
+    const std::int32_t* e = ps_.edges_of(p);
+    const int len = ps_.path_length(p);
     for (int i = 0; i < len; ++i) add(e[i], w);
   }
 
@@ -199,7 +197,7 @@ class FlatEvaluator {
     }
   }
 
-  const CompiledPathSet& cps_;
+  const PathSet& ps_;
   std::vector<double> loads_;
   LoadObjective obj_;
   bool unit_;
@@ -210,30 +208,30 @@ class FlatEvaluator {
   std::map<double, int, std::greater<double>> buckets_;  // general mode
 };
 
-// Per-flow weights in compiled flow order; returns (weights, wmax).
+// Per-flow weights in path-set flow order; returns (weights, wmax).
 std::pair<std::vector<double>, double> flow_weights(
-    const CompiledPathSet& cps, const std::vector<double>& flow_weight) {
-  const int f_count = cps.num_flows();
+    const PathSet& ps, const std::vector<double>& flow_weight) {
+  const int f_count = ps.num_flows();
   std::vector<double> w(f_count, 1.0);
   if (!flow_weight.empty())
     for (int f = 0; f < f_count; ++f)
-      w[f] = flow_weight[static_cast<std::size_t>(cps.flow_s[f]) * cps.n +
-                         cps.flow_d[f]];
+      w[f] = flow_weight[static_cast<std::size_t>(ps.flow_s[f]) * ps.n +
+                         ps.flow_d[f]];
   double wmax = 0.0;
   for (double v : w) wmax = std::max(wmax, v);
   return {std::move(w), wmax};
 }
 
 // Shared local-search driver. The decision sequence (greedy construction
-// order, candidate order, comparisons) is fully determined by (cps, w, eps)
+// order, candidate order, comparisons) is fully determined by (ps, w, eps)
 // and the objective tuples the evaluator returns — run it with the scan and
 // the flat evaluator and any divergence is an incremental-maintenance bug.
 template <class Eval>
-MclbResult run_local_search(const CompiledPathSet& cps,
+MclbResult run_local_search(const PathSet& ps,
                             const std::vector<double>& w, double eps,
                             int max_rounds, Eval& ev) {
-  const int n = cps.n;
-  const int f_count = cps.num_flows();
+  const int n = ps.n;
+  const int f_count = ps.num_flows();
 
   std::vector<int> choice(f_count, 0);
 
@@ -241,7 +239,7 @@ MclbResult run_local_search(const CompiledPathSet& cps,
   // flow index: a stable counting sort by descending hop count.
   std::vector<int> order(f_count);
   {
-    const auto len = [&](int f) { return cps.path_length(cps.path_begin[f]); };
+    const auto len = [&](int f) { return ps.path_length(ps.path_begin[f]); };
     int max_len = 0;
     for (int f = 0; f < f_count; ++f) max_len = std::max(max_len, len(f));
     std::vector<int> start(static_cast<std::size_t>(max_len) + 1, 0);
@@ -252,7 +250,7 @@ MclbResult run_local_search(const CompiledPathSet& cps,
 
   long greedy_evals = 0;
   for (int f : order) {
-    const int pb = cps.path_begin[f], pe = cps.path_begin[f + 1];
+    const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
     int best_k = 0;
     LoadObjective best;
     bool first = true;
@@ -278,11 +276,11 @@ MclbResult run_local_search(const CompiledPathSet& cps,
     bool improved = false;
     LoadObjective cur = ev.current();
     for (int f = 0; f < f_count; ++f) {
-      const int pb = cps.path_begin[f], pe = cps.path_begin[f + 1];
+      const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
       if (pe - pb < 2) continue;
       const int curp = pb + choice[f];
-      const std::int32_t* ce = cps.edges_of(curp);
-      const int clen = cps.path_length(curp);
+      const std::int32_t* ce = ps.edges_of(curp);
+      const int clen = ps.path_length(curp);
       bool on_max = false;
       for (int i = 0; i < clen && !on_max; ++i)
         if (ev.load(ce[i]) > cur.max - eps) on_max = true;
@@ -313,8 +311,8 @@ MclbResult run_local_search(const CompiledPathSet& cps,
   MclbResult result;
   result.choice.assign(static_cast<std::size_t>(n) * n, 0);
   for (int f = 0; f < f_count; ++f)
-    result.choice[static_cast<std::size_t>(cps.flow_s[f]) * n +
-                  cps.flow_d[f]] = choice[f];
+    result.choice[static_cast<std::size_t>(ps.flow_s[f]) * n +
+                  ps.flow_d[f]] = choice[f];
   result.objective = ev.current();
   result.max_flows_on_link = static_cast<int>(std::lround(result.objective.max));
   result.max_load = result.objective.max / (n - 1);
@@ -342,46 +340,61 @@ bool all_unit(const std::vector<double>& w) {
 
 // Load profile of a unit-weight choice vector, recomputed from scratch
 // (used to report the MILP solution's objective in the same terms the
-// local-search engines maintain). Interns candidate edges directly — links
-// that appear only on unchosen paths carry zero load but still count in
-// at_max, exactly as in the search engines' edge universe.
+// local-search engines maintain). Links that appear only on unchosen paths
+// carry zero load but still count in at_max, exactly as in the search
+// engines' edge universe.
 LoadObjective objective_of_choice(const PathSet& ps,
                                   const std::vector<int>& choice) {
-  const int n = ps.num_nodes();
-  std::vector<int> id(static_cast<std::size_t>(n) * n, -1);
-  std::vector<double> loads;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      for (const Path& p : ps.at(s, d))
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-          int& e = id[static_cast<std::size_t>(p[i]) * n + p[i + 1]];
-          if (e < 0) {
-            e = static_cast<int>(loads.size());
-            loads.push_back(0.0);
-          }
-        }
-    }
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& alts = ps.at(s, d);
-      if (alts.empty()) continue;
-      const Path& p = alts[choice[static_cast<std::size_t>(s) * n + d]];
-      for (std::size_t i = 0; i + 1 < p.size(); ++i)
-        loads[id[static_cast<std::size_t>(p[i]) * n + p[i + 1]]] += 1.0;
-    }
+  std::vector<double> loads(ps.num_edges, 0.0);
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const int p = ps.path_begin[f] +
+                  choice[static_cast<std::size_t>(ps.flow_s[f]) * ps.n +
+                         ps.flow_d[f]];
+    const std::int32_t* e = ps.edges_of(p);
+    for (int i = 0; i < ps.path_length(p); ++i) loads[e[i]] += 1.0;
+  }
   return LoadObjective::of(loads);
+}
+
+// The Table III model over ps, shared by the exact and the fractional MCLB:
+// path p is variable p (binary, or continuous in [0, 1] when relaxed), one
+// C4 "exactly one path" row per flow, then the load bound t = variable
+// ps.num_paths() (the objective; integer or continuous) and one C1/O1
+// "cload[i][j] <= t" row per link in (i, j) order.
+lp::Model table3_model(const PathSet& ps, bool integral) {
+  lp::Model m;
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    std::vector<lp::Term> one;
+    for (int p = ps.path_begin[f]; p < ps.path_begin[f + 1]; ++p)
+      one.push_back(
+          {integral ? m.add_binary(0.0) : m.add_continuous(0.0, 1.0), 1.0});
+    m.add_constraint(std::move(one), lp::Rel::kEq, 1.0);
+  }
+  // Uniform demand => integral channel loads; integer t tightens the search.
+  const int t = integral ? m.add_integer(0.0, lp::kInf, 1.0)
+                         : m.add_continuous(0.0, lp::kInf, 1.0);
+  std::vector<std::vector<lp::Term>> rows(ps.num_edges);
+  for (int p = 0; p < ps.num_paths(); ++p) {
+    const std::int32_t* e = ps.edges_of(p);
+    for (int i = 0; i < ps.path_length(p); ++i) rows[e[i]].push_back({p, 1.0});
+  }
+  for (const int e : ps.edge_id) {
+    if (e < 0) continue;
+    rows[e].push_back({t, -1.0});
+    m.add_constraint(std::move(rows[e]), lp::Rel::kLe, 0.0);
+  }
+  m.set_sense(lp::Sense::kMinimize);
+  return m;
 }
 
 }  // namespace
 
-MclbResult mclb_local_search(const CompiledPathSet& cps,
+MclbResult mclb_local_search(const PathSet& ps,
                              const std::vector<double>& flow_weight,
                              int max_rounds) {
-  auto [w, wmax] = flow_weights(cps, flow_weight);
-  FlatEvaluator ev(cps, all_unit(w));
-  MclbResult r = run_local_search(cps, w, LoadObjective::tolerance(wmax),
+  auto [w, wmax] = flow_weights(ps, flow_weight);
+  FlatEvaluator ev(ps, all_unit(w));
+  MclbResult r = run_local_search(ps, w, LoadObjective::tolerance(wmax),
                                   max_rounds, ev);
   if (obs::metrics_enabled()) {
     static obs::Counter& rebuilds = obs::counter("mclb.hist_rebuilds");
@@ -390,80 +403,20 @@ MclbResult mclb_local_search(const CompiledPathSet& cps,
   return r;
 }
 
-MclbResult mclb_local_search(const PathSet& ps,
-                             const std::vector<double>& flow_weight,
-                             int max_rounds) {
-  // Plan-level entry point (one call per routed topology, not per annealer
-  // move), so a span per call is cheap.
-  obs::Span span("routing/mclb_local_search");
-  MclbResult r = mclb_local_search(compile_paths(ps), flow_weight, max_rounds);
-  span.arg("n", ps.num_nodes());
-  span.arg("iterations", r.iterations);
-  span.arg("max_load", r.max_load);
-  return r;
-}
-
-MclbResult mclb_local_search_scan(const CompiledPathSet& cps,
-                                  const std::vector<double>& flow_weight,
-                                  int max_rounds) {
-  auto [w, wmax] = flow_weights(cps, flow_weight);
-  ScanEvaluator ev(cps);
-  return run_local_search(cps, w, LoadObjective::tolerance(wmax), max_rounds,
-                          ev);
-}
-
 MclbResult mclb_local_search_scan(const PathSet& ps,
                                   const std::vector<double>& flow_weight,
                                   int max_rounds) {
-  obs::Span span("routing/mclb_local_search_scan");
-  MclbResult r =
-      mclb_local_search_scan(compile_paths(ps), flow_weight, max_rounds);
-  span.arg("n", ps.num_nodes());
-  span.arg("iterations", r.iterations);
-  return r;
+  auto [w, wmax] = flow_weights(ps, flow_weight);
+  ScanEvaluator ev(ps);
+  return run_local_search(ps, w, LoadObjective::tolerance(wmax), max_rounds,
+                          ev);
 }
 
 MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts,
                       const MclbResult* incumbent) {
   const int n = ps.num_nodes();
-
-  lp::Model m;
-  // One binary per candidate path; channel-load rows reference them.
-  struct PathVar {
-    int var;
-    int s, d, k;
-  };
-  std::vector<PathVar> pvars;
-  std::map<std::pair<int, int>, std::vector<int>> link_paths;  // link -> vars
-
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& alts = ps.at(s, d);
-      if (alts.empty()) continue;
-      std::vector<lp::Term> one;
-      for (int k = 0; k < static_cast<int>(alts.size()); ++k) {
-        const int v = m.add_binary(0.0);
-        pvars.push_back({v, s, d, k});
-        one.push_back({v, 1.0});
-        for (std::size_t i = 0; i + 1 < alts[k].size(); ++i)
-          link_paths[{alts[k][i], alts[k][i + 1]}].push_back(v);
-      }
-      // C4: exactly one path per flow.
-      m.add_constraint(std::move(one), lp::Rel::kEq, 1.0);
-    }
-
-  // Uniform demand => integral channel loads; integer t tightens the search.
-  const int t = m.add_integer(0.0, lp::kInf, 1.0);
-  for (const auto& [link, vars] : link_paths) {
-    std::vector<lp::Term> row;
-    row.reserve(vars.size() + 1);
-    for (int v : vars) row.push_back({v, 1.0});
-    row.push_back({t, -1.0});
-    // C1/O1: cload[i][j] <= t.
-    m.add_constraint(std::move(row), lp::Rel::kLe, 0.0);
-  }
-  m.set_sense(lp::Sense::kMinimize);
+  lp::Model m = table3_model(ps, /*integral=*/true);
+  const int t = ps.num_paths();
 
   // Seed the bound with the local-search incumbent (valid upper bound) —
   // the caller's, when provided, so its search is not repeated.
@@ -471,18 +424,19 @@ MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts,
   m.var(t).ub = ls.max_flows_on_link;
 
   const auto sol = lp::solve_milp(m, opts);
-
-  MclbResult result;
-  result.choice.assign(static_cast<std::size_t>(n) * n, 0);
   if (sol.status != lp::SolveStatus::kOptimal || sol.x.empty()) {
     // Fall back to the local-search answer.
     MclbResult fallback = ls;
     fallback.proven_optimal = false;
     return fallback;
   }
-  for (const auto& pv : pvars)
-    if (sol.x[pv.var] > 0.5)
-      result.choice[static_cast<std::size_t>(pv.s) * n + pv.d] = pv.k;
+  MclbResult result;
+  result.choice.assign(static_cast<std::size_t>(n) * n, 0);
+  for (int f = 0; f < ps.num_flows(); ++f)
+    for (int p = ps.path_begin[f]; p < ps.path_begin[f + 1]; ++p)
+      if (sol.x[p] > 0.5)
+        result.choice[static_cast<std::size_t>(ps.flow_s[f]) * n +
+                      ps.flow_d[f]] = p - ps.path_begin[f];
   result.max_flows_on_link = static_cast<int>(std::lround(sol.x[t]));
   result.max_load = sol.x[t] / (n - 1);
   result.objective = objective_of_choice(ps, result.choice);
@@ -493,58 +447,15 @@ MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts,
 
 FractionalMclbResult mclb_fractional(const PathSet& ps,
                                      const lp::SimplexOptions& opts) {
-  const int n = ps.num_nodes();
-
-  lp::Model m;
-  struct PathVar {
-    int var;
-    int s, d, k;
-  };
-  std::vector<PathVar> pvars;
-  std::map<std::pair<int, int>, std::vector<int>> link_paths;
-
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& alts = ps.at(s, d);
-      if (alts.empty()) continue;
-      std::vector<lp::Term> one;
-      for (int k = 0; k < static_cast<int>(alts.size()); ++k) {
-        const int v = m.add_continuous(0.0, 1.0);
-        pvars.push_back({v, s, d, k});
-        one.push_back({v, 1.0});
-        for (std::size_t i = 0; i + 1 < alts[k].size(); ++i)
-          link_paths[{alts[k][i], alts[k][i + 1]}].push_back(v);
-      }
-      m.add_constraint(std::move(one), lp::Rel::kEq, 1.0);
-    }
-
-  const int t = m.add_continuous(0.0, lp::kInf, 1.0);
-  for (const auto& [link, vars] : link_paths) {
-    std::vector<lp::Term> row;
-    row.reserve(vars.size() + 1);
-    for (int v : vars) row.push_back({v, 1.0});
-    row.push_back({t, -1.0});
-    m.add_constraint(std::move(row), lp::Rel::kLe, 0.0);
-  }
-  m.set_sense(lp::Sense::kMinimize);
-
-  const auto sol = lp::solve_lp(m, opts);
+  const int t = ps.num_paths();
+  const auto sol = lp::solve_lp(table3_model(ps, /*integral=*/false), opts);
 
   FractionalMclbResult r;
-  r.weights.assign(static_cast<std::size_t>(n) * n, {});
   r.iterations = sol.iterations;
   if (sol.status != lp::SolveStatus::kOptimal) return r;
   r.solved = true;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      r.weights[static_cast<std::size_t>(s) * n + d].assign(
-          ps.at(s, d).size(), 0.0);
-    }
-  for (const auto& pv : pvars)
-    r.weights[static_cast<std::size_t>(pv.s) * n + pv.d][pv.k] = sol.x[pv.var];
-  r.max_load = sol.x[t] / (n - 1);
+  r.weights.assign(sol.x.begin(), sol.x.begin() + ps.num_paths());
+  r.max_load = sol.x[t] / (ps.num_nodes() - 1);
   return r;
 }
 
@@ -553,23 +464,17 @@ LoadAnalysis analyze_fractional_choice(const PathSet& ps,
   const int n = ps.num_nodes();
   util::Matrix<double> load(n, n, 0.0);
   const double unit = 1.0 / (n - 1);
-  int flows = 0;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& alts = ps.at(s, d);
-      const auto& w = frac.weights[static_cast<std::size_t>(s) * n + d];
-      if (alts.empty() || w.empty()) continue;
-      ++flows;
-      for (std::size_t k = 0; k < alts.size(); ++k) {
-        if (w[k] <= 0.0) continue;
-        const auto& p = alts[k];
-        for (std::size_t i = 0; i + 1 < p.size(); ++i)
-          load(p[i], p[i + 1]) += w[k] * unit;
-      }
-    }
   LoadAnalysis a;
-  a.flows = flows;
+  if (!frac.weights.empty()) {
+    a.flows = ps.num_flows();
+    for (int p = 0; p < ps.num_paths(); ++p) {
+      const double w = frac.weights[p];
+      if (w <= 0.0) continue;
+      const std::int32_t* e = ps.edges_of(p);
+      for (int i = 0; i < ps.path_length(p); ++i)
+        load(ps.edge_src[e[i]], ps.edge_dst[e[i]]) += w * unit;
+    }
+  }
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j) a.max_load = std::max(a.max_load, load(i, j));
   a.load = std::move(load);

@@ -4,8 +4,8 @@
 // Given the flat list P of all shortest paths per flow, select exactly one
 // path per flow such that the maximum channel load is minimized. Backends:
 //   - mclb_local_search: the default engine — a deterministic min-max local
-//     search over the *compiled* path set (routing/compiled.hpp) with
-//     incremental LoadObjective maintenance: candidate evaluation costs
+//     search over the flat path set (routing/paths.hpp) with incremental
+//     LoadObjective maintenance: candidate evaluation costs
 //     O(path length) instead of O(links), which makes the search cheap
 //     enough to run inside the annealer's move loop
 //     (core::Objective::kChannelLoad).
@@ -26,7 +26,6 @@
 
 #include "lp/milp.hpp"
 #include "routing/channel_load.hpp"
-#include "routing/compiled.hpp"
 #include "routing/paths.hpp"
 #include "routing/table.hpp"
 
@@ -74,7 +73,7 @@ struct LoadObjective {
 };
 
 struct MclbResult {
-  std::vector<int> choice;  // per flow f = s*n + d, index into ps.at(s,d)
+  std::vector<int> choice;  // per pair s*n + d, index among its flow's paths
   double max_load = 0.0;    // normalized (per unit packets/node/cycle)
   int max_flows_on_link = 0;
   LoadObjective objective;  // final load profile objective (weight units)
@@ -85,22 +84,14 @@ struct MclbResult {
   }
 };
 
-// Optional per-flow demand weights (uniform all-to-all when empty).
-// Default engine: flat incremental (see header comment). The PathSet
-// overloads compile internally; callers routing the same path set many
-// times should compile once and use the CompiledPathSet overloads.
+// Optional per-flow demand weights, indexed s*n + d (uniform all-to-all
+// when empty). Default engine: flat incremental (see header comment).
 MclbResult mclb_local_search(const PathSet& ps,
-                             const std::vector<double>& flow_weight = {},
-                             int max_rounds = 64);
-MclbResult mclb_local_search(const CompiledPathSet& cps,
                              const std::vector<double>& flow_weight = {},
                              int max_rounds = 64);
 
 // Retained scan-based oracle: same decisions, O(links) per candidate.
 MclbResult mclb_local_search_scan(const PathSet& ps,
-                                  const std::vector<double>& flow_weight = {},
-                                  int max_rounds = 64);
-MclbResult mclb_local_search_scan(const CompiledPathSet& cps,
                                   const std::vector<double>& flow_weight = {},
                                   int max_rounds = 64);
 
@@ -115,8 +106,9 @@ MclbResult mclb_exact(const PathSet& ps, const lp::MilpOptions& opts = {},
 // single-path routing's max channel load and is the throughput-optimal
 // traffic split when the network supports per-flow multipath.
 struct FractionalMclbResult {
-  // Per flow f = s*n + d: weight per candidate path (sums to 1).
-  std::vector<std::vector<double>> weights;
+  // Per path p of the path set: its share of its flow (a flow's sum to 1;
+  // empty unless solved).
+  std::vector<double> weights;
   double max_load = 0.0;  // normalized, same units as MclbResult::max_load
   bool solved = false;
   long iterations = 0;

@@ -1,7 +1,6 @@
 #include "routing/ndbt.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace netsmith::routing {
@@ -46,27 +45,21 @@ int count_double_backs(const RoutingTable& t, const topo::Layout& layout) {
 }
 
 NdbtFilterResult ndbt_filter(const PathSet& ps, const topo::Layout& layout) {
-  const int n = ps.num_nodes();
   NdbtFilterResult result;
-  result.paths = PathSet(n);
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      const auto& all = ps.at(s, d);
-      if (all.empty()) continue;
-      auto& keep = result.paths.at(s, d);
-      for (const auto& p : all)
-        if (!double_backs_x(p, layout)) keep.push_back(p);
-      if (keep.empty()) {
-        // Fallback: minimal direction changes.
-        int best = std::numeric_limits<int>::max();
-        for (const auto& p : all)
-          best = std::min(best, x_direction_changes(p, layout));
-        for (const auto& p : all)
-          if (x_direction_changes(p, layout) == best) keep.push_back(p);
-        ++result.flows_without_legal_path;
-      }
-    }
+  result.paths.clear(ps.num_nodes());
+  std::vector<int> changes;
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
+    changes.clear();
+    for (int p = pb; p < pe; ++p)
+      changes.push_back(x_direction_changes(ps.nodes_of(p), layout));
+    // The legal paths when there are any, else the fallback: the paths with
+    // the fewest direction changes.
+    const int best = *std::min_element(changes.begin(), changes.end());
+    if (best > 0) ++result.flows_without_legal_path;
+    for (int p = pb; p < pe; ++p)
+      if (changes[p - pb] == best) result.paths.add_path(ps.nodes_of(p));
+    result.paths.close_flow(ps.flow_s[f], ps.flow_d[f]);
   }
   return result;
 }

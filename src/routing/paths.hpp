@@ -1,8 +1,26 @@
 #pragma once
-// Shortest-path enumeration (paper SIII-D): the set P of all minimal paths
-// between every source and destination, computed statically from the
-// topology. This set is the only input the MCLB formulation needs.
+// Shortest-path set (paper SIII-D): the set P of all minimal paths between
+// every source and destination, computed statically from the topology. This
+// set is the only input the MCLB formulation needs. Every consumer (the MCLB
+// engines and the Table III MILP, NDBT filtering, table selection, fault
+// repair) reads it in one flat, interned form:
+//
+//   - a dense edge index: every directed link that appears on at least one
+//     path gets a small integer id (first-use order), with an n*n lookup
+//     table for interning and edge_src/edge_dst for the reverse mapping;
+//   - flows (ordered (s, d) row-major, only s != d pairs with >= 1 path)
+//     with CSR offsets into a path table;
+//   - paths as CSR offsets into one flat array of edge ids, so "apply this
+//     path" is a linear walk over a few ints in one cache line, and the
+//     same paths as router sequences in one flat array of nodes.
+//
+// Both the flat incremental MCLB engine and the retained scan-based oracle
+// in routing/mclb run on it, which keeps their decision sequences trivially
+// comparable.
 
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -10,60 +28,130 @@
 
 namespace netsmith::routing {
 
-using Path = std::vector<int>;  // router sequence, path.front()==s, back()==d
+struct PathSet {
+  int n = 0;          // routers
+  int num_edges = 0;  // distinct directed edges used by any path
 
-class PathSet {
- public:
-  PathSet() = default;
-  explicit PathSet(int n) : n_(n), paths_(static_cast<std::size_t>(n) * n) {}
+  // Dense edge interning: edge id -> endpoints, and an n*n lookup table
+  // (-1 = the link is on no path).
+  std::vector<int> edge_src, edge_dst;
+  std::vector<int> edge_id;
 
-  int num_nodes() const { return n_; }
+  // Flows in (s, d) row-major order; flow_of_pair[s*n+d] = flow index or -1.
+  std::vector<int> flow_s, flow_d;
+  std::vector<int> flow_of_pair;
 
-  const std::vector<Path>& at(int s, int d) const {
-    return paths_[static_cast<std::size_t>(s) * n_ + d];
+  // CSR layout: paths of flow f are path indices [path_begin[f],
+  // path_begin[f+1]), in enumeration order; edges of path p are
+  // path_edges[edge_begin[p] .. edge_begin[p+1]). Path p's routers are the
+  // path_length(p) + 1 ints of path_nodes from edge_begin[p] + p (every
+  // earlier path has one more router than it has edges).
+  std::vector<int> path_begin;
+  std::vector<std::int32_t> edge_begin;
+  std::vector<std::int32_t> path_edges;
+  std::vector<int> path_nodes;
+
+  int num_nodes() const { return n; }
+  int num_flows() const { return static_cast<int>(flow_s.size()); }
+  int num_paths() const { return static_cast<int>(edge_begin.size()) - 1; }
+  int paths_of(int f) const { return path_begin[f + 1] - path_begin[f]; }
+  int path_length(int p) const { return edge_begin[p + 1] - edge_begin[p]; }
+  const std::int32_t* edges_of(int p) const {
+    return path_edges.data() + edge_begin[p];
   }
-  std::vector<Path>& at(int s, int d) {
-    return paths_[static_cast<std::size_t>(s) * n_ + d];
+  // Path p as its router sequence, front() == s, back() == d.
+  std::span<const int> nodes_of(int p) const {
+    return {path_nodes.data() + edge_begin[p] + p,
+            static_cast<std::size_t>(path_length(p)) + 1};
   }
 
-  // Total enumerated paths across all flows.
-  std::size_t total_paths() const;
+  int lookup_edge(int u, int v) const {
+    return edge_id[static_cast<std::size_t>(u) * n + v];
+  }
+  // Flow index of (s, d); -1 when the pair has no path.
+  int flow(int s, int d) const {
+    return flow_of_pair[static_cast<std::size_t>(s) * n + d];
+  }
 
-  // True iff every s != d flow has at least one path.
-  bool all_flows_covered() const;
+  // True iff every s != d pair has at least one path.
+  bool all_flows_covered() const { return num_flows() == n * (n - 1); }
 
- private:
-  int n_ = 0;
-  std::vector<std::vector<Path>> paths_;
+  // Building, one flow at a time in row-major order: clear(n), then per
+  // flow add_path for each of its paths (router sequences, >= 2 routers)
+  // and close_flow(s, d). A flow closed with no path is left out.
+  void clear(int routers);
+  void add_path(std::span<const int> nodes);
+  void close_flow(int s, int d);
 };
 
-// Enumerates shortest paths per flow by DFS over the shortest-path DAG
-// (edge (u,v) lies on a shortest s->d path iff
-// dist(s,u) + 1 + dist(v,d) == dist(s,d)). Deterministic neighbour order
-// (adjacency is sorted once per enumeration, not per DFS visit); at most
-// max_paths_per_flow paths are kept per flow.
+// The first max_paths_per_flow shortest paths of every flow, in
+// lexicographic router order (a DFS over the shortest-path DAG with sorted
+// neighbours: edge (u,v) lies on a shortest s->d path iff
+// dist(s,u) + 1 + dist(v,d) == dist(s,d)).
 PathSet enumerate_shortest_paths(const topo::DiGraph& g,
                                  int max_paths_per_flow = 64);
 
-// Same, but reuses a caller-provided APSP matrix (dist(i, j) = hop count,
-// topo::kUnreachable when disconnected) instead of running a second BFS
-// sweep — the annealer's channel-load move evaluator already has the
-// accepted move's APSP in hand. dist must match g.
-PathSet enumerate_shortest_paths_from_dist(const topo::DiGraph& g,
-                                           const util::Matrix<int>& dist,
-                                           int max_paths_per_flow = 64);
+// The one shortest-path DFS, with scratch reused across calls. enumerate()
+// fills a whole path set from a caller-provided APSP matrix (dist(i, j) =
+// hop count, topo::kUnreachable when disconnected); this is what the
+// annealer's route-aware objectives run once per scored move, so it is
+// incremental against its previous call: a flow's paths are the
+// lexicographically first `cap` shortest paths, and they are still exactly
+// that after a graph change unless
+//   (1) dist(s, d) changed,
+//   (2) one of its emitted paths crosses a removed edge, or
+//   (3) an added edge (u, v) lies on a shortest s->d path, i.e.
+//       dist(s, u) + 1 + dist(v, d) == dist(s, d) under the new distances.
+// Without (1) and (3) the new shortest-path set is a subset of the old one;
+// without (2) it still holds every emitted path, which therefore stay the
+// lexicographically first. (1) is implied by the other two (a shorter or
+// newly possible route needs an added edge; a longer one breaks every
+// emitted path) and is tested first as the cheapest. Only flows meeting a
+// condition are re-DFSed; the rest keep their paths, and the set is
+// re-interned in row-major order so edge ids match a fresh enumeration. The
+// first call, and any call that changes n or cap, is a full pass.
+//
+// set_graph() + add_flow() is the per-flow entry for callers that need a
+// few flows rather than all n^2 (route repair re-enumerates only the flows
+// a fault severed): set_graph sorts g's adjacency once, and each add_flow
+// appends the first max_paths_per_flow shortest paths of (s, d) to the
+// flow `out` is building. The next enumerate() is then a full pass.
+class PathCompiler {
+ public:
+  void enumerate(const topo::DiGraph& g, const util::Matrix<int>& dist,
+                 int max_paths_per_flow, PathSet& out);
 
-// Shortest paths for the single flow (s, d) — the per-flow building block
-// of the full enumeration above, exposed so route repair can re-enumerate
-// only the flows a fault actually severed instead of all n^2. Returns empty
-// when d is unreachable from s under dist.
-std::vector<Path> enumerate_flow_paths(const topo::DiGraph& g,
-                                       const util::Matrix<int>& dist, int s,
-                                       int d, int max_paths_per_flow = 64);
+  // Flows the last enumerate() call ran the DFS for; every other flow kept
+  // the paths of the call before.
+  int last_recompiled_flows() const { return recompiled_; }
+
+  void set_graph(const topo::DiGraph& g);
+  // Returns the number of paths appended (0 when d is unreachable from s).
+  int add_flow(const util::Matrix<int>& dist, int s, int d,
+               int max_paths_per_flow, PathSet& out);
+
+ private:
+  void sort_adjacency(const topo::DiGraph& g);
+  bool paths_survive(const util::Matrix<int>& dist, int s, int d) const;
+  void dfs(const util::Matrix<int>& dist, int d, int cap, PathSet& out);
+
+  int n_ = 0, cap_ = -1;  // shape of the previous call (n_ == 0: none)
+  std::vector<std::vector<int>> adj_, prev_adj_;  // presorted out-neighbours
+  std::vector<int> prev_dist_;                    // previous call's dist
+  std::vector<std::pair<int, int>> removed_, added_;  // R and A
+  std::vector<char> removed_mask_;                    // R as an n*n mask
+  // The previous call's paths as router sequences, dist(s, d) + 1 routers
+  // each: pair s*n+d owns nodes_[node_begin_[s*n+d], node_begin_[s*n+d+1]).
+  // next_node_begin_ is filled by the current call and swapped in at its end.
+  std::vector<int> nodes_, node_begin_, next_node_begin_;
+  std::vector<int> prefix_;
+  int emitted_ = 0;  // paths emitted for the current flow
+  int recompiled_ = 0;
+};
 
 // True iff p is a path in g (consecutive nodes linked) of length
 // dist(s,d) — i.e. a genuine shortest path.
 bool is_shortest_path(const topo::DiGraph& g, const util::Matrix<int>& dist,
-                      const Path& p);
+                      std::span<const int> p);
 
 }  // namespace netsmith::routing

@@ -65,22 +65,22 @@ RepairResult repair_routes(const topo::DiGraph& base_graph,
   // search starts at the incumbent load profile and only moves severed
   // flows), fresh degraded-graph shortest paths for the affected flows.
   const util::Matrix<int> dist = topo::apsp_bfs(degraded);
-  PathSet ps(n);
+  PathCompiler dfs;
+  dfs.set_graph(degraded);
+  PathSet ps;
+  ps.clear(n);
   for (int s = 0; s < n; ++s) {
     for (int d = 0; d < n; ++d) {
       if (s == d) continue;
-      const std::size_t f = static_cast<std::size_t>(s) * n + d;
-      if (!affected[f]) {
+      if (!affected[static_cast<std::size_t>(s) * n + d]) {
         const auto p = base_table.path(s, d);
-        if (!p.empty()) ps.at(s, d) = {Path(p.begin(), p.end())};
-        continue;
-      }
-      ps.at(s, d) = enumerate_flow_paths(degraded, dist, s, d,
-                                         max_paths_per_flow);
-      if (ps.at(s, d).empty())
+        if (!p.empty()) ps.add_path(p);
+      } else if (dfs.add_flow(dist, s, d, max_paths_per_flow, ps) == 0) {
         ++r.flows_unroutable;
-      else
+      } else {
         ++r.flows_rerouted;
+      }
+      ps.close_flow(s, d);
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "topo/metrics.hpp"
 
@@ -49,27 +50,28 @@ int RoutingTable::next_hop(int cur, int s, int d) const {
 RoutingTable RoutingTable::from_choice(const PathSet& ps,
                                        const std::vector<int>& choice) {
   const int n = ps.num_nodes();
-  // Size the arena exactly first, so it is filled without regrowing.
+  // Flows run in row-major pair order, so the chosen routes laid end to end
+  // are the flow-major arena. Size it exactly first, so it is filled
+  // without regrowing.
+  const auto chosen = [&](int f) {
+    const std::size_t k =
+        static_cast<std::size_t>(ps.flow_s[f]) * n + ps.flow_d[f];
+    assert(choice[k] >= 0 && choice[k] < ps.paths_of(f));
+    return std::pair{k, ps.nodes_of(ps.path_begin[f] + choice[k])};
+  };
   std::vector<std::uint32_t> lengths(static_cast<std::size_t>(n) * n, 0);
   std::size_t total = 0;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      const auto& alts = ps.at(s, d);
-      if (s == d || alts.empty()) continue;
-      const std::size_t f = static_cast<std::size_t>(s) * n + d;
-      assert(choice[f] >= 0 && choice[f] < static_cast<int>(alts.size()));
-      lengths[f] = static_cast<std::uint32_t>(alts[choice[f]].size());
-      total += lengths[f];
-    }
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const auto [k, p] = chosen(f);
+    lengths[k] = static_cast<std::uint32_t>(p.size());
+    total += p.size();
+  }
   std::vector<int> hops;
   hops.reserve(total);
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      const std::size_t f = static_cast<std::size_t>(s) * n + d;
-      if (lengths[f] == 0) continue;
-      const Path& p = ps.at(s, d)[choice[f]];
-      hops.insert(hops.end(), p.begin(), p.end());
-    }
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const auto p = chosen(f).second;
+    hops.insert(hops.end(), p.begin(), p.end());
+  }
   return from_flat(n, std::move(hops), std::move(lengths));
 }
 
@@ -82,12 +84,9 @@ RoutingTable RoutingTable::select_first(const PathSet& ps) {
 RoutingTable RoutingTable::select_random(const PathSet& ps, util::Rng& rng) {
   const int n = ps.num_nodes();
   std::vector<int> choice(static_cast<std::size_t>(n) * n, 0);
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d || ps.at(s, d).empty()) continue;
-      choice[static_cast<std::size_t>(s) * n + d] = static_cast<int>(
-          rng.uniform_int(0, static_cast<std::int64_t>(ps.at(s, d).size()) - 1));
-    }
+  for (int f = 0; f < ps.num_flows(); ++f)
+    choice[static_cast<std::size_t>(ps.flow_s[f]) * n + ps.flow_d[f]] =
+        static_cast<int>(rng.uniform_int(0, ps.paths_of(f) - 1));
   return from_choice(ps, choice);
 }
 

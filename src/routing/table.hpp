@@ -48,7 +48,7 @@ class RoutingTable {
   // router is not on the route.
   int next_hop(int cur, int s, int d) const;
 
-  // Builds a table by picking paths[choice[f]] for every flow f = s*n + d.
+  // Builds a table by picking path choice[s*n + d] of every flow (s, d).
   static RoutingTable from_choice(const PathSet& ps, const std::vector<int>& choice);
 
   // Picks the first (deterministic) path of every flow.

@@ -1,6 +1,7 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <sstream>
@@ -11,7 +12,6 @@ namespace netsmith::topo {
 DiGraph::DiGraph(int n)
     : n_(n),
       words_((n + 63) / 64),
-      adj_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0),
       out_bits_(static_cast<std::size_t>(n) * words_, 0),
       in_bits_(static_cast<std::size_t>(n) * words_, 0),
       out_(n),
@@ -21,8 +21,7 @@ DiGraph::DiGraph(int n)
 
 bool DiGraph::add_edge(int i, int j) {
   assert(i >= 0 && i < n_ && j >= 0 && j < n_);
-  if (i == j || adj_[idx(i, j)]) return false;
-  adj_[idx(i, j)] = 1;
+  if (i == j || has_edge(i, j)) return false;
   out_bits_[bidx(i, j)] |= 1ULL << (j & 63);
   in_bits_[bidx(j, i)] |= 1ULL << (i & 63);
   out_[i].push_back(j);
@@ -33,8 +32,7 @@ bool DiGraph::add_edge(int i, int j) {
 
 bool DiGraph::remove_edge(int i, int j) {
   assert(i >= 0 && i < n_ && j >= 0 && j < n_);
-  if (!adj_[idx(i, j)]) return false;
-  adj_[idx(i, j)] = 0;
+  if (!has_edge(i, j)) return false;
   out_bits_[bidx(i, j)] &= ~(1ULL << (j & 63));
   in_bits_[bidx(j, i)] &= ~(1ULL << (i & 63));
   auto& o = out_[i];
@@ -52,18 +50,18 @@ int DiGraph::add_duplex(int i, int j) {
 std::vector<std::pair<int, int>> DiGraph::edges() const {
   std::vector<std::pair<int, int>> e;
   e.reserve(static_cast<std::size_t>(edges_));
-  for (int i = 0; i < n_; ++i)
-    for (int j = 0; j < n_; ++j)
-      if (adj_[idx(i, j)]) e.emplace_back(i, j);
+  for (int i = 0; i < n_; ++i) {
+    const std::uint64_t* row = out_bits(i);
+    for (int w = 0; w < words_; ++w)
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1)
+        e.emplace_back(i, w * 64 + std::countr_zero(bits));
+  }
   return e;
 }
 
-bool DiGraph::is_symmetric() const {
-  for (int i = 0; i < n_; ++i)
-    for (int j = i + 1; j < n_; ++j)
-      if (adj_[idx(i, j)] != adj_[idx(j, i)]) return false;
-  return true;
-}
+// Edge i -> j exists iff j -> i does exactly when every out-row equals the
+// same node's in-row.
+bool DiGraph::is_symmetric() const { return out_bits_ == in_bits_; }
 
 DiGraph DiGraph::reversed() const {
   DiGraph r(n_);

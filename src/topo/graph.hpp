@@ -5,12 +5,12 @@
 // links are simply a pair of opposing directed edges; NetSmith counts one
 // full-duplex-equivalent "link" per two directed edges when reporting.
 //
-// Besides the byte matrix and neighbour lists, the graph maintains packed
-// adjacency *bit rows* (one row of ceil(n/64) uint64 words per node, for both
-// out- and in-edges), updated incrementally in add_edge/remove_edge. These
-// back the word-parallel BFS/APSP kernels in topo/metrics and the
-// popcount-based cross-edge counts in topo/cuts: at paper scale (n <= 64) a
-// whole BFS frontier fits in a single machine word.
+// The adjacency is kept as packed *bit rows* (one row of ceil(n/64) uint64
+// words per node, for both out- and in-edges) beside the neighbour lists,
+// both updated incrementally in add_edge/remove_edge. The bit rows answer
+// edge probes and back the word-parallel BFS/APSP kernels in topo/metrics
+// and the popcount-based cross-edge counts in topo/cuts: at paper scale
+// (n <= 64) a whole BFS frontier fits in a single machine word.
 
 #include <cstdint>
 #include <string>
@@ -25,7 +25,9 @@ class DiGraph {
 
   int num_nodes() const { return n_; }
 
-  bool has_edge(int i, int j) const { return adj_[idx(i, j)] != 0; }
+  bool has_edge(int i, int j) const {
+    return (out_bits_[bidx(i, j)] >> (j & 63)) & 1;
+  }
 
   // Returns true if the edge was newly inserted.
   bool add_edge(int i, int j);
@@ -49,9 +51,6 @@ class DiGraph {
   bool is_symmetric() const;
   DiGraph reversed() const;
 
-  // Raw adjacency row (n bytes, 0/1) for hot loops (cut enumeration).
-  const std::uint8_t* row(int i) const { return &adj_[static_cast<std::size_t>(i) * n_]; }
-
   // --- Packed bit rows (word-parallel kernels) ---------------------------
   // Words per bit row: ceil(n / 64).
   int bit_words() const { return words_; }
@@ -64,7 +63,9 @@ class DiGraph {
     return &in_bits_[static_cast<std::size_t>(j) * words_];
   }
 
-  bool operator==(const DiGraph& o) const { return n_ == o.n_ && adj_ == o.adj_; }
+  bool operator==(const DiGraph& o) const {
+    return n_ == o.n_ && out_bits_ == o.out_bits_;
+  }
 
   // Compact textual form "n:i>j,i>j,..." for goldens/serialization.
   std::string to_string() const;
@@ -73,15 +74,12 @@ class DiGraph {
   // character. Safe on untrusted input (artifact payloads, specs).
   static DiGraph from_string(const std::string& s);
 
-  // Largest node count from_string accepts: the dense adjacency matrix is
-  // n^2 bytes, so anything bigger is a corrupt header, not a topology.
+  // Largest node count from_string accepts: the out- and in-bit rows take
+  // n^2 / 4 bytes together (64 MiB at this bound), so anything bigger is a
+  // corrupt header, not a topology.
   static constexpr int kMaxNodes = 1 << 14;
 
  private:
-  std::size_t idx(int i, int j) const {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(j);
-  }
   std::size_t bidx(int i, int j) const {
     return static_cast<std::size_t>(i) * words_ +
            static_cast<std::size_t>(j >> 6);
@@ -89,7 +87,6 @@ class DiGraph {
   int n_ = 0;
   int words_ = 0;
   int edges_ = 0;
-  std::vector<std::uint8_t> adj_;
   std::vector<std::uint64_t> out_bits_, in_bits_;
   std::vector<std::vector<int>> out_, in_;
 };

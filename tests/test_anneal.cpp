@@ -133,7 +133,7 @@ double routed_max_load(const topo::DiGraph& g) {
 }
 
 // Route-aware synthesis (paper-scale n = 20): optimizing max channel load
-// directly — running the compiled path-enum -> MCLB pipeline inside every
+// directly — running the flat path-enum -> MCLB pipeline inside every
 // move — must match or beat the hop-count proxy on the load metric.
 TEST(Anneal, ChannelLoadObjectiveBeatsHopProxyOnLoad) {
   SynthesisConfig cfg;

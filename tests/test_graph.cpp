@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace netsmith::topo {
 namespace {
@@ -162,6 +165,39 @@ TEST(DiGraph, EqualityIsStructural) {
   EXPECT_EQ(a, b);
   b.add_edge(1, 2);
   EXPECT_FALSE(a == b);
+}
+
+// edges(), is_symmetric() and == read the packed bit rows; check them
+// against plain has_edge scans on graphs wider than one 64-bit word, built
+// in scrambled insertion order and thinned by removals.
+TEST(DiGraph, BitRowQueriesMatchEdgeScans) {
+  for (const int n : {5, 64, 65, 130}) {
+    DiGraph g(n), h(n);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(n);
+    const auto next = [&x](int m) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return static_cast<int>(x % static_cast<std::uint64_t>(m));
+    };
+    for (int k = 0; k < 4 * n; ++k) g.add_duplex(next(n), next(n));
+    for (int k = 0; k < n; ++k) g.remove_edge(next(n), next(n));
+    std::vector<std::pair<int, int>> scan;
+    bool symmetric = true;
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        if (g.has_edge(i, j)) scan.emplace_back(i, j);
+        symmetric &= g.has_edge(i, j) == g.has_edge(j, i);
+      }
+    EXPECT_EQ(g.edges(), scan) << n;
+    EXPECT_EQ(g.is_symmetric(), symmetric) << n;
+    for (auto it = scan.rbegin(); it != scan.rend(); ++it)
+      h.add_edge(it->first, it->second);
+    EXPECT_EQ(g, h) << n;
+    h.remove_edge(scan.back().first, scan.back().second);
+    EXPECT_FALSE(g == h) << n;
+    EXPECT_FALSE(g == DiGraph(n + 1)) << n;
+  }
 }
 
 }  // namespace

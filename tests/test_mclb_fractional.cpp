@@ -12,19 +12,16 @@ TEST(FractionalMclb, SolvesAndNormalizes) {
   const auto ps = enumerate_shortest_paths(g);
   const auto frac = mclb_fractional(ps);
   ASSERT_TRUE(frac.solved);
-  const int n = 6;
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d) {
-      if (s == d || ps.at(s, d).empty()) continue;
-      const auto& w = frac.weights[s * n + d];
-      double sum = 0.0;
-      for (double x : w) {
-        EXPECT_GE(x, -1e-9);
-        EXPECT_LE(x, 1.0 + 1e-9);
-        sum += x;
-      }
-      EXPECT_NEAR(sum, 1.0, 1e-7) << s << "->" << d;
+  ASSERT_EQ(static_cast<int>(frac.weights.size()), ps.num_paths());
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    double sum = 0.0;
+    for (int p = ps.path_begin[f]; p < ps.path_begin[f + 1]; ++p) {
+      EXPECT_GE(frac.weights[p], -1e-9);
+      EXPECT_LE(frac.weights[p], 1.0 + 1e-9);
+      sum += frac.weights[p];
     }
+    EXPECT_NEAR(sum, 1.0, 1e-7) << ps.flow_s[f] << "->" << ps.flow_d[f];
+  }
 }
 
 TEST(FractionalMclb, LowerBoundsSinglePath) {

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "routing/compiled.hpp"
+#include "routing/paths.hpp"
 #include "topo/builders.hpp"
 #include "topo/layout.hpp"
 #include "topologies/registry.hpp"
@@ -28,19 +28,19 @@ namespace {
 
 // Loads recomputed from scratch (sum over chosen paths in flow order) —
 // independent of the add/remove history either engine went through.
-std::vector<double> loads_of_choice(const CompiledPathSet& cps,
+std::vector<double> loads_of_choice(const PathSet& ps,
                                     const std::vector<int>& choice,
                                     const std::vector<double>& flow_weight) {
-  std::vector<double> loads(cps.num_edges, 0.0);
-  for (int f = 0; f < cps.num_flows(); ++f) {
-    const int s = cps.flow_s[f], d = cps.flow_d[f];
+  std::vector<double> loads(ps.num_edges, 0.0);
+  for (int f = 0; f < ps.num_flows(); ++f) {
+    const int s = ps.flow_s[f], d = ps.flow_d[f];
     const double w =
         flow_weight.empty()
             ? 1.0
-            : flow_weight[static_cast<std::size_t>(s) * cps.n + d];
-    const int p = cps.path_begin[f] + choice[static_cast<std::size_t>(s) * cps.n + d];
-    const std::int32_t* e = cps.edges_of(p);
-    for (int i = 0; i < cps.path_length(p); ++i) loads[e[i]] += w;
+            : flow_weight[static_cast<std::size_t>(s) * ps.n + d];
+    const int p = ps.path_begin[f] + choice[static_cast<std::size_t>(s) * ps.n + d];
+    const std::int32_t* e = ps.edges_of(p);
+    for (int i = 0; i < ps.path_length(p); ++i) loads[e[i]] += w;
   }
   return loads;
 }
@@ -49,10 +49,9 @@ void expect_equivalent(const topo::DiGraph& g, int max_paths_per_flow,
                        const std::vector<double>& flow_weight,
                        const std::string& tag) {
   const auto ps = enumerate_shortest_paths(g, max_paths_per_flow);
-  const auto cps = compile_paths(ps);
 
-  const auto flat = mclb_local_search(cps, flow_weight);
-  const auto scan = mclb_local_search_scan(cps, flow_weight);
+  const auto flat = mclb_local_search(ps, flow_weight);
+  const auto scan = mclb_local_search_scan(ps, flow_weight);
 
   // Bit-identical decisions and iteration trajectory.
   EXPECT_EQ(flat.choice, scan.choice) << tag;
@@ -67,7 +66,7 @@ void expect_equivalent(const topo::DiGraph& g, int max_paths_per_flow,
   EXPECT_EQ(flat.max_flows_on_link, scan.max_flows_on_link) << tag;
 
   // The incremental state equals a from-scratch scan of the final loads.
-  const auto fresh = LoadObjective::of(loads_of_choice(cps, flat.choice,
+  const auto fresh = LoadObjective::of(loads_of_choice(ps, flat.choice,
                                                        flow_weight));
   EXPECT_TRUE(flat.objective.identical(fresh)) << tag << " (vs fresh scan)";
 }
@@ -126,18 +125,7 @@ TEST(MclbIncrementalEquivalence, HistogramCrossesBucketBoundaries) {
   expect_equivalent(g, 64, w, "2x6 mesh weighted");
 }
 
-TEST(MclbIncrementalEquivalence, FlatMatchesLegacyPathSetEntryPoint) {
-  // The PathSet-level entry points must agree with the compiled-level ones.
-  const auto g = topo::build_folded_torus(topo::Layout::noi_4x5());
-  const auto ps = enumerate_shortest_paths(g);
-  const auto a = mclb_local_search(ps);
-  const auto b = mclb_local_search(compile_paths(ps));
-  EXPECT_EQ(a.choice, b.choice);
-  EXPECT_TRUE(a.objective.identical(b.objective));
-  EXPECT_TRUE(a.table(ps).consistent_with(g));
-}
-
-void expect_same(const CompiledPathSet& got, const CompiledPathSet& ref,
+void expect_same(const PathSet& got, const PathSet& ref,
                  const std::string& tag) {
   EXPECT_EQ(got.n, ref.n) << tag;
   EXPECT_EQ(got.num_edges, ref.num_edges) << tag;
@@ -150,30 +138,28 @@ void expect_same(const CompiledPathSet& got, const CompiledPathSet& ref,
   EXPECT_EQ(got.path_begin, ref.path_begin) << tag;
   EXPECT_EQ(got.edge_begin, ref.edge_begin) << tag;
   EXPECT_EQ(got.path_edges, ref.path_edges) << tag;
+  EXPECT_EQ(got.path_nodes, ref.path_nodes) << tag;
 }
 
-// Runs the long-lived compiler on g and checks it against both oracles: a
-// fresh compiler (the full-pass DFS) and the two-step PathSet route.
-void check_step(PathCompiler& pc, CompiledPathSet& out, const topo::DiGraph& g,
+// Runs the long-lived compiler on g and checks it against a fresh compiler
+// (the full-pass DFS).
+void check_step(PathCompiler& pc, PathSet& out, const topo::DiGraph& g,
                 int cap, const std::string& tag) {
   const auto dist = topo::apsp_bfs(g);
   pc.enumerate(g, dist, cap, out);
   PathCompiler fresh_pc;
-  CompiledPathSet fresh;
+  PathSet fresh;
   fresh_pc.enumerate(g, dist, cap, fresh);
   expect_same(out, fresh, tag + " vs fresh compiler");
-  expect_same(out, compile_paths(enumerate_shortest_paths_from_dist(g, dist, cap)),
-              tag + " vs PathSet route");
   EXPECT_LE(pc.last_recompiled_flows(), fresh_pc.last_recompiled_flows()) << tag;
 }
 
-TEST(PathCompiler, MatchesPathSetCompileAndReusesScratch) {
-  // The annealer's per-move enumerator must produce a CompiledPathSet
-  // identical to the two-step PathSet route, including across reused calls
-  // on unrelated graphs and caps (stale state from a previous move must not
-  // leak).
+TEST(PathCompiler, MatchesFreshCompilerAndReusesScratch) {
+  // The annealer's per-move enumerator must produce a path set identical to
+  // a fresh full pass, including across reused calls on unrelated graphs
+  // and caps (stale state from a previous move must not leak).
   PathCompiler pc;
-  CompiledPathSet reused;
+  PathSet reused;
   const int caps[] = {4, 64, 8};
   for (int iter = 0; iter < 12; ++iter) {
     util::Rng rng(7000 + iter);
@@ -247,7 +233,7 @@ int walk(topo::DiGraph g, std::uint64_t seed, int steps,
          const std::string& tag) {
   util::Rng rng(seed);
   PathCompiler pc;
-  CompiledPathSet out;
+  PathSet out;
   int cap = 8;
   int disconnected = 0;
   check_step(pc, out, g, cap, tag + " start");
@@ -301,7 +287,7 @@ TEST(PathCompiler, DuplexSwapRedoesFewFlows) {
   ASSERT_FALSE(candidates.empty());
 
   PathCompiler pc;
-  CompiledPathSet out;
+  PathSet out;
   pc.enumerate(g, topo::apsp_bfs(g), 8, out);
   const int flows = pc.last_recompiled_flows();
   ASSERT_EQ(flows, 48 * 47);

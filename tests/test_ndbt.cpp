@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "topo/builders.hpp"
 
 namespace netsmith::routing {
@@ -9,33 +11,39 @@ namespace {
 
 const topo::Layout kLay = topo::Layout::noi_4x5();
 
+// Paths of the pair (s, d); 0 when it has none.
+int count(const PathSet& ps, int s, int d) {
+  const int f = ps.flow(s, d);
+  return f < 0 ? 0 : ps.paths_of(f);
+}
+
 TEST(Ndbt, StraightPathsNeverDoubleBack) {
   // Monotone +x path.
-  const Path p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 2)};
+  const std::vector<int> p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 2)};
   EXPECT_FALSE(double_backs_x(p, kLay));
   EXPECT_EQ(x_direction_changes(p, kLay), 0);
 }
 
 TEST(Ndbt, VerticalMovesAreFree) {
-  const Path p{kLay.id(0, 1), kLay.id(1, 1), kLay.id(2, 1), kLay.id(2, 2)};
+  const std::vector<int> p{kLay.id(0, 1), kLay.id(1, 1), kLay.id(2, 1), kLay.id(2, 2)};
   EXPECT_FALSE(double_backs_x(p, kLay));
 }
 
 TEST(Ndbt, DetectsDoubleBack) {
   // +x then -x.
-  const Path p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 0)};
+  const std::vector<int> p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 0)};
   EXPECT_TRUE(double_backs_x(p, kLay));
   EXPECT_EQ(x_direction_changes(p, kLay), 1);
 }
 
 TEST(Ndbt, DetectsDoubleBackAcrossVerticalSegment) {
   // +x, then vertical, then -x: still a double back.
-  const Path p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(1, 1), kLay.id(1, 0)};
+  const std::vector<int> p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(1, 1), kLay.id(1, 0)};
   EXPECT_TRUE(double_backs_x(p, kLay));
 }
 
 TEST(Ndbt, CountsMultipleChanges) {
-  const Path p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 0), kLay.id(0, 1)};
+  const std::vector<int> p{kLay.id(0, 0), kLay.id(0, 1), kLay.id(0, 0), kLay.id(0, 1)};
   EXPECT_EQ(x_direction_changes(p, kLay), 2);
 }
 
@@ -48,7 +56,7 @@ TEST(NdbtFilter, MeshPathsAllLegal) {
   for (int s = 0; s < 20; ++s)
     for (int d = 0; d < 20; ++d) {
       if (s == d) continue;
-      EXPECT_EQ(f.paths.at(s, d).size(), ps.at(s, d).size());
+      EXPECT_EQ(count(f.paths, s, d), count(ps, s, d));
     }
 }
 
@@ -63,7 +71,7 @@ TEST(NdbtFilter, RemovesIllegalKeepsLegal) {
   const auto ps = enumerate_shortest_paths(g);
   const auto f = ndbt_filter(ps, lay);
   EXPECT_EQ(f.flows_without_legal_path, 0);
-  EXPECT_EQ(f.paths.at(0, 3).size(), 1u);
+  EXPECT_EQ(count(f.paths, 0, 3), 1);
 }
 
 TEST(NdbtFilter, FallbackKeepsNetworkRoutable) {
@@ -80,7 +88,7 @@ TEST(NdbtFilter, FallbackKeepsNetworkRoutable) {
   const auto f = ndbt_filter(ps, lay);
   // Flow 1 -> 2 has only the double-backing path; fallback must keep it.
   EXPECT_GE(f.flows_without_legal_path, 1);
-  EXPECT_FALSE(f.paths.at(1, 2).empty());
+  EXPECT_GT(count(f.paths, 1, 2), 0);
 }
 
 TEST(NdbtFilter, PreservesFlowCoverage) {

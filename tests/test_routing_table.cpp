@@ -47,11 +47,13 @@ TEST(RoutingTable, FromChoicePicksRequestedPath) {
   const auto g = topo::build_mesh(lay);
   const auto ps = enumerate_shortest_paths(g);
   const int s = lay.id(0, 0), d = lay.id(1, 1);
-  ASSERT_EQ(ps.at(s, d).size(), 2u);
+  const int f = ps.flow(s, d);
+  ASSERT_EQ(ps.paths_of(f), 2);
   std::vector<int> choice(16, 0);
   choice[s * 4 + d] = 1;
   const auto rt = RoutingTable::from_choice(ps, choice);
-  EXPECT_TRUE(std::ranges::equal(rt.path(s, d), ps.at(s, d)[1]));
+  EXPECT_TRUE(
+      std::ranges::equal(rt.path(s, d), ps.nodes_of(ps.path_begin[f] + 1)));
 }
 
 TEST(RoutingTable, InconsistentWhenEdgeMissing) {
@@ -95,17 +97,15 @@ topo::DiGraph random_graph(int n, util::Rng& rng) {
   return g;
 }
 
-// Both table builders over one random PathSet per (n, seed).
+// Both table builders over one random path set per (n, seed).
 std::vector<RoutingTable> random_tables(int n, std::uint64_t seed) {
   util::Rng rng(seed);
   const auto g = random_graph(n, rng);
   const auto ps = enumerate_shortest_paths(g, 8);
   std::vector<int> choice(static_cast<std::size_t>(n) * n, 0);
-  for (int s = 0; s < n; ++s)
-    for (int d = 0; d < n; ++d)
-      if (s != d)
-        choice[static_cast<std::size_t>(s) * n + d] = static_cast<int>(
-            rng.uniform_int(0, static_cast<std::int64_t>(ps.at(s, d).size()) - 1));
+  for (int f = 0; f < ps.num_flows(); ++f)
+    choice[static_cast<std::size_t>(ps.flow_s[f]) * n + ps.flow_d[f]] =
+        static_cast<int>(rng.uniform_int(0, ps.paths_of(f) - 1));
   std::vector<RoutingTable> out{RoutingTable::from_choice(ps, choice),
                                 RoutingTable::select_random(ps, rng)};
   for (const auto& rt : out) EXPECT_TRUE(rt.consistent_with(g));

@@ -102,7 +102,7 @@ TEST(OrderedCdg, InsertMatchesFullRescan) {
     int closed = 0;
     for (int step = 0; step < 300; ++step) {
       // Random walk along the graph's links.
-      routing::Path p{static_cast<int>(rng.uniform_int(0, n - 1))};
+      std::vector<int> p{static_cast<int>(rng.uniform_int(0, n - 1))};
       const int len = static_cast<int>(rng.uniform_int(2, 6));
       while (static_cast<int>(p.size()) < len) {
         const auto& succ = g.out_neighbors(p.back());
