@@ -9,9 +9,11 @@
 #include <cstdint>
 
 #include "core/objective.hpp"
+#include "fault/model.hpp"
 #include "sim/network.hpp"
 #include "sim/traffic.hpp"
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 #include "sim_digest.hpp"
 
 namespace netsmith::sim {
@@ -220,6 +222,65 @@ TEST(SimGolden, DigestsMatchRecordedRuns) {
       cfg.reference_mode = reference;
       EXPECT_EQ(testing::stats_digest(simulate(plan, c.traffic, cfg)), c.digest)
           << c.name << (reference ? " (reference)" : "");
+    }
+}
+
+// The same digests at 48 routers, on a catalog MCLB plan: a coherence point
+// past the knee, memory request/reply traffic, and a lossless targeted cut
+// with repair and recovery, so packets route by a repaired epoch table.
+// Recorded on the simulator that routed each grant with
+// RoutingTable::next_hop, before flits carried their route position.
+TEST(SimGolden, FortyEightRouterDigestsMatchRecordedRuns) {
+  const auto& t = topologies::find(topologies::catalog(48), "Kite-like-medium-48");
+  const auto plan = plan_for(t.graph, t.layout);
+  TrafficConfig coherence;
+  coherence.kind = TrafficKind::kCoherence;
+  coherence.injection_rate = 0.2;
+  TrafficConfig memory;
+  memory.kind = TrafficKind::kMemory;
+  memory.mc_nodes = mc_nodes(t.layout);
+  memory.injection_rate = 0.02;
+  SimConfig cfg;
+  cfg.warmup = 500;
+  cfg.measure = 1500;
+  cfg.drain = 4000;
+  cfg.seed = 31;
+  fault::FaultScenarioSpec cut;
+  cut.mode = "targeted";
+  cut.k = 2;
+  cut.fail_at = 600;
+  cut.recover_at = 1800;
+  cut.lossy = false;
+  cut.repair = true;
+  const auto fp = fault::prepare_fault_plan(
+      plan, cut, cfg.warmup + cfg.measure + cfg.drain);
+  ASSERT_EQ(fp.epochs.size(), 3u);
+  ASSERT_TRUE(fp.epochs[1].repaired);
+  SimConfig faulted = cfg;
+  faulted.faults = &fp;
+  TrafficConfig light = coherence;
+  light.injection_rate = 0.03;
+  const struct {
+    const char* name;
+    TrafficConfig traffic;
+    SimConfig cfg;
+    std::uint64_t digest;
+  } cases[] = {
+      {"coherence-saturated", coherence, cfg, 0xb96b04682ddfd451ull},
+      {"memory", memory, cfg, 0x0bde834e87984649ull},
+      {"repaired-cut", light, faulted, 0x2ba3d69bd2b5f065ull},
+  };
+  for (const auto& c : cases)
+    for (const bool reference : {false, true}) {
+      SimConfig run = c.cfg;
+      run.reference_mode = reference;
+      const SimStats s = simulate(plan, c.traffic, run);
+      EXPECT_EQ(testing::stats_digest(s), c.digest)
+          << c.name << (reference ? " (reference)" : "") << std::hex
+          << " got 0x" << testing::stats_digest(s);
+      EXPECT_GT(s.total_ejected, 0) << c.name;
+      if (c.traffic.injection_rate == coherence.injection_rate)
+        EXPECT_TRUE(s.saturated) << c.name;
     }
 }
 
