@@ -33,6 +33,10 @@ class RoutingTable {
     return {hops_.data() + offset_[f], len_[f]};
   }
 
+  // The whole route arena. Every path(s, d) is a sub-span of it, so
+  // path(s, d).data() - hops().data() indexes arrays laid out alongside it.
+  std::span<const int> hops() const { return hops_; }
+
   // Replaces the (s, d) route. `route` must not point into this table.
   // A route no longer than the one it replaces is written in place; a
   // longer one goes to the end of the arena, so any flow order works.

@@ -7,8 +7,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <queue>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,21 @@
 namespace netsmith::sim {
 
 namespace {
+
+// Out-port sequences for one routing table (the base plan's, or a repaired
+// fault epoch's), built per flow on demand. `ports` lies alongside the
+// table's route arena and stays uninitialized until a flow is built, so an
+// unused table costs one untouched allocation; `built` holds one bit per
+// flow s * n + d.
+struct PortTable {
+  PortTable(const routing::RoutingTable& t, int n)
+      : table(&t),
+        ports(std::make_unique_for_overwrite<std::int16_t[]>(t.hops().size())),
+        built((static_cast<std::size_t>(n) * n + 63) / 64, 0) {}
+  const routing::RoutingTable* table;
+  std::unique_ptr<std::int16_t[]> ports;
+  std::vector<std::uint64_t> built;
+};
 
 // Activity-driven flit simulator. The per-cycle loop touches only
 //  (a) channels with a flit arriving now (per-channel arrival timing wheel),
@@ -49,6 +67,8 @@ class Simulator {
     last_input_pop_.assign(channels_.size(), -1);
     in_buffered_.assign(n_, 0);
     active_words_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+    route_mark_.assign(n_, 0);
+    port_tables_.emplace_back(plan_.table, n_);
     // An absent or empty fault plan leaves faults_ null, and every fault
     // branch below is a single predictable `if (faults_)` — the fault-free
     // hot path runs the exact pre-fault instruction stream.
@@ -57,11 +77,12 @@ class Simulator {
       link_down_.assign(channels_.size(), 0);
       wire_armed_.assign(channels_.size(), 0);
       router_down_.assign(static_cast<std::size_t>(n_), 0);
-      // Route-of-record per epoch: unrepaired epochs point at the base plan.
-      epoch_tables_.reserve(faults_->epochs.size());
+      // Route-of-record per epoch: unrepaired epochs share the base plan's.
+      epoch_ports_.reserve(faults_->epochs.size());
       epoch_vcs_.reserve(faults_->epochs.size());
       for (const fault::FaultEpoch& ep : faults_->epochs) {
-        epoch_tables_.push_back(ep.repaired ? &ep.table : &plan_.table);
+        epoch_ports_.push_back(ep.repaired ? port_tables_.size() : 0);
+        if (ep.repaired) port_tables_.emplace_back(ep.table, n_);
         epoch_vcs_.push_back(ep.repaired ? &ep.vc_map : &plan_.vc_map);
       }
     }
@@ -137,11 +158,29 @@ class Simulator {
   // --- Setup -------------------------------------------------------------
   void build_channels() {
     // No dense (u, v) -> channel map: lookups go through the per-router
-    // adjacency lists, and an n^2-int table would dominate the simulator's
+    // adjacency, and an n^2-int table would dominate the simulator's
     // footprint at n = 1024 (4 MB for a graph with ~4n channels).
-    out_edges_.resize(n_);
-    in_edges_.resize(n_);
-    for (const auto& [u, v] : plan_.graph.edges()) {
+    // Adjacency is CSR (see port_base_ and in_base_), filled in channel id
+    // order, so each router's ports and inputs keep ascending ids.
+    const auto edges = plan_.graph.edges();
+    port_base_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    in_base_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (const auto& [u, v] : edges) {
+      ++port_base_[u + 1];
+      ++in_base_[v + 1];
+    }
+    // Router u's port words: its out-edges, then one for ejection.
+    for (int u = 0; u < n_; ++u) {
+      port_base_[u + 1] += port_base_[u] + 1;
+      in_base_[u + 1] += in_base_[u];
+    }
+    port_channel_.assign(static_cast<std::size_t>(port_base_[n_]), -1);
+    port_dst_.assign(port_channel_.size(), -1);
+    in_channel_.assign(edges.size(), -1);
+    std::vector<int> out_fill(port_base_.begin(), port_base_.end() - 1);
+    std::vector<int> in_fill(in_base_.begin(), in_base_.end() - 1);
+    channels_.reserve(edges.size());
+    for (const auto& [u, v] : edges) {
       Channel ch;
       ch.src = u;
       ch.dst = v;
@@ -149,10 +188,11 @@ class Simulator {
       if (cfg_.extra_edge_delay.rows() == static_cast<std::size_t>(n_))
         ch.latency += cfg_.extra_edge_delay(u, v);
       ch.init(cfg_.num_vcs, cfg_.buf_flits);
-      ch.k_at_dst = static_cast<int>(in_edges_[v].size());
+      ch.k_at_dst = in_fill[v] - in_base_[v];
       const int id = static_cast<int>(channels_.size());
-      out_edges_[u].push_back(id);
-      in_edges_[v].push_back(id);
+      port_dst_[out_fill[u]] = v;
+      port_channel_[out_fill[u]++] = id;
+      in_channel_[in_fill[v]++] = id;
       channels_.push_back(std::move(ch));
     }
     out_rr_.assign(channels_.size(), 0);
@@ -164,21 +204,13 @@ class Simulator {
       max_latency = std::max(max_latency, ch.latency);
     wheel_.resize(std::bit_ceil(static_cast<std::size_t>(max_latency) + 1));
     wheel_mask_ = wheel_.size() - 1;
-    // Per-port request words (see req_mask_), laid out CSR-style: the
-    // out-edges of u in out_edges_ order, then u's ejection word. Usable when
+    // Per-port request words (see req_mask_), one per port word. Usable when
     // every slot index — including the injection input at k == in_degree —
     // fits in one word.
-    port_base_.assign(static_cast<std::size_t>(n_) + 1, 0);
-    for (int u = 0; u < n_; ++u) {
-      port_base_[u + 1] =
-          port_base_[u] + static_cast<int>(out_edges_[u].size()) + 1;
-      for (int id : out_edges_[u]) port_dst_.push_back(channels_[id].dst);
-      port_dst_.push_back(-1);
-    }
-    req_mask_.assign(port_dst_.size(), 0);
+    req_mask_.assign(port_channel_.size(), 0);
     mask_ok_.resize(n_);
     for (int u = 0; u < n_; ++u)
-      mask_ok_[u] = (in_edges_[u].size() + 1) * cfg_.num_vcs <= 64;
+      mask_ok_[u] = (in_degree(u) + 1) * cfg_.num_vcs <= 64;
     // Mask-mode slot decode: slot = k * num_vcs + vc, for every slot index a
     // request word can hold.
     for (int slot = 0; slot < 64 && cfg_.num_vcs > 0; ++slot) {
@@ -280,11 +312,74 @@ class Simulator {
                                                    : traffic_.ctrl_flits;
   }
 
+  // --- Routes --------------------------------------------------------------
+  // A flit carries its position on the route, so a grant reads the next
+  // out-port at O(1) instead of searching the route for the router and the
+  // router's out-edges for the next hop. Each flow's port sequence is built
+  // from its route on the flow's first packet: most runs touch a fraction
+  // of the n^2 flows, and a full pass per run costs more than the sim at
+  // large n.
+  int out_degree(int u) const { return port_base_[u + 1] - port_base_[u] - 1; }
+  int in_degree(int u) const { return in_base_[u + 1] - in_base_[u]; }
+
+  // Port index at router u of the link towards v; out_degree(u) (the
+  // ejection port) when u has no such link.
+  int port_of(int u, int v) const {
+    const int base = port_base_[u];
+    const int eject = port_base_[u + 1] - 1;
+    for (int w = base; w < eject; ++w)
+      if (port_dst_[w] == v) return w - base;
+    return eject - base;
+  }
+
+  // Flow (s, d)'s out-port sequence in pt, validating its route on first
+  // use: a route must be non-empty, run from s to d over links of the plan's
+  // graph and visit no router twice. Anything else would head-of-line block
+  // its source forever and report wrong stats, so it throws instead.
+  const std::int16_t* ports_of(PortTable& pt, int s, int d,
+                               std::span<const int> route) {
+    const std::size_t f = static_cast<std::size_t>(s) * n_ + d;
+    std::int16_t* ports =
+        pt.ports.get() + (route.data() - pt.table->hops().data());
+    const std::uint64_t bit = 1ULL << (f & 63);
+    if (pt.built[f >> 6] & bit) return ports;
+    const auto bad = [&](std::size_t hop, const std::string& what) {
+      return std::invalid_argument(
+          "simulate: route of flow " + std::to_string(s) + " -> " +
+          std::to_string(d) + " is invalid at hop " + std::to_string(hop) +
+          ": " + what);
+    };
+    if (route.empty()) throw bad(0, "the route is empty");
+    if (route.front() != s)
+      throw bad(0, "starts at router " + std::to_string(route.front()));
+    if (route.back() != d)
+      throw bad(route.size() - 1,
+                "ends at router " + std::to_string(route.back()));
+    // route[0] == s, and each later router was checked to be a neighbour
+    // of the one before, so every router indexes route_mark_ safely.
+    ++route_checks_;
+    for (std::size_t i = 0; i < route.size(); ++i) {
+      const int u = route[i];
+      if (route_mark_[u] == route_checks_)
+        throw bad(i, "revisits router " + std::to_string(u));
+      route_mark_[u] = route_checks_;
+      int port = out_degree(u);  // ejection, at d
+      if (i + 1 < route.size()) {
+        port = port_of(u, route[i + 1]);
+        if (port == out_degree(u))
+          throw bad(i, "no link " + std::to_string(u) + " -> " +
+                           std::to_string(route[i + 1]));
+      }
+      ports[i] = static_cast<std::int16_t>(port);
+    }
+    pt.built[f >> 6] |= bit;
+    return ports;
+  }
+
   Packet* make_packet(int src, int dst, int flits, long cycle, bool request) {
     // New packets route by the current epoch's table; the epoch index is
     // pinned into the packet so later repairs never re-route it mid-flight.
-    const routing::RoutingTable& table =
-        faults_ ? *epoch_tables_[cur_epoch_] : plan_.table;
+    PortTable& pt = port_tables_[faults_ ? epoch_ports_[cur_epoch_] : 0];
     const vc::VcMap& vcm = faults_ ? *epoch_vcs_[cur_epoch_] : plan_.vc_map;
     const int vc = vcm.vc[static_cast<std::size_t>(src) * n_ + dst];
     if (vc < 0) {
@@ -293,6 +388,8 @@ class Simulator {
       if (faults_) ++stats_.packets_unroutable;
       return nullptr;
     }
+    const auto route = pt.table->path(src, dst);
+    const std::int16_t* ports = ports_of(pt, src, dst, route);
     Packet* p;
     if (!freelist_.empty()) {
       p = freelist_.back();
@@ -307,7 +404,8 @@ class Simulator {
     p->dst = dst;
     p->flits = flits;
     p->vc = vc;
-    p->src_next = table.next_hop(src, src, dst);
+    p->route = route.data();
+    p->ports = ports;
     p->epoch = static_cast<int>(cur_epoch_);
     p->inject_cycle = cycle;
     p->tagged = cycle >= cfg_.warmup && cycle < cfg_.warmup + cfg_.measure;
@@ -375,14 +473,14 @@ class Simulator {
   // path never reaches it.
 
   int channel_id(int u, int v) const {
-    for (int id : out_edges_[u])
-      if (channels_[id].dst == v) return id;
-    return -1;
+    const int j = port_of(u, v);
+    return j < out_degree(u) ? port_channel_[port_base_[u] + j] : -1;
   }
 
   // The routing a packet was injected under (its epoch of record).
   const routing::RoutingTable& table_for(const Packet* p) const {
-    return faults_ ? *epoch_tables_[static_cast<std::size_t>(p->epoch)]
+    return faults_ ? *port_tables_[epoch_ports_[static_cast<std::size_t>(
+                         p->epoch)]].table
                    : plan_.table;
   }
 
@@ -480,7 +578,7 @@ class Simulator {
         for (int j = 0; j < w; ++j) {
           const InFlight f = ch.wire[(ch.wire_head + j) % ring];
           if (f.flit.pkt->dropped) {
-            ++ch.credits[f.vc];  // reserved downstream slot, never filled
+            ++ch.state[f.vc].credits;  // reserved downstream slot, never filled
             ++stats_.flits_dropped;
           } else {
             ch.wire[(ch.wire_head + kept) % ring] = f;
@@ -492,27 +590,26 @@ class Simulator {
         // and re-arms from the surviving front (see deliver_arrivals).
       }
       for (int vc = 0; vc < ch.vcs; ++vc) {
-        if (ch.count[vc] > 0) {
-          const int c = ch.count[vc];
+        VcState& st = ch.state[vc];
+        if (st.count > 0) {
+          const int c = st.count;
           int kept = 0;
           for (int j = 0; j < c; ++j) {
-            const Flit f =
-                ch.buf[static_cast<std::size_t>(vc) * ch.cap +
-                       (ch.head[vc] + j) % ch.cap];
+            const Flit f = ch.buf[static_cast<std::size_t>(vc) * ch.cap +
+                                  (st.head + j) % ch.cap];
             if (f.pkt->dropped) {
-              ++ch.credits[vc];
+              ++st.credits;
               --in_buffered_[ch.dst];
               ++stats_.flits_dropped;
             } else {
               ch.buf[static_cast<std::size_t>(vc) * ch.cap +
-                     (ch.head[vc] + kept) % ch.cap] = f;
+                     (st.head + kept) % ch.cap] = f;
               ++kept;
             }
           }
-          ch.count[vc] = kept;
+          st.count = static_cast<std::uint16_t>(kept);
         }
-        if (ch.owner[vc] != nullptr && ch.owner[vc]->dropped)
-          ch.owner[vc] = nullptr;
+        if (st.owner != nullptr && st.owner->dropped) st.owner = nullptr;
       }
     }
     // Purges change heads anywhere in the network: rebuild every mask.
@@ -557,7 +654,7 @@ class Simulator {
       while (!ch.wire_empty() && ch.wire_front().arrive <= cycle) {
         const InFlight& f = ch.wire_front();
         ch.push(f.vc, f.flit);
-        if (ch.count[f.vc] == 1 && mask_ok_[ch.dst])
+        if (ch.state[f.vc].count == 1 && mask_ok_[ch.dst])
           request_word(ch, f.vc) |= slot_bit(ch, f.vc);
         ch.wire_pop();
         ++in_buffered_[ch.dst];
@@ -587,21 +684,10 @@ class Simulator {
                      static_cast<std::size_t>(ch.front(vc).port)];
   }
 
-  // Port index at router u of the link towards `next`; the ejection word's
-  // index (the out-degree) for next == -1.
-  int port_of(int u, int next) const {
-    const int base = port_base_[u];
-    const int eject = port_base_[u + 1] - 1;
-    for (int w = base; w < eject; ++w)
-      if (port_dst_[w] == next) return w - base;
-    return eject - base;
-  }
-
   void switch_router(int u, long cycle) {
     if (cfg_.reference_mode || !mask_ok_[u]) {
       ejection(u, cycle);
-      for (std::size_t j = 0; j < out_edges_[u].size(); ++j)
-        arbitrate_output(u, j, cycle);
+      for (int j = 0; j < out_degree(u); ++j) arbitrate_output(u, j, cycle);
       return;
     }
     // Mask mode: a port whose request word is empty, and that the source
@@ -614,8 +700,9 @@ class Simulator {
     const auto& sq = sources_[u];
     for (std::size_t p = base; p < eject; ++p)
       if (req_mask_[p] != 0 ||
-          (!sq.packets.empty() && sq.packets.front()->src_next == port_dst_[p]))
-        arbitrate_output(u, p - base, cycle);
+          (!sq.packets.empty() &&
+           static_cast<std::size_t>(sq.packets.front()->ports[0]) == p - base))
+        arbitrate_output(u, static_cast<int>(p - base), cycle);
   }
 
   // Per-cycle activity accounting. The SimStats sum is always maintained
@@ -692,10 +779,9 @@ class Simulator {
   }
 
   // Head flit of (input source k, vc) at router u, or nullptr.
-  Flit* peek(int u, std::size_t k, int vc) {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) {
-      Channel& ch = channels_[ins[k]];
+  Flit* peek(int u, int k, int vc) {
+    if (k < in_degree(u)) {
+      Channel& ch = channels_[in_channel_[in_base_[u] + k]];
       return ch.empty(vc) ? nullptr : &ch.front(vc);
     }
     // Injection source: synthesize the next flit view of the head packet.
@@ -708,21 +794,22 @@ class Simulator {
     inject_view_.pkt = p;
     inject_view_.head = p->flits_sent == 0;
     inject_view_.tail = p->flits_sent == p->flits - 1;
-    inject_view_.next = p->src_next;
+    inject_view_.port = p->ports[0];
+    inject_view_.hop = 0;
     return &inject_view_;
   }
 
-  void pop(int u, std::size_t k, int vc, long cycle) {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) {
-      Channel& ch = channels_[ins[k]];
+  void pop(int u, int k, int vc, long cycle) {
+    if (k < in_degree(u)) {
+      const int id = in_channel_[in_base_[u] + k];
+      Channel& ch = channels_[id];
       if (mask_ok_[u]) request_word(ch, vc) &= ~slot_bit(ch, vc);
       ch.pop(vc);
       if (mask_ok_[u] && !ch.empty(vc))
         request_word(ch, vc) |= slot_bit(ch, vc);
-      ++ch.credits[vc];  // instantaneous credit return (simplification)
+      ++ch.state[vc].credits;  // instantaneous credit return (simplification)
       --in_buffered_[u];
-      last_input_pop_[ins[k]] = cycle;
+      last_input_pop_[id] = cycle;
     } else {
       auto& sq = sources_[u];
       Packet* p = sq.packets.front();
@@ -742,49 +829,50 @@ class Simulator {
            sq.flits_this_cycle < cfg_.io_flits_per_cycle;
   }
 
-  bool input_port_free(int u, std::size_t k, long cycle) const {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) return last_input_pop_[ins[k]] != cycle;
+  bool input_port_free(int u, int k, long cycle) const {
+    if (k < in_degree(u))
+      return last_input_pop_[in_channel_[in_base_[u] + k]] != cycle;
     return source_bw_free(sources_[u]);
   }
 
-  // Output port j of router u (the link out_edges_[u][j]).
-  void arbitrate_output(int u, std::size_t j, long cycle) {
-    const int eid = out_edges_[u][j];
+  // Output port j of router u (the link port_channel_[port_base_[u] + j]).
+  void arbitrate_output(int u, int j, long cycle) {
+    const int eid = port_channel_[port_base_[u] + j];
     if (faults_ && link_down_[eid]) return;  // down links accept no flits
     Channel& out = channels_[eid];
-    const std::size_t num_inputs = in_edges_[u].size() + 1;
+    const std::size_t num_inputs = static_cast<std::size_t>(in_degree(u)) + 1;
     const std::size_t slots = num_inputs * cfg_.num_vcs;
     int& rr = out_rr_[eid];
 
     // Returns true when slot = (input k, vc) wins the output this cycle.
-    const auto try_slot = [&](std::size_t k, int vc, std::size_t slot) {
+    const auto try_slot = [&](int k, int vc, std::size_t slot) {
       if (!input_port_free(u, k, cycle)) return false;
       Flit* f = peek(u, k, vc);
       if (!f) return false;
       Packet* p = f->pkt;
+      assert(p->route[f->hop] == u && p->ports[f->hop] == f->port);
       if (cfg_.reference_mode) {
         // Oracle: route from the table per candidate, as the original scan
-        // did. f->next caches exactly this lookup (-1 when p->dst == u).
+        // did. f->port caches exactly this lookup (the ejection port when
+        // p->dst == u).
         if (p->dst == u) return false;  // belongs to the ejection port
         if (table_for(p).next_hop(u, p->src, p->dst) != out.dst) return false;
-      } else if (f->next != out.dst) {
+      } else if (f->port != j) {
         return false;
       }
       // Wormhole VC allocation + credit check.
-      if (out.owner[vc] != nullptr && out.owner[vc] != p) return false;
-      if (out.owner[vc] == nullptr && !f->head) return false;
-      if (out.credits[vc] <= 0) return false;
+      VcState& st = out.state[vc];
+      if (st.owner != nullptr && st.owner != p) return false;
+      if (st.owner == nullptr && !f->head) return false;
+      if (st.credits <= 0) return false;
 
-      // Grant: route the flit for its next router once, here.
+      // Grant: the flit moves one router along its route.
       Flit sent = *f;
-      sent.next = p->dst == out.dst
-                      ? -1
-                      : table_for(p).next_hop(out.dst, p->src, p->dst);
-      sent.port = static_cast<std::int16_t>(port_of(out.dst, sent.next));
+      ++sent.hop;
+      sent.port = p->ports[sent.hop];
       pop(u, k, vc, cycle);
-      --out.credits[vc];
-      out.owner[vc] = sent.tail ? nullptr : p;
+      --st.credits;
+      st.owner = sent.tail ? nullptr : p;
       if (out.wire_empty() && (!faults_ || !wire_armed_[eid])) {
         arm(cycle + out.latency, eid);
         if (faults_) wire_armed_[eid] = 1;
@@ -797,13 +885,12 @@ class Simulator {
     if (!cfg_.reference_mode && mask_ok_[u]) {
       // Visit only slots whose head requests this output, in the same cyclic
       // order the full scan uses. Every skipped slot — empty, or headed
-      // elsewhere — fails try_slot's next-hop test, which has no side
-      // effects, so grants (and hence the round-robin pointer) are identical.
-      std::uint64_t m = req_mask_[static_cast<std::size_t>(port_base_[u]) + j];
+      // elsewhere — fails try_slot's port test, which has no side effects,
+      // so grants (and hence the round-robin pointer) are identical.
+      std::uint64_t m = req_mask_[static_cast<std::size_t>(port_base_[u] + j)];
       const auto& sq = sources_[u];
-      if (!sq.packets.empty() && sq.packets.front()->src_next == out.dst)
-        m |= 1ULL << (in_edges_[u].size() * cfg_.num_vcs +
-                      sq.packets.front()->vc);
+      if (!sq.packets.empty() && sq.packets.front()->ports[0] == j)
+        m |= 1ULL << (in_degree(u) * cfg_.num_vcs + sq.packets.front()->vc);
       if (m == 0) return;
       const std::uint64_t below_rr = (1ULL << rr) - 1;
       for (std::uint64_t part : {m & ~below_rr, m & below_rr})
@@ -818,22 +905,22 @@ class Simulator {
     }
     for (std::size_t step = 0; step < slots; ++step) {
       const std::size_t slot = (rr + step) % slots;
-      if (try_slot(slot / cfg_.num_vcs, static_cast<int>(slot % cfg_.num_vcs),
-                   slot))
+      if (try_slot(static_cast<int>(slot / cfg_.num_vcs),
+                   static_cast<int>(slot % cfg_.num_vcs), slot))
         return;
     }
   }
 
   void ejection(int u, long cycle) {
     if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
-    const auto& ins = in_edges_[u];
-    const std::size_t slots = ins.size() * cfg_.num_vcs;
+    const std::size_t slots =
+        static_cast<std::size_t>(in_degree(u)) * cfg_.num_vcs;
     if (slots == 0) return;
     int& rr = eject_rr_[u];
 
-    const auto try_slot = [&](std::size_t k, int vc, std::size_t slot) {
+    const auto try_slot = [&](int k, int vc, std::size_t slot) {
       if (!input_port_free(u, k, cycle)) return false;
-      Channel& ch = channels_[ins[k]];
+      Channel& ch = channels_[in_channel_[in_base_[u] + k]];
       if (ch.empty(vc)) return false;
       const Flit f = ch.front(vc);
       if (f.pkt->dst != u) return false;
@@ -864,7 +951,7 @@ class Simulator {
       } else {
         for (std::size_t step = 0; step < slots && !any; ++step) {
           const std::size_t slot = (rr + step) % slots;
-          any = try_slot(slot / cfg_.num_vcs,
+          any = try_slot(static_cast<int>(slot / cfg_.num_vcs),
                          static_cast<int>(slot % cfg_.num_vcs), slot);
         }
       }
@@ -920,10 +1007,11 @@ class Simulator {
       for (int j = 0; j < ch.wire_count; ++j)
         ++wire_vc[ch.wire[(ch.wire_head + j) % ch.wire.size()].vc];
       for (int vc = 0; vc < ch.vcs; ++vc) {
-        stats_.flits_buffered_end += ch.count[vc];
-        if (ch.credits[vc] != cfg_.buf_flits - ch.count[vc] - wire_vc[vc])
+        const VcState& st = ch.state[vc];
+        stats_.flits_buffered_end += st.count;
+        if (st.credits != cfg_.buf_flits - st.count - wire_vc[vc])
           stats_.credits_consistent = false;
-        if (ch.owner[vc] != nullptr) stats_.owners_clear = false;
+        if (st.owner != nullptr) stats_.owners_clear = false;
       }
       stats_.flits_inflight_end += ch.wire_count;
     }
@@ -944,7 +1032,10 @@ class Simulator {
   // capacity, so the steady state allocates nothing.
   std::vector<std::vector<int>> wheel_;
   std::size_t wheel_mask_ = 0;  // wheel_.size() - 1 (a power of two)
-  std::vector<std::vector<int>> out_edges_, in_edges_;
+  // CSR adjacency: router v's in-edges are in_channel_[in_base_[v] ..
+  // in_base_[v + 1]), position k being input k of its switch; its out-edges
+  // are its port words (port_base_, port_channel_).
+  std::vector<int> in_base_, in_channel_;
   std::vector<int> out_rr_, eject_rr_;
   std::vector<long> last_input_pop_;
   std::vector<SourceQueue> sources_;
@@ -963,14 +1054,16 @@ class Simulator {
       static_cast<int>(sizeof(kOccBounds) / sizeof(kOccBounds[0])) + 1;
   bool metrics_on_ = false;
   long occ_counts_[kOccBuckets] = {};
-  // Per-port request masks for mask-driven arbitration: router u owns words
-  // port_base_[u] .. port_base_[u + 1] - 1, one per out-edge (out_edges_
-  // order) and a last one for ejection, and port_dst_ names each word's
-  // next hop (-1 for ejection). Bit (k, vc) of word p is set iff the head
-  // flit of input slot (k, vc) requests port p. Maintained only while the
-  // slot space fits one word (mask_ok_, per router). slot_k_ / slot_vc_
-  // decode a request-word bit into its (input, VC) pair.
+  // Port words: router u owns words port_base_[u] .. port_base_[u + 1] - 1,
+  // one per out-edge and a last one for ejection. Word p's link is channel
+  // port_channel_[p] towards router port_dst_[p] (both -1 for ejection).
+  // The per-port request masks for mask-driven arbitration use the same
+  // words: bit (k, vc) of word p is set iff the head flit of input slot
+  // (k, vc) requests port p. Maintained only while the slot space fits one
+  // word (mask_ok_, per router). slot_k_ / slot_vc_ decode a request-word
+  // bit into its (input, VC) pair.
   std::vector<int> port_base_;
+  std::vector<int> port_channel_;
   std::vector<int> port_dst_;
   std::vector<std::uint64_t> req_mask_;
   std::vector<std::uint8_t> mask_ok_;
@@ -992,12 +1085,19 @@ class Simulator {
   const fault::FaultPlan* faults_ = nullptr;
   std::size_t next_event_ = 0;
   std::size_t cur_epoch_ = 0;
-  std::vector<const routing::RoutingTable*> epoch_tables_;
+  std::vector<std::size_t> epoch_ports_;  // per epoch: its port_tables_ entry
   std::vector<const vc::VcMap*> epoch_vcs_;
   std::vector<std::uint8_t> link_down_;    // per channel id
   std::vector<std::uint8_t> router_down_;  // per router
   std::vector<std::uint8_t> wire_armed_;   // per channel id
   std::vector<long> latencies_;  // tagged completion latencies (percentiles)
+
+  // Route state: [0] routes by the base plan, later entries by repaired
+  // fault epochs. route_mark_ stamps the routers of the route being
+  // validated with route_checks_, to catch a revisit.
+  std::vector<PortTable> port_tables_;
+  std::vector<long> route_mark_;
+  long route_checks_ = 0;
 
   std::deque<Packet> arena_;        // stable storage; grows only when the
   std::vector<Packet*> freelist_;   // freelist of completed packets is empty

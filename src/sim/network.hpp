@@ -95,7 +95,11 @@ struct SimStats {
 };
 
 // Runs one simulation at a fixed injection rate. The plan's VC map must use
-// <= cfg.num_vcs channels.
+// <= cfg.num_vcs channels. Throws std::invalid_argument for memory traffic
+// without mc_nodes, custom traffic without per-node entries, and a route
+// that is empty, does not run from its flow's source to its destination,
+// leaves the plan's links or revisits a router; routes are checked on
+// their flow's first packet, so only flows the run uses are checked.
 SimStats simulate(const core::NetworkPlan& plan, const TrafficConfig& traffic,
                   const SimConfig& cfg);
 

@@ -28,6 +28,16 @@ struct InFlight {
   int vc = 0;
 };
 
+// Per-(link, VC) state, packed so one switch decision reads one 16-byte
+// record instead of four parallel arrays.
+struct VcState {
+  Packet* owner = nullptr;  // wormhole allocation
+  std::uint16_t head = 0;   // input ring head
+  std::uint16_t count = 0;  // input occupancy
+  int credits = 0;          // free downstream slots, at the upstream router
+};
+static_assert(sizeof(VcState) == 2 * sizeof(Packet*), "one VC, 16 bytes");
+
 // State of one directed link.
 struct Channel {
   int src = 0, dst = 0;
@@ -35,11 +45,8 @@ struct Channel {
   int vcs = 0, cap = 0;
   int k_at_dst = 0;  // position of this channel among dst's in-edges
 
-  std::vector<Flit> buf;             // flat per-VC rings: slot vc*cap + i
-  std::vector<std::uint16_t> head;   // per-VC ring head
-  std::vector<std::uint16_t> count;  // per-VC occupancy
-  std::vector<int> credits;          // per VC, at the upstream router
-  std::vector<Packet*> owner;        // per VC wormhole allocation
+  std::vector<Flit> buf;       // flat per-VC rings: slot vc*cap + i
+  std::vector<VcState> state;  // per VC
 
   std::vector<InFlight> wire;  // flight ring (FIFO: fixed latency)
   int wire_head = 0, wire_count = 0;
@@ -50,32 +57,30 @@ struct Channel {
     vcs = num_vcs;
     cap = buf_flits;
     buf.assign(static_cast<std::size_t>(vcs) * cap, {});
-    head.assign(vcs, 0);
-    count.assign(vcs, 0);
-    credits.assign(vcs, buf_flits);
-    owner.assign(vcs, nullptr);
+    state.assign(vcs, VcState{nullptr, 0, 0, buf_flits});
     wire.assign(static_cast<std::size_t>(latency) + 1, {});
     wire_head = wire_count = 0;
   }
 
-  bool empty(int vc) const { return count[vc] == 0; }
+  bool empty(int vc) const { return state[vc].count == 0; }
   Flit& front(int vc) {
-    return buf[static_cast<std::size_t>(vc) * cap + head[vc]];
+    return buf[static_cast<std::size_t>(vc) * cap + state[vc].head];
   }
   // Ring indices wrap by comparison: head < cap and count <= cap, so one
   // subtraction suffices (no division on the per-flit path).
   void push(int vc, const Flit& f) {
-    assert(count[vc] < cap);  // credits guarantee a free slot
-    int i = head[vc] + count[vc];
+    VcState& s = state[vc];
+    assert(s.count < cap);  // credits guarantee a free slot
+    int i = s.head + s.count;
     if (i >= cap) i -= cap;
     buf[static_cast<std::size_t>(vc) * cap + i] = f;
-    ++count[vc];
+    ++s.count;
   }
   void pop(int vc) {
-    assert(count[vc] > 0);
-    head[vc] =
-        head[vc] + 1 == cap ? 0 : static_cast<std::uint16_t>(head[vc] + 1);
-    --count[vc];
+    VcState& s = state[vc];
+    assert(s.count > 0);
+    s.head = s.head + 1 == cap ? 0 : static_cast<std::uint16_t>(s.head + 1);
+    --s.count;
   }
 
   bool wire_empty() const { return wire_count == 0; }

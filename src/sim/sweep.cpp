@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "obs/trace.hpp"
 
@@ -85,11 +86,28 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
 #endif
   result.omp_threads = static_cast<int>(wave);
   const std::size_t total = rates.size() + 1;
+  // An exception may not leave an OpenMP region (it would terminate the
+  // process), so each job parks its own and the sweep rethrows the one of
+  // the lowest job index after the region: the same error whatever the
+  // schedule.
+  std::vector<std::exception_ptr> errors(total);
+  const auto guarded_job = [&](std::size_t job, bool truncate) {
+    try {
+      run_job(job, truncate);
+    } catch (...) {
+      errors[job] = std::current_exception();
+    }
+  };
+  const auto rethrow_first = [&errors] {
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
+  };
   if (!opt.adaptive) {
     // One region, no barriers: highest rate (slowest run) first, so the
     // long saturated points start early and the cheap ones fill in.
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t k = 0; k < total; ++k) run_job(total - 1 - k, false);
+    for (std::size_t k = 0; k < total; ++k) guarded_job(total - 1 - k, false);
+    rethrow_first();
   } else {
     // Adaptive: ascending-rate waves sized to the thread team. Truncation
     // for a wave depends only on completed waves, so the sweep stays
@@ -100,7 +118,11 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
       const std::size_t end = std::min(total, begin + wave);
       const bool truncate = saturated_seen;
 #pragma omp parallel for schedule(dynamic)
-      for (std::size_t job = begin; job < end; ++job) run_job(job, truncate);
+      for (std::size_t job = begin; job < end; ++job)
+        guarded_job(job, truncate);
+      // Waves run in job order, so the first failing wave holds the lowest
+      // failing index of the whole sweep.
+      rethrow_first();
       for (std::size_t job = std::max<std::size_t>(begin, 1); job < end; ++job)
         if (result.points[job - 1].stats.saturated) saturated_seen = true;
     }

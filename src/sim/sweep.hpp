@@ -53,6 +53,9 @@ struct SweepOptions {
   long min_drain = 2000;
 };
 
+// Throws what simulate throws (std::invalid_argument for a malformed plan
+// or traffic config): the error of the lowest failing job, the zero-load
+// run being job 0 and rate point i job i + 1.
 SweepResult injection_sweep(const core::NetworkPlan& plan,
                             const TrafficConfig& traffic, const SimConfig& cfg,
                             double clock_ghz, const std::vector<double>& rates,

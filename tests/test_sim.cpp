@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "sim/sweep.hpp"
 #include "topo/builders.hpp"
 #include "topo/metrics.hpp"
 #include "vc/layers.hpp"
@@ -167,6 +172,52 @@ TEST(Sim, VcLayeringVerifiedDeadlockFree) {
       a.layer[s * 20 + d] = plan.vc_map.layer_of_vc[vcid];
     }
   EXPECT_TRUE(vc::verify_acyclic(a, plan.table, g));
+}
+
+// A route the simulator cannot follow is rejected on its flow's first packet
+// instead of head-of-line blocking its source for the rest of the run.
+// 0 and 6 are diagonal neighbours on the 4x5 mesh (no link); 0-1, 0-5, 1-6
+// and 5-6 are links.
+TEST(Sim, MalformedRoutesThrowNamingFlowAndHop) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto base = plan_for(topo::build_mesh(lay), lay);
+  TrafficConfig t;
+  t.kind = TrafficKind::kCoherence;
+  t.injection_rate = 0.05;
+  const struct {
+    std::vector<int> route;
+    const char* what;
+  } cases[] = {
+      {{0, 6}, "invalid at hop 0: no link 0 -> 6"},
+      {{}, "invalid at hop 0: the route is empty"},
+      {{1, 6}, "invalid at hop 0: starts at router 1"},
+      {{0, 1}, "invalid at hop 1: ends at router 1"},
+      {{0, 1, 0, 5, 6}, "invalid at hop 2: revisits router 0"},
+  };
+  for (const auto& c : cases)
+    for (const bool reference : {false, true}) {
+      auto plan = base;
+      plan.table.set_path(0, 6, c.route);
+      SimConfig cfg = quick_cfg();
+      cfg.reference_mode = reference;
+      try {
+        simulate(plan, t, cfg);
+        ADD_FAILURE() << c.what << ": no throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::string("route of flow 0 -> 6 is ") + c.what),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  // Through a sweep, whose points run inside an OpenMP region.
+  auto plan = base;
+  plan.table.set_path(0, 6, std::vector<int>{0, 6});
+  SweepOptions fixed;
+  fixed.adaptive = false;
+  for (const SweepOptions& opt : {SweepOptions{}, fixed})
+    EXPECT_THROW(sweep_to_saturation(plan, t, quick_cfg(), 3.0, 4, 0.0, opt),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Reference-vs-optimized simulator equivalence: the activity-driven event
-// loop (active router set, cached next-hops, heap-scheduled injection) must
-// produce bit-identical SimStats to the full per-cycle scan for the same
+// loop (active router set, route-position flits, heap-scheduled injection)
+// must produce bit-identical SimStats to the full per-cycle scan for the same
 // seed — across every TrafficKind, several topologies and seeds, and on both
 // sides of the saturation knee.
 
@@ -231,7 +231,8 @@ TEST(SimGolden, DigestsMatchRecordedRuns) {
 // Recorded on the simulator that routed each grant with
 // RoutingTable::next_hop, before flits carried their route position.
 TEST(SimGolden, FortyEightRouterDigestsMatchRecordedRuns) {
-  const auto& t = topologies::find(topologies::catalog(48), "Kite-like-medium-48");
+  const auto t =
+      topologies::find(topologies::catalog(48), "Kite-like-medium-48");
   const auto plan = plan_for(t.graph, t.layout);
   TrafficConfig coherence;
   coherence.kind = TrafficKind::kCoherence;

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -115,11 +116,12 @@ std::uint64_t sweep_digest(const SweepResult& r) {
 template <class F>
 SweepResult at_width(int threads, F&& f) {
 #if defined(_OPENMP)
-  const int saved = omp_get_max_threads();
+  struct Restore {
+    int saved = omp_get_max_threads();
+    ~Restore() { omp_set_num_threads(saved); }
+  } restore;
   omp_set_num_threads(threads);
-  SweepResult r = f();
-  omp_set_num_threads(saved);
-  return r;
+  return f();
 #else
   (void)threads;
   return f();
@@ -163,6 +165,30 @@ TEST_F(SweepTest, FixedSweepIsScheduleIndependent) {
       << "adaptive: 0x" << std::hex << sweep_digest(a);
   // The grid crosses saturation, so truncation did shorten later points.
   EXPECT_NE(sweep_digest(a), kFixedDigest);
+}
+
+// A simulate that throws inside the sweep's OpenMP region reaches the
+// caller as the same exception, at any width, fixed or adaptive; it used to
+// terminate the process. Memory traffic without mc_nodes fails every job.
+TEST_F(SweepTest, SimulateErrorReachesTheCaller) {
+  const auto lay = topo::Layout::noi_4x5();
+  const auto plan = core::plan_network(topo::build_mesh(lay), lay,
+                                       core::RoutingPolicy::kMclb, 6);
+  TrafficConfig t;
+  t.kind = TrafficKind::kMemory;  // no mc_nodes
+  SweepOptions fixed;
+  fixed.adaptive = false;
+  for (const int width : {1, 4})
+    for (const SweepOptions& opt : {SweepOptions{}, fixed}) {
+      try {
+        at_width(width, [&] {
+          return sweep_to_saturation(plan, t, cfg(), 3.0, 6, 0.0, opt);
+        });
+        ADD_FAILURE() << "width " << width << ": no throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "memory traffic requires mc_nodes");
+      }
+    }
 }
 
 }  // namespace
