@@ -317,8 +317,7 @@ class Simulator {
   // out-port at O(1) instead of searching the route for the router and the
   // router's out-edges for the next hop. Each flow's port sequence is built
   // from its route on the flow's first packet: most runs touch a fraction
-  // of the n^2 flows, and a full pass per run costs more than the sim at
-  // large n.
+  // of the n^2 flows, so the build cost follows the traffic, not n^2.
   int out_degree(int u) const { return port_base_[u + 1] - port_base_[u] - 1; }
   int in_degree(int u) const { return in_base_[u + 1] - in_base_[u]; }
 
