@@ -63,7 +63,9 @@ int main() {
 
   print_kind(report, "coherence", "(a): coherence traffic");
   print_kind(report, "memory", "(b): memory traffic");
-  std::printf("[%.1f s of adaptive sweeps via the Study API]\n\n", secs);
+  std::fprintf(stderr, "[%.1f s of adaptive sweeps via the Study API]\n",
+               secs);
+  std::printf("\n");
   std::printf(
       "Expected shape: NS-* saturate last within each class; LPBT variants\n"
       "saturate first; Kite is the best expert design. Memory traffic\n"

@@ -64,7 +64,7 @@ int main() {
   }
 
   table.print(std::cout);
-  std::printf("[%.1f s of adaptive sweeps]\n", timer.seconds());
+  std::fprintf(stderr, "[%.1f s of adaptive sweeps]\n", timer.seconds());
   std::printf(
       "\nExpected shape (paper Fig. 10): topologies optimized for uniform\n"
       "random vary in shuffle performance; the NS-ShufOpt rows beat every\n"

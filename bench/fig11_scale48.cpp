@@ -48,7 +48,8 @@ int main() {
                    util::TablePrinter::fmt(sw.saturation_pkt_node_ns, 4)});
   }
   table.print(std::cout);
-  std::printf("[%.1f s of adaptive sweeps via the Study API]\n", timer.seconds());
+  std::fprintf(stderr, "[%.1f s of adaptive sweeps via the Study API]\n",
+               timer.seconds());
   std::printf(
       "\nExpected shape (paper Fig. 11): NS topologies beat every scalable\n"
       "legacy design in saturation throughput across all three classes,\n"

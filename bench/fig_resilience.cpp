@@ -89,8 +89,8 @@ int main() {
          util::TablePrinter::fmt(min_delivered, 4)});
   }
   table.print(std::cout);
-  std::printf("[%.1f s of fixed-window sweeps via the Study API]\n",
-              timer.seconds());
+  std::fprintf(stderr, "[%.1f s of fixed-window sweeps via the Study API]\n",
+               timer.seconds());
   std::printf(
       "\nExpected shape: saturation degrades gracefully with k on the\n"
       "path-diverse NS topology (repair absorbs single cuts almost fully),\n"

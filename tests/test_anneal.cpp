@@ -276,6 +276,10 @@ TEST(AnnealGolden, MultiRestartDigests) {
   grid86.layout = topo::Layout{8, 6, 2.0};
   grid86.radix = 4;
   grid86.seed = 23;
+  SynthesisConfig grid108 = grid86;
+  grid108.layout = topo::Layout{10, 8, 2.0};
+  SynthesisConfig grid86_sym = grid86;
+  grid86_sym.symmetric_links = true;
   const struct {
     const char* name;
     SynthesisConfig cfg;
@@ -290,6 +294,15 @@ TEST(AnnealGolden, MultiRestartDigests) {
        0xb464b360c94eb66eull},
       {"8x6 landmark latop 2x3000", with(grid86, 2, 3000, 12),
        0x1e02826f6be66783ull},
+      // Full-mode delta-APSP rows: n = 48 fits one 64-bit word per row set,
+      // n = 80 needs two (and the multi-word BFS), and the symmetric row
+      // removes twin pairs.
+      {"8x6 latop 1x20000", with(grid86, 1, 20000, 0),
+       0x01021264a9a579beull},
+      {"10x8 latop 1x3000", with(grid108, 1, 3000, 0),
+       0x3e285e513ffcec36ull},
+      {"8x6 symmetric latop 1x5000", with(grid86_sym, 1, 5000, 0),
+       0x762a49d9a225f200ull},
   };
   for (const auto& c : cases) {
     const auto r = anneal_synthesize(c.cfg);
