@@ -588,18 +588,15 @@ class RestartRun {
   // the exact objective values.
   bool exact_rescore(const topo::DiGraph& g, double* exact_avg,
                      double* exact_weighted) {
+    // Every partial sum is an integer below 2^53, so adding row totals
+    // gives the same double as adding entry by entry.
     double total = 0.0;
     long unreachable = 0;
     for (int s = 0; s < n_; ++s) {
-      int* row = &ws_.exact_dist(static_cast<std::size_t>(s), 0);
-      ws_.bfs.distances(g, s, row);
-      for (int j = 0; j < n_; ++j) {
-        if (j == s) continue;
-        if (row[j] >= topo::kUnreachable)
-          ++unreachable;
-        else
-          total += row[j];
-      }
+      const auto t = ws_.bfs.distances(
+          g, s, &ws_.exact_dist(static_cast<std::size_t>(s), 0));
+      total += static_cast<double>(t.hop_sum);
+      unreachable += t.unreached;
     }
     if (unreachable > 0) return false;
     *exact_avg = total / (static_cast<double>(n_) * (n_ - 1));

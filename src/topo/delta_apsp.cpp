@@ -1,6 +1,7 @@
 #include "topo/delta_apsp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -25,8 +26,7 @@ void DeltaApsp::init(int n, std::vector<int> sources) {
   }
   row_sum_.assign(k, 0);
   row_unreach_.assign(k, 0);
-  mark_.assign(k, 0);
-  epoch_ = 0;
+  taken_.assign((k + 63) / 64, 0);
   hop_sum_ = 0;
   unreachable_ = 0;
   journal_.clear();
@@ -36,22 +36,12 @@ void DeltaApsp::init(int n, std::vector<int> sources) {
 }
 
 void DeltaApsp::sweep_row(const DiGraph& g, int r) {
-  const int src = sources_[static_cast<std::size_t>(r)];
-  int* row = &dist_(static_cast<std::size_t>(r), 0);
-  bfs_.distances(g, src, row);
-  std::int64_t sum = 0;
-  int unreach = 0;
-  for (int j = 0; j < n_; ++j) {
-    if (j == src) continue;
-    if (row[j] >= kUnreachable)
-      ++unreach;
-    else
-      sum += row[j];
-  }
-  hop_sum_ += sum - row_sum_[static_cast<std::size_t>(r)];
-  unreachable_ += unreach - row_unreach_[static_cast<std::size_t>(r)];
-  row_sum_[static_cast<std::size_t>(r)] = sum;
-  row_unreach_[static_cast<std::size_t>(r)] = unreach;
+  const auto t = bfs_.distances(g, sources_[static_cast<std::size_t>(r)],
+                                &dist_(static_cast<std::size_t>(r), 0));
+  hop_sum_ += t.hop_sum - row_sum_[static_cast<std::size_t>(r)];
+  unreachable_ += t.unreached - row_unreach_[static_cast<std::size_t>(r)];
+  row_sum_[static_cast<std::size_t>(r)] = t.hop_sum;
+  row_unreach_[static_cast<std::size_t>(r)] = t.unreached;
   ++resweeps_;
 }
 
@@ -86,30 +76,50 @@ int DeltaApsp::apply(const DiGraph& g, const EdgeChange* changes, int count) {
        changes[r0].v == changes[r1].u);
 
   // Union of per-edit affected sets, detected against the pre-edit rows.
-  ++epoch_;
+  // Rows are tested 64 at a time: a branch-free pass over columns u and v
+  // builds a word of candidate rows, and only candidates that no earlier
+  // edit already took reach the predecessor filter. Rows join affected_ in
+  // (edit, row) order.
+  std::fill(taken_.begin(), taken_.end(), 0);
   affected_.clear();
   const int k = num_sources();
+  const std::size_t stride = static_cast<std::size_t>(n_);
   for (int c = 0; c < count; ++c) {
     const int u = changes[c].u, v = changes[c].v;
     const bool added = changes[c].added;
     const auto& preds = g.in_neighbors(v);  // post-edit: u already absent
-    for (int r = 0; r < k; ++r) {
-      if (mark_[static_cast<std::size_t>(r)] == epoch_) continue;
-      const int du = dist_(static_cast<std::size_t>(r), u);
-      const int dv = dist_(static_cast<std::size_t>(r), v);
-      bool hit = added ? du + 1 < dv : du + 1 == dv;
-      if (hit && !added && sharp) {
-        for (const int p : preds) {
-          if (dist_(static_cast<std::size_t>(r), p) + 1 == dv) {
-            hit = false;  // equal-length surviving predecessor: row intact
-            break;
+    for (int w = 0; w * 64 < k; ++w) {
+      const int lanes = std::min(64, k - w * 64);
+      const int* base =
+          dist_.data() + static_cast<std::size_t>(w) * 64 * stride;
+      std::uint64_t cand = 0;
+      if (added) {
+        for (int b = 0; b < lanes; ++b) {
+          const int* row = base + static_cast<std::size_t>(b) * stride;
+          cand |= static_cast<std::uint64_t>(row[u] + 1 < row[v]) << b;
+        }
+      } else {
+        for (int b = 0; b < lanes; ++b) {
+          const int* row = base + static_cast<std::size_t>(b) * stride;
+          cand |= static_cast<std::uint64_t>(row[u] + 1 == row[v]) << b;
+        }
+      }
+      cand &= ~taken_[static_cast<std::size_t>(w)];
+      if (!added && sharp) {
+        for (std::uint64_t m = cand; m; m &= m - 1) {
+          const int b = std::countr_zero(m);
+          const int* row = base + static_cast<std::size_t>(b) * stride;
+          for (const int p : preds) {
+            if (row[p] + 1 == row[v]) {
+              cand &= ~(1ULL << b);  // equal-length surviving predecessor
+              break;
+            }
           }
         }
       }
-      if (hit) {
-        mark_[static_cast<std::size_t>(r)] = epoch_;
-        affected_.push_back(r);
-      }
+      taken_[static_cast<std::size_t>(w)] |= cand;
+      for (; cand; cand &= cand - 1)
+        affected_.push_back(w * 64 + std::countr_zero(cand));
     }
   }
   if (affected_.empty()) {

@@ -21,6 +21,11 @@
 //    removed edge or a symmetric twin pair {(u,v), (v,u)} — the shapes the
 //    annealer emits — and apply() falls back to the plain on-some-shortest-
 //    path rule for any other batch.
+// Detection works on words of 64 rows: for each edit, one branch-free pass
+// over columns u and v of the k tracked rows sets a candidate bit per row
+// (ceil(k/64) words), and the predecessor filter then visits only the
+// candidate rows. Each re-swept row's hop sum and unreached count come back
+// from the same BitBfs::distances call that writes the row.
 // For a batch of edits applied together (the annealer's remove+add rewire
 // move, doubled in symmetric mode), the union of the per-edit affected sets
 // — all evaluated against the pre-move matrix — is re-swept once on the
@@ -111,9 +116,9 @@ class DeltaApsp {
 
   BitBfs bfs_{0};
 
-  // Affected-set dedup across the edits of one apply().
-  std::vector<std::uint32_t> mark_;
-  std::uint32_t epoch_ = 0;
+  // Rows already affected by an earlier edit of one apply(), one bit per
+  // row in ceil(k / 64) words, and those rows in (edit, row) order.
+  std::vector<std::uint64_t> taken_;
   std::vector<int> affected_;
 
   // Journal of the last apply(): row payloads + aggregate deltas.

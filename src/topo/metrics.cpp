@@ -52,9 +52,10 @@ void BitBfs::run(const DiGraph& g, int src, bool forward, PerLevel&& per_level) 
   }
 }
 
-void BitBfs::distances(const DiGraph& g, int src, int* dist) {
+BitBfs::RowTotals BitBfs::distances(const DiGraph& g, int src, int* dist) {
   std::fill(dist, dist + n_, kUnreachable);
   dist[src] = 0;
+  RowTotals t;
   if (words_ == 1) {
     // Single-word fast path (n <= 64): the whole frontier lives in one
     // register and rows[u] is a direct array load. Each visited node is
@@ -66,9 +67,10 @@ void BitBfs::distances(const DiGraph& g, int src, int* dist) {
     int level = 0;
     for (;;) {
       std::uint64_t fresh = acc & ~visited;
-      if (!fresh) return;
+      if (!fresh) break;
       ++level;
       visited |= fresh;
+      t.hop_sum += static_cast<std::int64_t>(level) * std::popcount(fresh);
       acc = 0;
       do {
         const int j = std::countr_zero(fresh);
@@ -77,16 +79,22 @@ void BitBfs::distances(const DiGraph& g, int src, int* dist) {
         acc |= rows[j];
       } while (fresh);
     }
+    t.unreached = n_ - std::popcount(visited);
+    return t;
   }
   run(g, src, /*forward=*/true, [&](int level, const std::uint64_t* fresh) {
     for (int w = 0; w < words_; ++w) {
       std::uint64_t m = fresh[w];
+      t.hop_sum += static_cast<std::int64_t>(level) * std::popcount(m);
       while (m) {
         dist[(w << 6) + std::countr_zero(m)] = level;
         m &= m - 1;
       }
     }
   });
+  t.unreached = n_;
+  for (const std::uint64_t w : visited_) t.unreached -= std::popcount(w);
+  return t;
 }
 
 std::int64_t BitBfs::sum_from(const DiGraph& g, int src, int* unreached) {

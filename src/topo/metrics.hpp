@@ -64,8 +64,16 @@ class BitBfs {
  public:
   explicit BitBfs(int n);
 
-  // Fills dist[0..n) with hop counts from src (kUnreachable when unreached).
-  void distances(const DiGraph& g, int src, int* dist);
+  // Totals of one distance row, excluding src itself: the sum of finite hop
+  // counts and the number of unreached targets.
+  struct RowTotals {
+    std::int64_t hop_sum = 0;
+    int unreached = 0;
+  };
+
+  // Fills dist[0..n) with hop counts from src (kUnreachable when unreached)
+  // and returns the row's totals, counted per level by popcount.
+  RowTotals distances(const DiGraph& g, int src, int* dist);
 
   // Sum of hop counts from src to every reached node, without materializing
   // per-node distances; *unreached gets the count of unreachable targets
