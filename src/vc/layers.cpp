@@ -33,14 +33,20 @@ VcAssignment try_assign(const routing::RoutingTable& rt, const LinkIds& ids,
     }
     cdg.clear();
     deferred.clear();
+    const bool last = layer + 1 == max_layers;
     for (const auto& f : pending) {
       // A path that closes a cycle in the current layer was rolled back:
       // defer it. This is the DFSSSP move of peeling the cycle-forming route
-      // into a new VC.
-      if (cdg.add_path(rt.path(f.s, f.d), ids))
+      // into a new VC. The last allowed layer has no next layer to defer to,
+      // so its first deferral already fails the pass.
+      if (cdg.add_path(rt.path(f.s, f.d), ids)) {
         a.layer[static_cast<std::size_t>(f.s) * n + f.d] = layer;
-      else
+      } else if (last) {
+        a.num_layers = -1;
+        return a;
+      } else {
         deferred.push_back(f);
+      }
     }
     std::swap(pending, deferred);
     ++layer;
