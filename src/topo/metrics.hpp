@@ -72,7 +72,7 @@ class BitBfs {
   };
 
   // Fills dist[0..n) with hop counts from src (kUnreachable when unreached)
-  // and returns the row's totals, counted per level by popcount.
+  // and returns the row's totals, counted level by level during the sweep.
   RowTotals distances(const DiGraph& g, int src, int* dist);
 
   // Sum of hop counts from src to every reached node, without materializing
