@@ -311,6 +311,57 @@ TEST(AnnealGolden, MultiRestartDigests) {
   }
 }
 
+// Recorded goldens for the pattern-weighted and sparsest-cut objectives on
+// paper-scale layouts. kPattern scores every move with weighted hops over
+// the maintained rows (full mode) or the sampled rows plus an exact re-score
+// of each surviving candidate (landmark mode); the mixed-weight row makes
+// every partial sum inexact, so it pins the accumulation order too. kSCOp at
+// n = 20 runs the exact cut enumerator on every cache refresh.
+TEST(AnnealGolden, PatternAndCutDigests) {
+  const auto cfg_for = [](topo::Layout layout, Objective objective,
+                          long moves, int landmarks) {
+    SynthesisConfig cfg;
+    cfg.layout = layout;
+    cfg.link_class = topo::LinkClass::kMedium;
+    cfg.radix = 4;
+    cfg.objective = objective;
+    cfg.restarts = 1;
+    cfg.seed = 23;
+    cfg.max_moves = moves;
+    cfg.landmark_sources = landmarks;
+    if (objective == Objective::kPattern)
+      cfg.pattern = shuffle_pattern(layout.n());
+    return cfg;
+  };
+  auto mixed = cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000, 0);
+  const auto tornado = tornado_pattern(20);
+  for (int s = 0; s < 20; ++s)
+    for (int d = 0; d < 20; ++d)
+      mixed.pattern(s, d) = 0.7 * mixed.pattern(s, d) + 0.3 * tornado(s, d);
+  const struct {
+    const char* name;
+    SynthesisConfig cfg;
+    std::uint64_t digest;
+  } cases[] = {
+      {"4x5 shuffle pattern 1x6000",
+       cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000, 0),
+       0x2f8c92463f0ccd6eull},
+      {"4x5 mixed pattern 1x6000", mixed, 0xd7c1306558acfe18ull},
+      {"8x6 landmark shuffle pattern 1x3000",
+       cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000, 12),
+       0xad0498f7223b6abfull},
+      {"4x5 scop 1x6000",
+       cfg_for(topo::Layout::noi_4x5(), Objective::kSCOp, 6000, 0),
+       0x0244dd2a5ca634faull},
+  };
+  for (const auto& c : cases) {
+    const auto r = anneal_synthesize(c.cfg);
+    if (c.cfg.landmark_sources > 0) EXPECT_GT(r.exact_rescores, 0) << c.name;
+    EXPECT_EQ(restart_digest(r), c.digest)
+        << c.name << ": 0x" << std::hex << restart_digest(r);
+  }
+}
+
 TEST(Anneal, FillsPortBudgetOnLargerInstance) {
   SynthesisConfig cfg;
   cfg.layout = topo::Layout::noi_4x5();

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 
 namespace netsmith::topo {
 namespace {
@@ -106,6 +108,33 @@ TEST(Bisection, AsymmetricUsesWeakerDirection) {
   // Any balanced cut crosses the one-directional ring once each way at
   // best; min direction = 1.
   EXPECT_EQ(bisection_bandwidth(g), 1);
+}
+
+// Recorded values of bisection_bandwidth beyond one 64-bit mask word
+// (65-130 routers): the parametric baselines at arbitrary scale plus random
+// directed and symmetric graphs. Any change to the heuristic's partitions,
+// random draws or swap order moves it.
+TEST(Bisection, WideGraphDigest) {
+  std::vector<DiGraph> graphs;
+  for (const char* spec : {"dragonfly:routers=72", "cmesh:routers=96",
+                           "hammingmesh:routers=128"})
+    graphs.push_back(topologies::make_spec(spec).graph);
+  util::Rng rng(65);
+  for (const Layout lay : {Layout{13, 5, 2.0}, Layout{10, 8, 2.0},
+                           Layout{11, 9, 2.0}, Layout{13, 10, 2.0}}) {
+    graphs.push_back(build_random(lay, LinkClass::kMedium, 4, rng));
+    graphs.push_back(build_random_symmetric(lay, LinkClass::kLarge, 4, rng));
+  }
+  std::string values;
+  for (const auto& g : graphs) {
+    ASSERT_GT(g.num_nodes(), 64);
+    ASSERT_LE(g.num_nodes(), 130);
+    values += std::to_string(g.num_nodes()) + ":" +
+              std::to_string(bisection_bandwidth(g)) + " ";
+  }
+  EXPECT_EQ(values,
+            "72:32 96:16 128:62 65:8 65:7 80:12 80:12 99:13 99:14 "
+            "130:12 130:12 ");
 }
 
 }  // namespace
