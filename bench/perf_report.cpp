@@ -522,7 +522,17 @@ int main(int argc, char** argv) {
       sp.landmark_sources = cfg.landmark_sources;
       obs::WallTimer synth_t;
       const auto r = core::anneal_synthesize(cfg);
-      const double synth_s = synth_t.seconds();
+      double synth_s = synth_t.seconds();
+      // A run under 0.1 s (n = 48) read 0.70M and 0.99M moves/s across two
+      // reports of one binary: time it as the minimum of three runs of the
+      // same move-budgeted (deterministic) synthesis, as the sim column does.
+      if (synth_s < 0.1) {
+        for (int run = 1; run < 3; ++run) {
+          obs::WallTimer rerun_t;
+          core::anneal_synthesize(cfg);
+          synth_s = std::min(synth_s, rerun_t.seconds());
+        }
+      }
       sp.synth_moves_per_sec = static_cast<double>(r.moves) / synth_s;
       sp.apsp_rows_per_move =
           r.moves > 0

@@ -314,17 +314,13 @@ void Study::expand() {
   stats_.unique_plans = static_cast<int>(uplans_.size());
   stats_.plan_cache_hits = stats_.plan_refs - stats_.unique_plans;
 
-  // Sweeps: unique plans x traffic scenarios.
+  // Sweeps: unique plans x traffic scenarios, dense grid (uplan * T + t).
   const int T = static_cast<int>(spec_.traffic.size());
-  sweep_of_plan_traffic_.assign(
-      static_cast<std::size_t>(stats_.unique_plans) * T, -1);
   for (int p = 0; p < stats_.unique_plans; ++p) {
     for (int t = 0; t < T; ++t) {
       USweep s;
       s.plan = p;
       s.traffic = t;
-      sweep_of_plan_traffic_[static_cast<std::size_t>(p) * T + t] =
-          static_cast<int>(usweeps_.size());
       usweeps_.push_back(std::move(s));
     }
   }
@@ -761,8 +757,7 @@ Report Study::assemble() const {
     for (int s = 0; s < S; ++s) {
       const int uplan = plan_refs_[ref * S + s];
       for (int k = 0; k < T; ++k) {
-        const auto& sw = usweeps_[static_cast<std::size_t>(
-            sweep_of_plan_traffic_[static_cast<std::size_t>(uplan) * T + k])];
+        const auto& sw = usweeps_[static_cast<std::size_t>(uplan) * T + k];
         SweepRow row;
         row.plan = ref * S + s;
         row.traffic = spec_.traffic[static_cast<std::size_t>(k)].label();
@@ -791,8 +786,7 @@ Report Study::assemble() const {
     for (int s = 0; s < S; ++s) {
       const int uplan = plan_refs_[ref * S + s];
       for (int k = 0; k < T; ++k) {
-        const auto& base = usweeps_[static_cast<std::size_t>(
-            sweep_of_plan_traffic_[static_cast<std::size_t>(uplan) * T + k])];
+        const auto& base = usweeps_[static_cast<std::size_t>(uplan) * T + k];
         for (int c = 0; c < C; ++c) {
           const auto& ur = uresil_[(static_cast<std::size_t>(uplan) * T + k) *
                                        C + c];

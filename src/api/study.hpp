@@ -177,9 +177,8 @@ class Study {
   std::vector<std::string> ref_names_;
   std::vector<PlanArtifact> uplans_;
   std::vector<int> plan_refs_;  // ref * seeds + seed_idx -> unique plan
-  std::vector<USweep> usweeps_;
-  std::vector<int> sweep_of_plan_traffic_;  // uplan * traffic -> usweep (-1)
-  std::vector<power::PowerArea> upower_;    // per unique topology
+  std::vector<USweep> usweeps_;  // dense grid uplan * T + t
+  std::vector<power::PowerArea> upower_;  // per unique topology
   // Dense grid (uplan * T + t) * C + c over the spec's fault scenarios.
   std::vector<UResilience> uresil_;
   std::vector<FailedJob> failed_jobs_;

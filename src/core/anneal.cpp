@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -32,39 +33,6 @@ constexpr double kT1 = 0.02;
 constexpr int kCutCacheSize = 320;
 constexpr int kCutRefreshAccepts = 500;  // exact-cut refresh cadence for SCOp
 constexpr int kMaxTracePoints = 512;
-
-// One-shot weighted-hops evaluation for the analytic bound (the per-move hop
-// path now reads the incrementally maintained topo::DeltaApsp rows instead).
-// Unreachable pairs contribute a kDisconnected-scaled penalty so the search
-// gradient points toward connectivity.
-class HopEvaluator {
- public:
-  explicit HopEvaluator(int n) : n_(n), bfs_(n), dist_(n) {}
-
-  double weighted_hops(const topo::DiGraph& g, const util::Matrix<double>& w) {
-    double total = 0.0, wsum = 0.0;
-    long unreachable = 0;
-    for (int s = 0; s < n_; ++s) {
-      bfs_.distances(g, s, dist_.data());
-      for (int j = 0; j < n_; ++j) {
-        if (j == s || w(s, j) <= 0.0) continue;
-        if (dist_[j] >= topo::kUnreachable) {
-          ++unreachable;
-        } else {
-          total += w(s, j) * dist_[j];
-          wsum += w(s, j);
-        }
-      }
-    }
-    if (unreachable > 0) return kDisconnected * unreachable;
-    return wsum > 0.0 ? total / wsum : 0.0;
-  }
-
- private:
-  int n_;
-  topo::BitBfs bfs_;
-  std::vector<int> dist_;
-};
 
 // Lazily grown cache of the most binding cuts for the SCOp surrogate.
 class CutCache {
@@ -222,12 +190,13 @@ struct SearchContext {
         bound = sparsest_cut_upper_bound(cfg.layout, cfg.link_class, cfg.radix);
         break;
       case Objective::kPattern: {
-        // Weighted-hops bound: distances in the all-valid-links graph.
+        // Weighted-hops bound: distances in the all-valid-links graph, which
+        // every link class connects (each admits all grid-neighbour links).
         topo::DiGraph pot(n);
         for (const auto& [i, j] : topo::valid_links(cfg.layout, cfg.link_class))
           pot.add_edge(i, j);
-        HopEvaluator eval(n);
-        bound = eval.weighted_hops(pot, cfg.pattern);
+        assert(topo::strongly_connected(pot));
+        bound = topo::weighted_hops(topo::apsp_bfs(pot), cfg.pattern);
         break;
       }
       case Objective::kChannelLoad:
@@ -450,33 +419,6 @@ class RestartRun {
     return static_cast<double>(ws_.engine.hop_sum()) * scale_;
   }
 
-  // Pattern-weighted hops over the maintained rows, accumulated in the same
-  // (source-major, target-inner) order as the pre-delta evaluator so
-  // full-mode values are bit-identical.
-  double weighted_hops_now(const util::Matrix<double>& w) const {
-    double total = 0.0, wsum = 0.0;
-    long unreachable = 0;
-    const auto& d = ws_.engine.rows();
-    const auto& srcs = ws_.engine.sources();
-    const int k = ws_.engine.num_sources();
-    for (int r = 0; r < k; ++r) {
-      const int s = srcs[static_cast<std::size_t>(r)];
-      for (int j = 0; j < n_; ++j) {
-        if (j == s || w(s, j) <= 0.0) continue;
-        if (d(static_cast<std::size_t>(r), static_cast<std::size_t>(j)) >=
-            topo::kUnreachable) {
-          ++unreachable;
-        } else {
-          total += w(s, j) *
-                   d(static_cast<std::size_t>(r), static_cast<std::size_t>(j));
-          wsum += w(s, j);
-        }
-      }
-    }
-    if (unreachable > 0) return kDisconnected * unreachable;
-    return wsum > 0.0 ? total / wsum : 0.0;
-  }
-
   // C7 penalty: shortfall against the minimum sparsest-cut bandwidth,
   // evaluated exactly for tiny n and through the cut cache otherwise.
   double bandwidth_penalty(const topo::DiGraph& g) {
@@ -504,7 +446,8 @@ class RestartRun {
         // unplaced.
         last_hops_ = hops_total();
         if (last_hops_ >= kDisconnected) return last_hops_;
-        last_weighted_ = weighted_hops_now(cfg_.pattern);
+        last_weighted_ = topo::weighted_hops(ws_.engine.rows(), cfg_.pattern,
+                                             ws_.engine.sources());
         return last_weighted_ * static_cast<double>(n_) * (n_ - 1) +
                0.05 * last_hops_ + bandwidth_penalty(g);
       }
@@ -584,8 +527,8 @@ class RestartRun {
   // false when any pair is unreachable — the sampled estimate cannot see
   // disconnection among non-sampled sources, so this is also the incumbent's
   // connectivity check. On success *exact_avg (and for kPattern
-  // *exact_weighted, same loop order as weighted_hops_now in full mode) hold
-  // the exact objective values.
+  // *exact_weighted, the same topo::weighted_hops a full-mode move scores
+  // with) hold the exact objective values.
   bool exact_rescore(const topo::DiGraph& g, double* exact_avg,
                      double* exact_weighted) {
     // Every partial sum is an integer below 2^53, so adding row totals
@@ -600,19 +543,8 @@ class RestartRun {
     }
     if (unreachable > 0) return false;
     *exact_avg = total / (static_cast<double>(n_) * (n_ - 1));
-    if (cfg_.objective == Objective::kPattern) {
-      double t = 0.0, wsum = 0.0;
-      for (int s = 0; s < n_; ++s) {
-        for (int j = 0; j < n_; ++j) {
-          if (j == s || cfg_.pattern(s, j) <= 0.0) continue;
-          t += cfg_.pattern(s, j) *
-               ws_.exact_dist(static_cast<std::size_t>(s),
-                              static_cast<std::size_t>(j));
-          wsum += cfg_.pattern(s, j);
-        }
-      }
-      *exact_weighted = wsum > 0.0 ? t / wsum : 0.0;
-    }
+    if (cfg_.objective == Objective::kPattern)
+      *exact_weighted = topo::weighted_hops(ws_.exact_dist, cfg_.pattern);
     return true;
   }
 

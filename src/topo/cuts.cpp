@@ -1,12 +1,7 @@
 #include "topo/cuts.hpp"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -15,13 +10,6 @@ namespace netsmith::topo {
 
 namespace {
 
-#if !defined(_OPENMP)
-// Serial fallbacks so the enumeration loops below compile unchanged when
-// OpenMP is unavailable (the pragmas are then no-ops).
-int omp_get_num_threads() { return 1; }
-int omp_get_thread_num() { return 0; }
-#endif
-
 double ratio(int cross_uv, int cross_vu, int u_size, int n) {
   const int v_size = n - u_size;
   const int cap = std::min(cross_uv, cross_vu);
@@ -29,45 +17,75 @@ double ratio(int cross_uv, int cross_vu, int u_size, int n) {
          (static_cast<double>(u_size) * static_cast<double>(v_size));
 }
 
-// Word-parallel cross-edge count: for each node one AND + popcount against
-// its out-adjacency bit row. O(n) popcounts instead of O(m) branches.
-void count_cross(const DiGraph& g, std::uint64_t mask, int* cross_uv,
+// The kernels below read a partition as a bit row over the graph's words
+// (bit i set => router i in U). kWords = 1 is the one-word case (n <= 64,
+// every uint64 mask API); kWords = 0 reads g.bit_words() words.
+template <int kWords>
+int mask_words(const DiGraph& g) {
+  return kWords > 0 ? kWords : g.bit_words();
+}
+
+// Word holding node i's bit (always word 0 in the one-word case).
+template <int kWords>
+int word_of(int i) {
+  return kWords == 1 ? 0 : i >> 6;
+}
+
+template <int kWords>
+bool in_mask(const std::uint64_t* mask, int i) {
+  return mask[word_of<kWords>(i)] >> (i & 63) & 1;
+}
+
+// Word-parallel cross-edge count: for each node one AND + popcount per word
+// against its out-adjacency bit row. O(n) popcounts instead of O(m) branches.
+template <int kWords>
+void count_cross(const DiGraph& g, const std::uint64_t* mask, int* cross_uv,
                  int* cross_vu) {
+  const int words = mask_words<kWords>(g);
   int uv = 0, vu = 0;
   const int n = g.num_nodes();
   for (int i = 0; i < n; ++i) {
-    const std::uint64_t row = g.out_bits(i)[0];
-    if (mask >> i & 1)
-      uv += std::popcount(row & ~mask);
-    else
-      vu += std::popcount(row & mask);
+    const std::uint64_t* row = g.out_bits(i);
+    if (in_mask<kWords>(mask, i)) {
+      for (int w = 0; w < words; ++w) uv += std::popcount(row[w] & ~mask[w]);
+    } else {
+      for (int w = 0; w < words; ++w) vu += std::popcount(row[w] & mask[w]);
+    }
   }
   *cross_uv = uv;
   *cross_vu = vu;
 }
 
-// Flips node b's membership and updates cross counts with four popcounts
-// over b's own bit rows (out- and in-adjacency vs. the current mask).
-void flip_node(const DiGraph& g, std::uint64_t& mask, int b, int* cross_uv,
+// Flips node b's membership and updates cross counts with two popcounts
+// per word: b's out- and in-adjacency rows against U. b's links into V are
+// its degree minus its links into U.
+template <int kWords>
+void flip_node(const DiGraph& g, std::uint64_t* mask, int b, int* cross_uv,
                int* cross_vu, int* u_size) {
-  const std::uint64_t out = g.out_bits(b)[0];
-  const std::uint64_t in = g.in_bits(b)[0];
+  const int words = mask_words<kWords>(g);
+  const std::uint64_t* out = g.out_bits(b);
+  const std::uint64_t* in = g.in_bits(b);
   // Self-loops are impossible, so bit b never appears in b's own rows and
-  // the popcounts below are unaffected by b's side of the mask.
-  if (mask >> b & 1) {
-    *cross_uv -= std::popcount(out & ~mask);
-    *cross_vu -= std::popcount(in & ~mask);
-    mask &= ~(1ULL << b);
+  // the popcounts are the same on either side of the flip.
+  int to_u = 0, from_u = 0;
+  for (int w = 0; w < words; ++w) {
+    to_u += std::popcount(out[w] & mask[w]);
+    from_u += std::popcount(in[w] & mask[w]);
+  }
+  const int to_v = g.out_degree(b) - to_u;
+  const int from_v = g.in_degree(b) - from_u;
+  const std::uint64_t bit = 1ULL << (b & 63);
+  if (in_mask<kWords>(mask, b)) {
+    // U -> V: b's links to V stop crossing, its links to U start.
+    *cross_uv += from_u - to_v;
+    *cross_vu += to_u - from_v;
+    mask[word_of<kWords>(b)] &= ~bit;
     --*u_size;
-    *cross_vu += std::popcount(out & mask);
-    *cross_uv += std::popcount(in & mask);
   } else {
-    *cross_vu -= std::popcount(out & mask);
-    *cross_uv -= std::popcount(in & mask);
-    mask |= 1ULL << b;
+    *cross_uv += to_v - from_u;
+    *cross_vu += from_v - to_u;
+    mask[word_of<kWords>(b)] |= bit;
     ++*u_size;
-    *cross_uv += std::popcount(out & ~mask);
-    *cross_vu += std::popcount(in & ~mask);
   }
 }
 
@@ -83,7 +101,7 @@ Cut make_cut(const DiGraph& g, std::uint64_t mask) {
   Cut c;
   c.u_mask = mask;
   c.u_size = usz;
-  count_cross(g, mask, &c.cross_uv, &c.cross_vu);
+  count_cross<1>(g, &mask, &c.cross_uv, &c.cross_vu);
   c.bandwidth = (usz == 0 || usz == n)
                     ? std::numeric_limits<double>::infinity()
                     : ratio(c.cross_uv, c.cross_vu, usz, n);
@@ -96,77 +114,41 @@ void require_mask_width(const DiGraph& g, const char* who) {
                                 ": n > 64 exceeds the uint64 partition mask");
 }
 
-// Scalar membership-vector variants for graphs wider than one mask word
-// (bisection_bandwidth supports arbitrary n; masks cap the other APIs).
-void count_cross_scalar(const DiGraph& g, const std::vector<std::uint8_t>& in_u,
-                        int* cross_uv, int* cross_vu) {
-  int uv = 0, vu = 0;
-  const int n = g.num_nodes();
-  for (int i = 0; i < n; ++i) {
-    for (int j : g.out_neighbors(i)) {
-      if (in_u[i] && !in_u[j]) ++uv;
-      else if (!in_u[i] && in_u[j]) ++vu;
-    }
-  }
-  *cross_uv = uv;
-  *cross_vu = vu;
-}
-
-void flip_node_scalar(const DiGraph& g, std::vector<std::uint8_t>& in_u, int b,
-                      int* cross_uv, int* cross_vu, int* u_size) {
-  const bool entering_u = !in_u[b];
-  // Remove b's current contribution, then re-add with flipped membership.
-  for (int x : g.out_neighbors(b)) {
-    if (in_u[b] && !in_u[x]) --*cross_uv;
-    else if (!in_u[b] && in_u[x]) --*cross_vu;
-  }
-  for (int x : g.in_neighbors(b)) {
-    if (in_u[x] && !in_u[b]) --*cross_uv;
-    else if (!in_u[x] && in_u[b]) --*cross_vu;
-  }
-  in_u[b] = entering_u ? 1 : 0;
-  *u_size += entering_u ? 1 : -1;
-  for (int x : g.out_neighbors(b)) {
-    if (in_u[b] && !in_u[x]) ++*cross_uv;
-    else if (!in_u[b] && in_u[x]) ++*cross_vu;
-  }
-  for (int x : g.in_neighbors(b)) {
-    if (in_u[x] && !in_u[b]) ++*cross_uv;
-    else if (!in_u[x] && in_u[b]) ++*cross_vu;
-  }
-}
-
-// Heuristic bisection for n > 64: the pre-bitset implementation over a
-// membership vector (no mask-width limit).
-int bisection_heuristic_scalar(const DiGraph& g) {
+// Pair-swap bisection heuristic: random balanced partitions, each refined
+// by the first improving (a in U, b in V) swap until none improves.
+template <int kWords>
+int bisection_heuristic(const DiGraph& g) {
   const int n = g.num_nodes();
   const int half = n / 2;
   util::Rng rng(0xB15EC7);
   int best = std::numeric_limits<int>::max();
+  std::vector<std::uint64_t> mask(
+      static_cast<std::size_t>(mask_words<kWords>(g)));
   for (int restart = 0; restart < 96; ++restart) {
     std::vector<int> perm(n);
     for (int i = 0; i < n; ++i) perm[i] = i;
     rng.shuffle(perm);
-    std::vector<std::uint8_t> in_u(n, 0);
-    for (int i = 0; i < half; ++i) in_u[perm[i]] = 1;
+    std::fill(mask.begin(), mask.end(), 0);
+    for (int i = 0; i < half; ++i)
+      mask[word_of<kWords>(perm[i])] |= 1ULL << (perm[i] & 63);
     int uv = 0, vu = 0;
-    count_cross_scalar(g, in_u, &uv, &vu);
+    count_cross<kWords>(g, mask.data(), &uv, &vu);
     bool improved = true;
     while (improved) {
       improved = false;
       int usz = half;
       for (int a = 0; a < n && !improved; ++a) {
-        if (!in_u[a]) continue;
+        if (!in_mask<kWords>(mask.data(), a)) continue;
         for (int b = 0; b < n && !improved; ++b) {
-          if (in_u[b]) continue;
+          if (in_mask<kWords>(mask.data(), b)) continue;
           const int before = std::min(uv, vu);
-          flip_node_scalar(g, in_u, a, &uv, &vu, &usz);
-          flip_node_scalar(g, in_u, b, &uv, &vu, &usz);
+          flip_node<kWords>(g, mask.data(), a, &uv, &vu, &usz);
+          flip_node<kWords>(g, mask.data(), b, &uv, &vu, &usz);
           if (std::min(uv, vu) < before) {
             improved = true;
           } else {
-            flip_node_scalar(g, in_u, b, &uv, &vu, &usz);
-            flip_node_scalar(g, in_u, a, &uv, &vu, &usz);
+            flip_node<kWords>(g, mask.data(), b, &uv, &vu, &usz);
+            flip_node<kWords>(g, mask.data(), a, &uv, &vu, &usz);
           }
         }
       }
@@ -180,8 +162,9 @@ int bisection_heuristic_scalar(const DiGraph& g) {
 
 std::pair<int, int> cross_edge_counts(const DiGraph& g, std::uint64_t u_mask) {
   require_mask_width(g, "cross_edge_counts");
+  const std::uint64_t mask = clip_mask(u_mask, g.num_nodes());
   int uv = 0, vu = 0;
-  count_cross(g, clip_mask(u_mask, g.num_nodes()), &uv, &vu);
+  count_cross<1>(g, &mask, &uv, &vu);
   return {uv, vu};
 }
 
@@ -194,59 +177,28 @@ Cut sparsest_cut_exact(const DiGraph& g) {
   const int n = g.num_nodes();
   if (n < 2) throw std::invalid_argument("sparsest_cut_exact: n < 2");
   if (n > 26) throw std::invalid_argument("sparsest_cut_exact: n > 26");
-  // Fix node n-1 in V so every unordered partition is visited exactly once.
+  // Fix node n-1 in V so every unordered partition is visited exactly once:
+  // the Gray codes of i = 1 .. 2^(n-1) - 1 are exactly the masks with U and
+  // V both non-empty. gray(i) and gray(i+1) differ in bit ctz(i+1), so each
+  // step is one flip_node.
   const std::uint64_t total = 1ULL << (n - 1);
+  std::uint64_t mask = 1;
+  int usz = 1, uv = 0, vu = 0;
+  count_cross<1>(g, &mask, &uv, &vu);
 
   Cut best;
   best.bandwidth = std::numeric_limits<double>::infinity();
-
-  // Tiny graphs (n <= 12, the annealer's per-move exact-cut regime) take
-  // microseconds to enumerate: a fork/join would cost more than the work,
-  // and stalls for a whole timeslice when the cores are oversubscribed.
-  constexpr std::uint64_t kMinParallelPartitions = 1ULL << 12;
-#pragma omp parallel if (total >= kMinParallelPartitions)
-  {
-    Cut local_best;
-    local_best.bandwidth = std::numeric_limits<double>::infinity();
-
-    const int threads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    const std::uint64_t chunk = (total + threads - 1) / threads;
-    const std::uint64_t lo = std::max<std::uint64_t>(1, tid * chunk);
-    const std::uint64_t hi = std::min(total, (tid + 1) * chunk);
-
-    if (lo < hi) {
-      // Gray-code walk: gray(i) and gray(i+1) differ in bit ctz(i+1).
-      std::uint64_t gray = lo ^ (lo >> 1);
-      std::uint64_t mask = gray;
-      int usz = std::popcount(mask), uv = 0, vu = 0;
-      count_cross(g, mask, &uv, &vu);
-
-      for (std::uint64_t i = lo;; ++i) {
-        if (usz > 0) {
-          const double bw = ratio(uv, vu, usz, n);
-          if (bw < local_best.bandwidth) {
-            local_best.bandwidth = bw;
-            local_best.u_mask = gray;
-            local_best.u_size = usz;
-            local_best.cross_uv = uv;
-            local_best.cross_vu = vu;
-          }
-        }
-        if (i + 1 >= hi) break;
-        const int flip = std::countr_zero(i + 1);
-        gray ^= 1ULL << flip;
-        flip_node(g, mask, flip, &uv, &vu, &usz);
-      }
+  for (std::uint64_t i = 1;; ++i) {
+    const double bw = ratio(uv, vu, usz, n);
+    if (bw < best.bandwidth) {
+      best.bandwidth = bw;
+      best.u_mask = mask;
+      best.u_size = usz;
+      best.cross_uv = uv;
+      best.cross_vu = vu;
     }
-
-#pragma omp critical
-    {
-      if (local_best.bandwidth < best.bandwidth ||
-          (local_best.bandwidth == best.bandwidth &&
-           local_best.u_mask < best.u_mask))
-        best = local_best;
-    }
+    if (i + 1 >= total) break;
+    flip_node<1>(g, &mask, std::countr_zero(i + 1), &uv, &vu, &usz);
   }
   return best;
 }
@@ -271,7 +223,7 @@ Cut sparsest_cut_heuristic(const DiGraph& g, util::Rng& rng, int restarts) {
       ++usz;
     }
     int uv = 0, vu = 0;
-    count_cross(g, mask, &uv, &vu);
+    count_cross<1>(g, &mask, &uv, &vu);
 
     // Steepest single-node moves until a local minimum of the ratio.
     bool improved = true;
@@ -284,16 +236,16 @@ Cut sparsest_cut_heuristic(const DiGraph& g, util::Rng& rng, int restarts) {
         const bool in_u = mask >> b & 1;
         // Don't empty either side.
         if ((in_u && usz == 1) || (!in_u && usz == n - 1)) continue;
-        flip_node(g, mask, b, &uv, &vu, &usz);
+        flip_node<1>(g, &mask, b, &uv, &vu, &usz);
         const double bw = ratio(uv, vu, usz, n);
         if (bw < best_bw - 1e-12) {
           best_bw = bw;
           best_node = b;
         }
-        flip_node(g, mask, b, &uv, &vu, &usz);  // undo
+        flip_node<1>(g, &mask, b, &uv, &vu, &usz);  // undo
       }
       if (best_node >= 0) {
-        flip_node(g, mask, best_node, &uv, &vu, &usz);
+        flip_node<1>(g, &mask, best_node, &uv, &vu, &usz);
         improved = true;
       }
     }
@@ -319,63 +271,23 @@ Cut sparsest_cut(const DiGraph& g) {
 int bisection_bandwidth(const DiGraph& g) {
   const int n = g.num_nodes();
   if (n < 2) return 0;
-  // Wider than one mask word: scalar membership-vector heuristic (the
-  // parametric baselines generate graphs at arbitrary router counts).
-  if (n > 64) return bisection_heuristic_scalar(g);
-  const int half = n / 2;
+  if (n > 24)
+    return n <= 64 ? bisection_heuristic<1>(g) : bisection_heuristic<0>(g);
 
-  if (n <= 24) {
-    // Enumerate subsets of size `half` with node n-1 fixed in V (for even n
-    // this visits each unordered bisection once; for odd n, U is the smaller
-    // side).
-    int best = std::numeric_limits<int>::max();
-    // Iterate combinations of {0..n-2} choose half via bit tricks.
-    std::uint64_t comb = (1ULL << half) - 1;
-    const std::uint64_t limit = 1ULL << (n - 1);
-    while (comb < limit) {
-      int uv = 0, vu = 0;
-      count_cross(g, comb, &uv, &vu);
-      best = std::min(best, std::min(uv, vu));
-      // Gosper's hack: next combination with the same popcount.
-      const std::uint64_t c = comb & (~comb + 1);
-      const std::uint64_t r = comb + c;
-      comb = (((r ^ comb) >> 2) / c) | r;
-    }
-    return best;
-  }
-
-  // Heuristic: random balanced partitions + pair-swap refinement.
-  util::Rng rng(0xB15EC7);
+  // Enumerate subsets of size n/2 with node n-1 fixed in V (for even n this
+  // visits each unordered bisection once; for odd n, U is the smaller side).
   int best = std::numeric_limits<int>::max();
-  for (int restart = 0; restart < 96; ++restart) {
-    std::vector<int> perm(n);
-    for (int i = 0; i < n; ++i) perm[i] = i;
-    rng.shuffle(perm);
-    std::uint64_t mask = 0;
-    for (int i = 0; i < half; ++i) mask |= 1ULL << perm[i];
+  // Iterate combinations of {0..n-2} choose n/2 via bit tricks.
+  std::uint64_t comb = (1ULL << (n / 2)) - 1;
+  const std::uint64_t limit = 1ULL << (n - 1);
+  while (comb < limit) {
     int uv = 0, vu = 0;
-    count_cross(g, mask, &uv, &vu);
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      int usz = half;
-      for (int a = 0; a < n && !improved; ++a) {
-        if (!(mask >> a & 1)) continue;
-        for (int b = 0; b < n && !improved; ++b) {
-          if (mask >> b & 1) continue;
-          const int before = std::min(uv, vu);
-          flip_node(g, mask, a, &uv, &vu, &usz);
-          flip_node(g, mask, b, &uv, &vu, &usz);
-          if (std::min(uv, vu) < before) {
-            improved = true;
-          } else {
-            flip_node(g, mask, b, &uv, &vu, &usz);
-            flip_node(g, mask, a, &uv, &vu, &usz);
-          }
-        }
-      }
-    }
+    count_cross<1>(g, &comb, &uv, &vu);
     best = std::min(best, std::min(uv, vu));
+    // Gosper's hack: next combination with the same popcount.
+    const std::uint64_t c = comb & (~comb + 1);
+    const std::uint64_t r = comb + c;
+    comb = (((r ^ comb) >> 2) / c) | r;
   }
   return best;
 }

@@ -34,8 +34,8 @@ std::pair<int, int> cross_edge_counts(const DiGraph& g, std::uint64_t u_mask);
 Cut evaluate_cut(const DiGraph& g, std::uint64_t u_mask);
 
 // Exhaustive sparsest cut; requires n <= 26 (2^(n-1) partitions, enumerated
-// incrementally via Gray code and, from n = 13 up, parallelized with
-// OpenMP).
+// serially and incrementally via Gray code; the first sparsest partition in
+// Gray order wins ties).
 Cut sparsest_cut_exact(const DiGraph& g);
 
 // Local-search heuristic: random subsets refined by single-node moves.
@@ -49,7 +49,8 @@ Cut sparsest_cut(const DiGraph& g);
 // min-direction crossing link count (Table II "Bi. BW" uses full-duplex link
 // counts, i.e. directed crossings in the weaker direction for asymmetric
 // graphs, which equals the bidirectional crossing count for symmetric ones).
-// Exact for n <= 24; heuristic with restarts beyond.
+// Exact for n <= 24; beyond, one pair-swap heuristic with restarts over the
+// graph's bit rows at any n (one mask word up to n = 64).
 int bisection_bandwidth(const DiGraph& g);
 
 }  // namespace netsmith::topo

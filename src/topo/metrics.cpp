@@ -270,18 +270,24 @@ bool strongly_connected(const DiGraph& g) {
   return bfs.reach_count(g, 0, /*forward=*/false) == n;
 }
 
-double weighted_hops(const util::Matrix<int>& dist, const util::Matrix<double>& weight) {
-  assert(dist.rows() == weight.rows() && dist.cols() == weight.cols());
-  const std::size_t n = dist.rows();
+double weighted_hops(const util::Matrix<int>& dist,
+                     const util::Matrix<double>& weight,
+                     std::span<const int> sources) {
+  assert(sources.empty() || sources.size() == dist.rows());
+  assert(dist.cols() == weight.cols());
   double total = 0.0, wsum = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double w = weight(i, j);
+  for (std::size_t r = 0; r < dist.rows(); ++r) {
+    const std::size_t s =
+        sources.empty() ? r : static_cast<std::size_t>(sources[r]);
+    for (std::size_t j = 0; j < dist.cols(); ++j) {
+      if (j == s) continue;
+      const double w = weight(s, j);
       if (w <= 0.0) continue;
-      total += w * dist(i, j);
+      assert(dist(r, j) < kUnreachable);
+      total += w * dist(r, j);
       wsum += w;
     }
+  }
   return wsum > 0.0 ? total / wsum : 0.0;
 }
 

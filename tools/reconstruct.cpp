@@ -34,11 +34,6 @@ struct Target {
   int bis;     // Table II bisection bandwidth
 };
 
-int exact_or_heuristic_bisection(const topo::DiGraph& g) {
-  if (g.num_nodes() <= 24) return topo::bisection_bandwidth(g);
-  return topo::bisection_bandwidth(g);  // >24 dispatches to heuristic inside
-}
-
 struct Searcher {
   const Target& t;
   util::Rng rng;
@@ -161,7 +156,7 @@ struct Searcher {
       const std::string key = g.to_string();
       if (checked.count(key)) return false;
       checked.insert(key);
-      const int bis = exact_or_heuristic_bisection(g);
+      const int bis = topo::bisection_bandwidth(g);
       const int gap = std::abs(bis - t.bis);
       if (!have_any || gap < best_gap) {
         have_any = true;
