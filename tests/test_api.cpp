@@ -1,12 +1,19 @@
 // Experiment API coverage: spec JSON round-trip, Study artifact caching
-// (one synthesis per unique topology key), plan provenance, and Report
+// (one synthesis per unique topology key), the per-kind traffic a Study
+// sends to a pluggable ArtifactCache, plan provenance, and Report
 // determinism across runner thread counts.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "api/artifact_cache.hpp"
 #include "api/report.hpp"
 #include "api/study.hpp"
 
@@ -365,6 +372,212 @@ TEST(Study, UnknownBaselineThrowsAtExpansion) {
   bad.baseline = "warpgate:rows=3";
   spec.topologies = {bad};
   EXPECT_THROW(Study s(spec), std::invalid_argument);
+}
+
+// Map-backed cache that logs every call in order: "load <kind> <key>" or
+// "store <kind> <key>". A sweep key's trailing OpenMP width is masked to
+// "W" so the log does not depend on the machine.
+class LoggingCache : public ArtifactCache {
+ public:
+  bool load(const std::string& kind, const std::string& key,
+            std::string& payload) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.push_back("load " + kind + " " + masked(key));
+    const auto it = entries_.find(kind + "|" + key);
+    if (it == entries_.end()) return false;
+    payload = it->second;
+    return true;
+  }
+  void store(const std::string& kind, const std::string& key,
+             const std::string& payload) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.push_back("store " + kind + " " + masked(key));
+    entries_[kind + "|" + key] = payload;
+  }
+  // The calls since the last take_log().
+  std::vector<std::string> take_log() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(log_, {});
+  }
+
+ private:
+  static std::string masked(const std::string& key) {
+    const auto at = key.rfind(";omp=");
+    return at == std::string::npos ? key : key.substr(0, at) + ";omp=W";
+  }
+  std::mutex mu_;
+  std::vector<std::string> log_;
+  std::map<std::string, std::string> entries_;
+};
+
+// One move-budgeted synthesis and one baseline, two traffic classes and
+// one targeted fault scenario, on a one-worker pool so the job order (and
+// so the call log) is fixed.
+ExperimentSpec cache_traffic_spec() {
+  ExperimentSpec spec;
+  spec.name = "cache-traffic";
+  TopologySpec synth;
+  synth.source = TopologySource::kSynthesize;
+  synth.rows = 3;
+  synth.cols = 3;
+  synth.link_class = "small";
+  synth.radix = 3;
+  synth.objectives = {"latop"};
+  synth.restarts = 1;
+  synth.max_moves = 200;
+  synth.time_limit_s = 30.0;
+  TopologySpec mesh;
+  mesh.source = TopologySource::kBaseline;
+  mesh.baseline = "mesh:rows=3,cols=3";
+  spec.topologies = {synth, mesh};
+  spec.num_vcs = 2;
+  spec.max_paths_per_flow = 8;
+  spec.traffic = {TrafficSpec{"", "coherence"}, TrafficSpec{"", "tornado"}};
+  spec.faults = {fault::FaultScenarioSpec{}};  // targeted, k = 1
+  spec.sweep.points = 2;
+  spec.sweep.warmup = 50;
+  spec.sweep.measure = 100;
+  spec.sweep.drain = 50;
+  spec.threads = 1;
+  return spec;
+}
+
+// The keys cache_traffic_spec() looks up, in job order, for a VC budget
+// and a measure window.
+struct CacheKeys {
+  std::vector<std::string> topology, plan, sweep;
+};
+
+CacheKeys cache_keys(int num_vcs, int measure) {
+  const std::string synth =
+      "synth:obj=latop;grid=3x3;class=small;radix=3;sym=0;diam=0;mincut=0;"
+      "lw=1;t=30;seed=1;restarts=1;moves=200;lm=0";
+  const std::string mesh = "baseline:mesh:rows=3,cols=3";
+  const std::string plan_tail =
+      ";vcs=" + std::to_string(num_vcs) + ";paths=8;seed=7";
+  const std::string plans[] = {synth + "|policy=mclb" + plan_tail,
+                               mesh + "|policy=ndbt" + plan_tail};
+  CacheKeys k;
+  k.topology = {synth + ";analytic=1", mesh + ";analytic=1"};
+  k.plan = {plans[0], plans[1]};
+  for (const auto& plan : plans)
+    for (const char* traffic : {"coherence", "tornado"})
+      k.sweep.push_back(plan + "|traffic=" + traffic +
+                        ";ctrl=1;data=9;frac=0.5|sweep=points=2;max=0;"
+                        "adaptive=1;warmup=50;measure=" +
+                        std::to_string(measure) +
+                        ";drain=50;buf=8;io=2;rd=2;ld=1;simseed=1;omp=W");
+  return k;
+}
+
+// The call log of one run: every key loaded in job order, each followed by
+// its store where that kind misses.
+std::vector<std::string> cache_calls(const CacheKeys& k, bool topology_miss,
+                                     bool plan_miss, bool sweep_miss) {
+  std::vector<std::string> calls;
+  const auto add = [&](const std::string& kind,
+                       const std::vector<std::string>& keys, bool miss) {
+    for (const auto& key : keys) {
+      calls.push_back("load " + kind + " " + key);
+      if (miss) calls.push_back("store " + kind + " " + key);
+    }
+  };
+  add(kTopologyArtifactKind, k.topology, topology_miss);
+  add(kPlanArtifactKind, k.plan, plan_miss);
+  add(kSweepArtifactKind, k.sweep, sweep_miss);
+  return calls;
+}
+
+// "topology hits/misses plan hits/misses sweep hits/misses stores".
+std::string stats_line(const ArtifactCacheStats& s) {
+  return "topology " + std::to_string(s.topology_hits) + "/" +
+         std::to_string(s.topology_misses) + " plan " +
+         std::to_string(s.plan_hits) + "/" + std::to_string(s.plan_misses) +
+         " sweep " + std::to_string(s.sweep_hits) + "/" +
+         std::to_string(s.sweep_misses) + " stores " +
+         std::to_string(s.stores);
+}
+
+// Each cached job makes one load and, on a miss, one store after it
+// computes; resilience jobs never touch the cache; a key changes exactly
+// when an input its artifact depends on changes.
+TEST(Study, CacheTrafficPerKind) {
+  LoggingCache cache;
+  StudyOptions opts;
+  opts.cache = &cache;
+  const ExperimentSpec spec = cache_traffic_spec();
+
+  // Cold: every job misses and stores.
+  Study cold(spec, opts);
+  const Report cold_report = cold.run();
+  const std::string cold_json = report_to_json(cold_report);
+  EXPECT_TRUE(cold.failed_jobs().empty());
+  EXPECT_EQ(cold_report.resilience.size(), 4u);
+  EXPECT_EQ(cold.stats().syntheses_run, 1);
+  EXPECT_EQ(stats_line(cold.artifact_cache_stats()),
+            "topology 0/2 plan 0/2 sweep 0/4 stores 8");
+  EXPECT_EQ(cache.take_log(), cache_calls(cache_keys(2, 100), true, true, true));
+
+  // Warm rerun: everything hits, nothing is stored, same bytes.
+  Study warm(spec, opts);
+  EXPECT_EQ(report_to_json(warm.run()), cold_json);
+  EXPECT_EQ(warm.stats().syntheses_run, 1);
+  EXPECT_EQ(stats_line(warm.artifact_cache_stats()),
+            "topology 2/0 plan 2/0 sweep 4/0 stores 0");
+  EXPECT_EQ(cache.take_log(),
+            cache_calls(cache_keys(2, 100), false, false, false));
+
+  // A sweep window is a sweep input only.
+  ExperimentSpec measure = spec;
+  measure.sweep.measure = 120;
+  Study remeasured(measure, opts);
+  remeasured.run();
+  EXPECT_EQ(stats_line(remeasured.artifact_cache_stats()),
+            "topology 2/0 plan 2/0 sweep 0/4 stores 4");
+  EXPECT_EQ(cache.take_log(),
+            cache_calls(cache_keys(2, 120), false, false, true));
+
+  // The VC budget is a plan input, and so reaches every sweep key.
+  ExperimentSpec vcs = spec;
+  vcs.num_vcs = 3;
+  Study revc(vcs, opts);
+  revc.run();
+  EXPECT_EQ(stats_line(revc.artifact_cache_stats()),
+            "topology 2/0 plan 0/2 sweep 0/4 stores 6");
+  EXPECT_EQ(cache.take_log(),
+            cache_calls(cache_keys(3, 100), false, true, true));
+
+  // Resilience jobs make no calls: without the fault scenario a fresh cache
+  // sees exactly the cold log.
+  LoggingCache fresh;
+  StudyOptions fresh_opts;
+  fresh_opts.cache = &fresh;
+  ExperimentSpec fault_free = spec;
+  fault_free.faults.clear();
+  Study(fault_free, fresh_opts).run();
+  EXPECT_EQ(fresh.take_log(),
+            cache_calls(cache_keys(2, 100), true, true, true));
+
+  // syntheses_run counts a synthesize job once it resolved, never when its
+  // anneal threw: a 3x3 grid at radix 3 has no diameter-1 topology.
+  ExperimentSpec failing = spec;
+  failing.topologies = {spec.topologies[0]};
+  failing.topologies[0].diameter_bound = 1;
+  Study plain(failing);
+  plain.run();
+  EXPECT_EQ(plain.stats().syntheses_run, 0);
+  ASSERT_FALSE(plain.failed_jobs().empty());
+  EXPECT_FALSE(plain.failed_jobs()[0].skipped);
+  Study failed(failing, fresh_opts);
+  failed.run();
+  EXPECT_EQ(failed.stats().syntheses_run, 0);
+  EXPECT_EQ(stats_line(failed.artifact_cache_stats()),
+            "topology 0/1 plan 0/0 sweep 0/0 stores 0");
+  EXPECT_EQ(fresh.take_log(),
+            std::vector<std::string>{
+                "load topology synth:obj=latop;grid=3x3;class=small;radix=3;"
+                "sym=0;diam=1;mincut=0;lw=1;t=30;seed=1;restarts=1;moves=200;"
+                "lm=0;analytic=1"});
 }
 
 }  // namespace
