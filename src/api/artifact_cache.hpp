@@ -6,11 +6,11 @@
 // Within a single Study, artifact sharing is structural — the grid expansion
 // dedups on canonical keys, so each unique artifact is produced once. An
 // ArtifactCache extends that sharing across Study instances and across
-// processes: before running a topology/plan/sweep job, the runner asks the
-// cache for a serialized artifact under the job's canonical key (plus the
-// evaluation parameters that are not part of the key, e.g. the analytic
-// toggle and the OpenMP sweep width); after producing one, it stores the
-// serialization back. The serve daemon's persistent content-addressed store
+// processes. Topology, plan and sweep jobs share one cache-through rule
+// (Study::restored / Study::stored): one load() under the job's canonical key
+// plus the evaluation inputs outside it (the analytic toggle, the OpenMP
+// sweep width), and on a miss one store() after the job computes. Resilience
+// jobs never call the cache. The serve daemon's persistent store
 // (serve/store.hpp) is the production implementation.
 //
 // Contract:

@@ -30,6 +30,10 @@ namespace netsmith::api {
 
 namespace {
 
+// Cache namespace of each Study::CacheKind.
+const char* const kCacheKindNames[] = {kTopologyArtifactKind, kPlanArtifactKind,
+                                       kSweepArtifactKind};
+
 std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -350,121 +354,91 @@ void Study::expand() {
 
 // ------------------------------------------------------------ job bodies --
 
+bool Study::restored(CacheKind kind, const std::string& key,
+                     const std::function<bool(const std::string&)>& restore) {
+  if (!opts_.cache) return false;
+  std::string payload;
+  if (opts_.cache->load(kCacheKindNames[kind], key, payload) &&
+      restore(payload)) {
+    cache_hits_[kind].fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  cache_misses_[kind].fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+void Study::stored(CacheKind kind, const std::string& key,
+                   const std::function<std::string()>& payload) {
+  if (!opts_.cache) return;
+  opts_.cache->store(kCacheKindNames[kind], key, payload());
+  cache_stores_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Study::run_topology_job(TopologyArtifact& t) {
   // The analytic toggle changes what the job computes but is not part of
   // the canonical topology key (reports embed the key), so it rides on the
   // cache key instead.
-  const std::string cache_key =
+  const std::string key =
       t.key + (spec_.analytic ? ";analytic=1" : ";analytic=0");
-  if (opts_.cache) {
-    std::string payload;
-    if (opts_.cache->load(kTopologyArtifactKind, cache_key, payload) &&
-        restore_topology_artifact(payload, spec_.analytic, t)) {
-      // Report determinism: syntheses_run counts synthesize jobs resolved,
-      // however the artifact was produced, so cached and recomputed studies
-      // stamp identical provenance.
-      if (t.source == TopologySource::kSynthesize) synth_count_.fetch_add(1);
-      topo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return;
+  const auto restore = [&](const std::string& payload) {
+    return restore_topology_artifact(payload, spec_.analytic, t);
+  };
+  if (!restored(kTopologyCache, key, restore)) {
+    if (t.source == TopologySource::kSynthesize) {
+      t.synth = core::anneal_synthesize(t.synth_cfg);
+      t.topo.graph = t.synth.graph;
+      t.synthesized = true;
     }
-    topo_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (t.source == TopologySource::kSynthesize) {
-    t.synth = core::anneal_synthesize(t.synth_cfg);
-    t.topo.graph = t.synth.graph;
-    t.synthesized = true;
-    synth_count_.fetch_add(1);
-  }
-  if (spec_.analytic) {
-    const auto& g = t.topo.graph;
-    t.avg_hops = topo::average_hops(g);
-    t.diameter = topo::diameter(g);
-    t.bisection_bw = topo::bisection_bandwidth(g);
-    // The sparsest-cut heuristic packs partitions into a 64-bit mask; past
-    // that the cut bound is simply not reported (reads as 0) rather than
-    // capping the whole analytic block at n = 64.
-    if (g.num_nodes() <= 64) t.cut_bound = routing::cut_bound(g);
-    if (t.topo.extra_edge_delay.rows() > 0 && g.num_directed_edges() > 0) {
-      long extra = 0;
-      for (const auto& [i, j] : g.edges()) extra += t.topo.extra_edge_delay(i, j);
-      t.avg_extra_edge_delay =
-          static_cast<double>(extra) / g.num_directed_edges();
+    if (spec_.analytic) {
+      const auto& g = t.topo.graph;
+      t.avg_hops = topo::average_hops(g);
+      t.diameter = topo::diameter(g);
+      t.bisection_bw = topo::bisection_bandwidth(g);
+      // The sparsest-cut heuristic packs partitions into a 64-bit mask; past
+      // that the cut bound is simply not reported (reads as 0) rather than
+      // capping the whole analytic block at n = 64.
+      if (g.num_nodes() <= 64) t.cut_bound = routing::cut_bound(g);
+      if (t.topo.extra_edge_delay.rows() > 0 && g.num_directed_edges() > 0) {
+        long extra = 0;
+        for (const auto& [i, j] : g.edges())
+          extra += t.topo.extra_edge_delay(i, j);
+        t.avg_extra_edge_delay =
+            static_cast<double>(extra) / g.num_directed_edges();
+      }
     }
+    stored(kTopologyCache, key,
+           [&] { return topology_artifact_payload(t, spec_.analytic); });
   }
-  if (opts_.cache) {
-    opts_.cache->store(kTopologyArtifactKind, cache_key,
-                       topology_artifact_payload(t, spec_.analytic));
-    cache_stores_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Report determinism: syntheses_run counts synthesize jobs resolved,
+  // however the artifact was produced, so cached and recomputed studies
+  // stamp identical provenance. A throwing anneal never gets here.
+  if (t.source == TopologySource::kSynthesize) synth_count_.fetch_add(1);
 }
 
 void Study::run_plan_job(PlanArtifact& p) {
   const auto& t = utopos_[static_cast<std::size_t>(p.topology)];
   const auto policy = policy_for(t);
-  if (opts_.cache) {
-    std::string payload;
-    // A restored plan built under another policy, VC budget, path cap or
-    // system shape would change report rows, so it counts as a miss like
-    // any other corrupt payload.
-    if (opts_.cache->load(kPlanArtifactKind, p.key, payload) &&
-        restore_plan_artifact(payload, t.topo.layout, p) &&
+  // A restored plan built under another policy, VC budget, path cap or
+  // system shape would change report rows, so it counts as a miss like
+  // any other corrupt payload, and must not leave has_system set.
+  const auto restore = [&](const std::string& payload) {
+    if (restore_plan_artifact(payload, t.topo.layout, p) &&
         p.plan.policy == policy && p.plan.num_vcs == spec_.num_vcs &&
         p.plan.max_paths_per_flow == spec_.max_paths_per_flow &&
-        p.has_system == spec_.chiplet_system) {
-      plan_hits_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    p.has_system = false;  // a rejected restore may have set it
-    plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+        p.has_system == spec_.chiplet_system)
+      return true;
+    p.has_system = false;
+    return false;
+  };
+  if (restored(kPlanCache, p.key, restore)) return;
   if (spec_.chiplet_system) {
     p.system = system::build_chiplet_system(t.topo.graph, t.topo.layout);
     p.has_system = true;
-    p.plan = core::plan_network(p.system.graph, t.topo.layout, policy,
-                                spec_.num_vcs, p.seed,
-                                spec_.max_paths_per_flow);
-  } else {
-    p.plan = core::plan_network(t.topo.graph, t.topo.layout, policy,
-                                spec_.num_vcs, p.seed,
-                                spec_.max_paths_per_flow);
   }
-  if (opts_.cache) {
-    opts_.cache->store(kPlanArtifactKind, p.key, plan_artifact_payload(p));
-    cache_stores_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-sim::TrafficConfig Study::traffic_for(const PlanArtifact& p,
-                                      const TopologyArtifact& t,
-                                      const TrafficSpec& ts,
-                                      double& max_override) const {
-  sim::TrafficConfig traffic;
-  if (ts.kind == "tornado") {
-    const auto pattern = core::tornado_pattern(p.plan.graph.num_nodes());
-    traffic = sim::traffic_from_pattern(pattern, /*injection_rate=*/0.01);
-    if (max_override <= 0.0) {
-      // The uniform-traffic auto bound does not apply; cap by the pattern's
-      // routed channel-load bound instead (mirrors sweep_to_saturation).
-      const double bound =
-          routing::analyze_pattern(p.plan.table, pattern).throughput_bound();
-      const double rate = bound > 0.0 ? std::min(1.0, 1.6 * bound) : 0.5;
-      const double avg_flits =
-          ts.ctrl_flits + ts.data_fraction * (ts.data_flits - ts.ctrl_flits);
-      max_override = rate / std::max(1.0, avg_flits);
-    }
-  } else if (ts.kind == "memory") {
-    traffic.kind = sim::TrafficKind::kMemory;
-    traffic.mc_nodes =
-        p.has_system ? p.system.mc_routers : sim::mc_nodes(t.topo.layout);
-  } else if (ts.kind == "shuffle") {
-    traffic.kind = sim::TrafficKind::kShuffle;
-  } else {
-    traffic.kind = sim::TrafficKind::kCoherence;
-  }
-  traffic.ctrl_flits = ts.ctrl_flits;
-  traffic.data_flits = ts.data_flits;
-  traffic.data_fraction = ts.data_fraction;
-  return traffic;
+  p.plan = core::plan_network(p.has_system ? p.system.graph : t.topo.graph,
+                              t.topo.layout, policy, spec_.num_vcs, p.seed,
+                              spec_.max_paths_per_flow);
+  stored(kPlanCache, p.key, [&] { return plan_artifact_payload(p); });
 }
 
 std::string Study::sweep_cache_key(const USweep& s) const {
@@ -497,68 +471,74 @@ std::string Study::sweep_cache_key(const USweep& s) const {
          ";omp=" + std::to_string(omp_width);
 }
 
-void Study::run_sweep_job(USweep& s) {
-  std::string cache_key;
-  if (opts_.cache) {
-    cache_key = sweep_cache_key(s);
-    std::string payload;
-    if (opts_.cache->load(kSweepArtifactKind, cache_key, payload) &&
-        restore_sweep_artifact(payload, s.result)) {
-      sweep_hits_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    sweep_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const auto& p = uplans_[static_cast<std::size_t>(s.plan)];
+sim::SweepResult Study::sweep(int plan, int traffic,
+                              const fault::FaultPlan* faults) const {
+  const auto& p = uplans_[static_cast<std::size_t>(plan)];
   const auto& t = utopos_[static_cast<std::size_t>(p.topology)];
-  const auto& ts = spec_.traffic[static_cast<std::size_t>(s.traffic)];
+  const auto& ts = spec_.traffic[static_cast<std::size_t>(traffic)];
 
   sim::SimConfig cfg = make_sim_config(spec_);
   cfg.extra_edge_delay =
       p.has_system ? p.system.extra_delay : t.topo.extra_edge_delay;
-  const double clock = topo::clock_ghz(t.topo.link_class);
+  cfg.faults = faults;
 
-  double max_override = spec_.sweep.max_rate;
-  const sim::TrafficConfig traffic = traffic_for(p, t, ts, max_override);
+  sim::TrafficConfig tc;
+  double max_rate = spec_.sweep.max_rate;
+  if (ts.kind == "tornado") {
+    const auto pattern = core::tornado_pattern(p.plan.graph.num_nodes());
+    tc = sim::traffic_from_pattern(pattern, /*injection_rate=*/0.01);
+    if (max_rate <= 0.0) {
+      // The uniform-traffic auto bound does not apply; cap by the pattern's
+      // routed channel-load bound instead (mirrors sweep_to_saturation).
+      const double bound =
+          routing::analyze_pattern(p.plan.table, pattern).throughput_bound();
+      const double rate = bound > 0.0 ? std::min(1.0, 1.6 * bound) : 0.5;
+      const double avg_flits =
+          ts.ctrl_flits + ts.data_fraction * (ts.data_flits - ts.ctrl_flits);
+      max_rate = rate / std::max(1.0, avg_flits);
+    }
+  } else if (ts.kind == "memory") {
+    tc.kind = sim::TrafficKind::kMemory;
+    tc.mc_nodes =
+        p.has_system ? p.system.mc_routers : sim::mc_nodes(t.topo.layout);
+  } else if (ts.kind == "shuffle") {
+    tc.kind = sim::TrafficKind::kShuffle;
+  } else {
+    tc.kind = sim::TrafficKind::kCoherence;
+  }
+  tc.ctrl_flits = ts.ctrl_flits;
+  tc.data_flits = ts.data_flits;
+  tc.data_fraction = ts.data_fraction;
 
   sim::SweepOptions opt;
-  opt.adaptive = spec_.sweep.adaptive;
-  s.result = sim::sweep_to_saturation(p.plan, traffic, cfg, clock,
-                                      spec_.sweep.points, max_override, opt);
-  if (opts_.cache) {
-    opts_.cache->store(kSweepArtifactKind, cache_key,
-                       sweep_artifact_payload(s.result));
-    cache_stores_.fetch_add(1, std::memory_order_relaxed);
-  }
+  opt.adaptive = spec_.sweep.adaptive && faults == nullptr;
+  return sim::sweep_to_saturation(p.plan, tc, cfg,
+                                  topo::clock_ghz(t.topo.link_class),
+                                  spec_.sweep.points, max_rate, opt);
+}
+
+void Study::run_sweep_job(USweep& s) {
+  // Only a cache needs the key, and it must be built here on the pool
+  // worker, whose OpenMP width it reads.
+  const std::string key = opts_.cache ? sweep_cache_key(s) : std::string();
+  const auto restore = [&](const std::string& payload) {
+    return restore_sweep_artifact(payload, s.result);
+  };
+  if (restored(kSweepCache, key, restore)) return;
+  s.result = sweep(s.plan, s.traffic, nullptr);
+  stored(kSweepCache, key, [&] { return sweep_artifact_payload(s.result); });
 }
 
 void Study::run_resilience_job(UResilience& r) {
   const auto& p = uplans_[static_cast<std::size_t>(r.plan)];
-  const auto& t = utopos_[static_cast<std::size_t>(p.topology)];
-  const auto& ts = spec_.traffic[static_cast<std::size_t>(r.traffic)];
-  const auto& sc = spec_.faults[static_cast<std::size_t>(r.scenario)];
-
-  sim::SimConfig cfg = make_sim_config(spec_);
-  cfg.extra_edge_delay =
-      p.has_system ? p.system.extra_delay : t.topo.extra_edge_delay;
-  const double clock = topo::clock_ghz(t.topo.link_class);
-
-  // Expand the scenario against this plan. Throws on invalid explicit events
-  // or repairs exceeding the VC budget; the DAG driver records the job as
-  // failed.
-  const long horizon = cfg.warmup + cfg.measure + cfg.drain;
-  r.fplan = fault::prepare_fault_plan(p.plan, sc, horizon);
-  cfg.faults = &r.fplan;
-
-  double max_override = spec_.sweep.max_rate;
-  const sim::TrafficConfig traffic = traffic_for(p, t, ts, max_override);
-
-  sim::SweepOptions opt;
-  // Adaptive truncation depends on the OpenMP wave size; resilience rows
-  // promise byte-identical results across widths, so it is always off here.
-  opt.adaptive = false;
-  r.result = sim::sweep_to_saturation(p.plan, traffic, cfg, clock,
-                                      spec_.sweep.points, max_override, opt);
+  const auto& sw = spec_.sweep;
+  // Expand the scenario against this plan over the simulated horizon.
+  // Throws on invalid explicit events or repairs exceeding the VC budget;
+  // the DAG driver records the job as failed.
+  r.fplan = fault::prepare_fault_plan(
+      p.plan, spec_.faults[static_cast<std::size_t>(r.scenario)],
+      sw.warmup + sw.measure + sw.drain);
+  r.result = sweep(r.plan, r.traffic, &r.fplan);
 }
 
 // -------------------------------------------------------------- execution --
@@ -859,18 +839,23 @@ Report Study::run() {
 
 ArtifactCacheStats Study::artifact_cache_stats() const {
   ArtifactCacheStats s;
-  s.topology_hits = topo_hits_.load(std::memory_order_relaxed);
-  s.topology_misses = topo_misses_.load(std::memory_order_relaxed);
-  s.plan_hits = plan_hits_.load(std::memory_order_relaxed);
-  s.plan_misses = plan_misses_.load(std::memory_order_relaxed);
-  s.sweep_hits = sweep_hits_.load(std::memory_order_relaxed);
-  s.sweep_misses = sweep_misses_.load(std::memory_order_relaxed);
-  s.stores = cache_stores_.load(std::memory_order_relaxed);
+  s.topology_hits = cache_hits_[kTopologyCache];
+  s.topology_misses = cache_misses_[kTopologyCache];
+  s.plan_hits = cache_hits_[kPlanCache];
+  s.plan_misses = cache_misses_[kPlanCache];
+  s.sweep_hits = cache_hits_[kSweepCache];
+  s.sweep_misses = cache_misses_[kSweepCache];
+  s.stores = cache_stores_;
   return s;
 }
 
 const PlanArtifact& Study::plan_for(int topology_ref, int seed_index) const {
   const int S = static_cast<int>(spec_.seeds.size());
+  if (topology_ref < 0 || topology_ref >= stats_.topology_refs ||
+      seed_index < 0 || seed_index >= S)
+    throw std::out_of_range("study: plan_for(" + std::to_string(topology_ref) +
+                            ", " + std::to_string(seed_index) +
+                            ") is outside the grid");
   return uplans_[static_cast<std::size_t>(
       plan_refs_[static_cast<std::size_t>(topology_ref) * S + seed_index])];
 }

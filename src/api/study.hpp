@@ -115,7 +115,8 @@ class Study {
   // Jobs that threw or were skipped because a dependency failed (valid after
   // run(); also embedded in the Report).
   const std::vector<FailedJob>& failed_jobs() const { return failed_jobs_; }
-  // Unique plan artifact serving grid row (topology_ref, seed_index).
+  // Unique plan artifact serving grid row (topology_ref, seed_index);
+  // throws std::out_of_range when either index is outside the grid.
   const PlanArtifact& plan_for(int topology_ref, int seed_index = 0) const;
 
   // Routing policy a topology gets under spec.routing ("auto" = MCLB for
@@ -140,8 +141,18 @@ class Study {
     sim::SweepResult result;
   };
 
+  enum CacheKind { kTopologyCache, kPlanCache, kSweepCache, kCacheKinds };
+
   void expand();
   void run_jobs();
+  // The one cache-through rule of topology, plan and sweep jobs: a job is
+  // done if restored() loads its key and `restore` accepts the payload;
+  // else it computes, then calls stored(). Both are no-ops without a cache.
+  // Resilience jobs are uncached.
+  bool restored(CacheKind kind, const std::string& key,
+                const std::function<bool(const std::string&)>& restore);
+  void stored(CacheKind kind, const std::string& key,
+              const std::function<std::string()>& payload);
   void run_topology_job(TopologyArtifact& t);
   void run_plan_job(PlanArtifact& p);
   void run_sweep_job(USweep& s);
@@ -149,14 +160,12 @@ class Study {
   // Cache key of a sweep job: the plan key extended with every input the
   // sweep depends on (traffic shape, sweep/sim windows, and the OpenMP
   // width, which adaptive truncation and the omp_threads provenance field
-  // both observe).
+  // both observe). Built on the pool worker that runs the sweep.
   std::string sweep_cache_key(const USweep& s) const;
-  // Traffic construction shared by sweep and resilience jobs; updates
-  // max_override for patterns whose rate cap is not the uniform auto bound.
-  sim::TrafficConfig traffic_for(const PlanArtifact& p,
-                                 const TopologyArtifact& t,
-                                 const TrafficSpec& ts,
-                                 double& max_override) const;
+  // The one sweep body of sweep and resilience jobs: uplans_[plan] under
+  // spec_.traffic[traffic], adaptive only when `faults` is null.
+  sim::SweepResult sweep(int plan, int traffic,
+                         const fault::FaultPlan* faults) const;
   Report assemble() const;
 
   ExperimentSpec spec_;
@@ -164,10 +173,9 @@ class Study {
   StudyStats stats_;
   bool ran_ = false;
   std::atomic<int> synth_count_{0};
-  // Artifact-cache traffic (opts_.cache only; all stay zero without one).
-  std::atomic<long> topo_hits_{0}, topo_misses_{0};
-  std::atomic<long> plan_hits_{0}, plan_misses_{0};
-  std::atomic<long> sweep_hits_{0}, sweep_misses_{0};
+  // Cache traffic per CacheKind, counted by restored() and stored().
+  std::atomic<long> cache_hits_[kCacheKinds] = {};
+  std::atomic<long> cache_misses_[kCacheKinds] = {};
   std::atomic<long> cache_stores_{0};
 
   std::vector<TopologyArtifact> utopos_;

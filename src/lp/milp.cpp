@@ -14,6 +14,9 @@ namespace netsmith::lp {
 
 namespace {
 
+// Relative objective-bounds gap to stop at, and integrality tolerance.
+constexpr double kGapTol = 1e-6, kIntTol = 1e-6;
+
 struct Node {
   // Bound overrides relative to the root model, sparse: (var, lb, ub).
   std::vector<std::array<double, 2>> bounds;  // indexed in parallel with vars_
@@ -101,7 +104,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
     for (int j = 0; j < model.num_vars(); ++j) {
       if (!is_int_var(model.var(j))) continue;
       const double dist = std::abs(x[j] - std::round(x[j]));
-      if (dist <= opts.int_tol) continue;
+      if (dist <= kIntTol) continue;
       const double score = std::abs(dist - 0.5);
       if (frac_var < 0 || score < best_score) {
         frac_var = j;
@@ -119,7 +122,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
     if (std::isfinite(incumbent)) {
       const double gap = (incumbent - global_bound) /
                          std::max(1.0, std::abs(incumbent));
-      if (gap <= opts.gap_tol) {
+      if (gap <= kGapTol) {
         global_bound = incumbent;
         break;
       }

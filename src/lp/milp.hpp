@@ -4,8 +4,8 @@
 // Best-first node selection on the relaxation bound with depth-first
 // "plunging" to find incumbents early (the same anytime behaviour the paper
 // leans on: MIP solvers report an incumbent and an objective-bounds gap that
-// narrows over time, Fig. 5). Supports time / node / gap limits and an
-// optional progress callback receiving (seconds, incumbent, bound).
+// narrows over time, Fig. 5). Supports time and node limits and an optional
+// progress callback receiving (seconds, incumbent, bound); the gap is fixed.
 
 #include <functional>
 
@@ -18,8 +18,6 @@ struct MilpOptions {
   SimplexOptions lp;
   double time_limit_s = 60.0;
   long node_limit = 2000000;
-  double gap_tol = 1e-6;       // relative objective-bounds gap to stop at
-  double int_tol = 1e-6;       // integrality tolerance
   // Called whenever the incumbent or bound improves.
   std::function<void(double seconds, double incumbent, double bound)> progress;
 };

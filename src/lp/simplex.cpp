@@ -56,23 +56,28 @@ void price(Tableau& t, const std::vector<double>& cost) {
     if (t.stat[j] != kBasic) t.z += cost[j] * t.xval[j];
 }
 
+// Per-phase iteration cap and Dantzig-to-Bland switch; pivots at or below
+// kPivotTol count as zero, and a reduced cost must beat kCostTol to enter.
+constexpr long kMaxIterations = 200000, kBlandAfter = 20000;
+constexpr double kPivotTol = 1e-9, kCostTol = 1e-7;
+
 enum class StepResult { kOptimal, kUnbounded, kMoved };
 
 // One primal simplex iteration (minimization). Returns kOptimal when no
 // eligible entering variable exists.
-StepResult step(Tableau& t, const SimplexOptions& opts, bool bland) {
+StepResult step(Tableau& t, bool bland) {
   // --- Pricing: pick entering column.
   int q = -1;
   int dir = 0;
-  double best = opts.cost_tol;
+  double best = kCostTol;
   for (int j = 0; j < t.total; ++j) {
     if (t.stat[j] == kBasic) continue;
     if (t.lb[j] == t.ub[j]) continue;  // fixed, cannot move
     const double dj = t.d[j];
-    if (t.stat[j] == kAtLb && dj < -opts.cost_tol) {
+    if (t.stat[j] == kAtLb && dj < -kCostTol) {
       if (bland) { q = j; dir = +1; break; }
       if (-dj > best) { best = -dj; q = j; dir = +1; }
-    } else if (t.stat[j] == kAtUb && dj > opts.cost_tol) {
+    } else if (t.stat[j] == kAtUb && dj > kCostTol) {
       if (bland) { q = j; dir = -1; break; }
       if (dj > best) { best = dj; q = j; dir = -1; }
     }
@@ -92,7 +97,7 @@ StepResult step(Tableau& t, const SimplexOptions& opts, bool bland) {
 
   for (int i = 0; i < t.m; ++i) {
     const double a = t.at(i, q) * dir;
-    if (std::abs(a) <= opts.pivot_tol) continue;
+    if (std::abs(a) <= kPivotTol) continue;
     const int k = t.basis[i];
     double limit;
     int to;
@@ -147,7 +152,7 @@ StepResult step(Tableau& t, const SimplexOptions& opts, bool bland) {
   t.xval[k] = (leave_to == kAtLb) ? t.lb[k] : t.ub[k];
 
   const double piv = t.at(leave_row, q);
-  assert(std::abs(piv) > opts.pivot_tol);
+  assert(std::abs(piv) > kPivotTol);
   double* prow = &t.T[static_cast<std::size_t>(leave_row) * t.total];
   const double inv = 1.0 / piv;
   for (int j = 0; j < t.total; ++j) prow[j] *= inv;
@@ -267,9 +272,9 @@ Solution solve_lp(const Model& model, const SimplexOptions& opts) {
     long it = 0;
     while (true) {
       if (timer.seconds() > opts.time_limit_s) return SolveStatus::kTimeLimit;
-      if (it > opts.max_iterations) return SolveStatus::kIterLimit;
-      const bool bland = it > opts.bland_after;
-      const StepResult r = step(t, opts, bland);
+      if (it > kMaxIterations) return SolveStatus::kIterLimit;
+      const bool bland = it > kBlandAfter;
+      const StepResult r = step(t, bland);
       ++it;
       sol.iterations++;
       if (r == StepResult::kOptimal) return SolveStatus::kOptimal;

@@ -13,13 +13,9 @@
 
 namespace netsmith::lp {
 
+// Tolerances and the iteration cap are constants in simplex.cpp.
 struct SimplexOptions {
-  long max_iterations = 200000;
   double time_limit_s = 60.0;
-  double pivot_tol = 1e-9;
-  double cost_tol = 1e-7;
-  // After this many iterations switch from Dantzig to Bland's rule.
-  long bland_after = 20000;
 };
 
 // Solves the LP relaxation of `model` (integrality ignored).

@@ -58,8 +58,7 @@ VcAssignment try_assign(const routing::RoutingTable& rt, const LinkIds& ids,
 }  // namespace
 
 VcAssignment assign_layers(const routing::RoutingTable& rt,
-                           const topo::DiGraph& g, util::Rng& rng,
-                           int restarts, int max_layers) {
+                           const topo::DiGraph& g, util::Rng& rng) {
   obs::Span span("vc/assign_layers");
   const int n = rt.num_nodes();
   std::vector<FlowRef> flows;
@@ -73,7 +72,7 @@ VcAssignment assign_layers(const routing::RoutingTable& rt,
   VcAssignment best;
   best.num_layers = -1;
   int tried = 0, capped = 0;
-  for (int r = 0; r < restarts; ++r) {
+  for (int r = 0; r < kLayerRestarts; ++r) {
     if (r > 0 && best.num_layers == 2) {
       // Two layers cannot be beaten: a deferral means the whole route set's
       // CDG has a cycle, so no order fits one layer. The skipped restart
@@ -88,11 +87,11 @@ VcAssignment assign_layers(const routing::RoutingTable& rt,
     // Only a strictly smaller count replaces the best, so a restart may stop
     // as soon as it would need best layers.
     const int cap = best.num_layers < 0
-                        ? max_layers
-                        : std::min(max_layers, best.num_layers - 1);
+                        ? kMaxLayers
+                        : std::min(kMaxLayers, best.num_layers - 1);
     auto a = try_assign(rt, ids, cdg, order, cap);
     if (a.num_layers < 0) {
-      if (cap < max_layers) ++capped;
+      if (cap < kMaxLayers) ++capped;
       continue;
     }
     best = std::move(a);

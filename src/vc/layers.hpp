@@ -20,17 +20,19 @@ struct VcAssignment {
   std::vector<int> layer;
 };
 
+// Restarts per call, and the most layers an assignment may use.
+inline constexpr int kLayerRestarts = 8, kMaxLayers = 16;
+
 // Greedy layered assignment with rollback on cycle creation. Restart 0 takes
 // the flows in (s, d) order; restart r > 0 takes rng.shuffle of them, and the
 // fewest-layer result wins (the earliest on ties). RNG contract: the call
 // draws exactly one shuffle of the routed-flow list per restart r in
-// [1, restarts), stopping after the first restart that needs one layer, and
-// nothing else. Restarts that cannot win (one layer is known to be
-// impossible once some restart needed two) are not run, but their shuffles
-// are still drawn, so rng leaves in the same state either way.
+// [1, kLayerRestarts), stopping after the first restart that needs one
+// layer, and nothing else. Restarts that cannot win (one layer is known to
+// be impossible once some restart needed two) are not run, but their
+// shuffles are still drawn, so rng leaves in the same state either way.
 VcAssignment assign_layers(const routing::RoutingTable& rt,
-                           const topo::DiGraph& g, util::Rng& rng,
-                           int restarts = 8, int max_layers = 16);
+                           const topo::DiGraph& g, util::Rng& rng);
 
 // Verifies that every layer's CDG is acyclic (the deadlock-freedom
 // condition); used by tests and asserted before simulation.

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -351,6 +352,36 @@ TEST(Report, EmbeddedSpecRoundTrips) {
   // version so fault-free output stays byte-compatible.
   EXPECT_EQ(report_schema_version(json), kReportSchemaVersion - 1);
   EXPECT_TRUE(spec_from_report(json) == spec);
+}
+
+// plan_for checks both grid indices: in a one-seed study (0, 1) is not
+// topology 1's plan, and a ref past the end is not memory past the grid.
+TEST(Study, PlanForRejectsIndicesOutsideTheGrid) {
+  ExperimentSpec spec;
+  TopologySpec a;
+  a.source = TopologySource::kBaseline;
+  a.baseline = "mesh:rows=3,cols=3";
+  TopologySpec b = a;
+  b.baseline = "mesh:rows=3,cols=4";
+  spec.topologies = {a, b};
+  spec.analytic = false;
+  Study study(spec);
+  study.run();
+  EXPECT_EQ(study.plan_for(1, 0).topology, 1);
+  const auto message = [&](int ref, int seed) -> std::string {
+    try {
+      study.plan_for(ref, seed);
+    } catch (const std::out_of_range& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_NE(message(0, 1).find("plan_for(0, 1)"), std::string::npos)
+      << message(0, 1);
+  EXPECT_NE(message(2, 0).find("plan_for(2, 0)"), std::string::npos)
+      << message(2, 0);
+  EXPECT_NE(message(-1, 0).find("plan_for(-1, 0)"), std::string::npos);
+  EXPECT_NE(message(0, -1).find("plan_for(0, -1)"), std::string::npos);
 }
 
 TEST(Study, RunTwiceThrows) {
