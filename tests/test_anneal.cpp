@@ -280,6 +280,12 @@ TEST(AnnealGolden, MultiRestartDigests) {
   grid108.layout = topo::Layout{10, 8, 2.0};
   SynthesisConfig grid86_sym = grid86;
   grid86_sym.symmetric_links = true;
+  SynthesisConfig grid86_c7 = grid86;
+  grid86_c7.min_cut_bandwidth = 0.013;  // binds (0.01 runs as if unset)
+  SynthesisConfig grid168 = grid86;
+  grid168.layout = topo::Layout{16, 8, 2.0};
+  SynthesisConfig grid1616 = grid86;
+  grid1616.layout = topo::Layout{16, 16, 2.0};
   const struct {
     const char* name;
     SynthesisConfig cfg;
@@ -303,6 +309,14 @@ TEST(AnnealGolden, MultiRestartDigests) {
        0x3e285e513ffcec36ull},
       {"8x6 symmetric latop 1x5000", with(grid86_sym, 1, 5000, 0),
        0x762a49d9a225f200ull},
+      // kLatOp under a C7 penalty (scored through the cut cache), the
+      // multi-word full-mode rows at n = 128, and landmark rows at n = 256.
+      {"8x6 latop min-cut 1x3000", with(grid86_c7, 1, 3000, 0),
+       0xd62d2c919fc357a1ull},
+      {"16x8 latop 1x3000", with(grid168, 1, 3000, 0),
+       0x1f9ffdc9e2ab26c8ull},
+      {"16x16 landmark latop 1x1500", with(grid1616, 1, 1500, 64),
+       0x1bd92f4915deba3eull},
   };
   for (const auto& c : cases) {
     const auto r = anneal_synthesize(c.cfg);
