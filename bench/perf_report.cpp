@@ -523,15 +523,15 @@ int main(int argc, char** argv) {
       obs::WallTimer synth_t;
       const auto r = core::anneal_synthesize(cfg);
       double synth_s = synth_t.seconds();
-      // A run under 0.1 s (n = 48) read 0.70M and 0.99M moves/s across two
-      // reports of one binary: time it as the minimum of three runs of the
-      // same move-budgeted (deterministic) synthesis, as the sim column does.
-      if (synth_s < 0.1) {
-        for (int run = 1; run < 3; ++run) {
-          obs::WallTimer rerun_t;
-          core::anneal_synthesize(cfg);
-          synth_s = std::min(synth_s, rerun_t.seconds());
-        }
+      // Short runs (a few ms at n = 48 and 128) read far apart across
+      // reports of one binary: repeat the same move-budgeted (deterministic)
+      // synthesis until the samples add up to 0.2 s and keep the fastest.
+      for (double spent = synth_s; spent < 0.2;) {
+        obs::WallTimer rerun_t;
+        core::anneal_synthesize(cfg);
+        const double s = rerun_t.seconds();
+        spent += s;
+        synth_s = std::min(synth_s, s);
       }
       sp.synth_moves_per_sec = static_cast<double>(r.moves) / synth_s;
       sp.apsp_rows_per_move =

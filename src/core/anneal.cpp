@@ -266,7 +266,9 @@ class RestartRun {
         cuts_(n_, kCutCacheSize),
         ws_(ws),
         landmark_(ctx.landmarks > 0),
-        scale_(landmark_ ? static_cast<double>(ctx.n) / ctx.landmarks : 1.0) {}
+        scale_(landmark_ ? static_cast<double>(ctx.n) / ctx.landmarks : 1.0),
+        hops_score_(cfg_.objective == Objective::kLatOp &&
+                    cfg_.min_cut_bandwidth <= 0.0) {}
 
   RestartOutcome run() {
     obs::WallTimer timer;
@@ -335,10 +337,17 @@ class RestartRun {
         ++out.moves;
         ++moves_done;
         if (!propose_and_apply(g, ws_.pool)) continue;
-        sync_engine(g);
+        double u = -1.0;  // the Metropolis uniform, once drawn
+        if (!sync_engine(g, score, temp, &u)) {
+          ++early_rejects_;
+          ws_.engine.rollback();
+          undo(g, ws_.pool);
+          continue;
+        }
         const double cand = search_score(g);
         const double delta = cand - score;
-        if (delta <= 0.0 || rng_.uniform() < std::exp(-delta / temp)) {
+        if (delta <= 0.0 ||
+            (u >= 0.0 ? u : rng_.uniform()) < std::exp(-delta / temp)) {
           ws_.engine.commit();
           score = cand;
           ++out.accepted;
@@ -383,6 +392,8 @@ class RestartRun {
           .add(static_cast<std::uint64_t>(fast_rejects_));
       obs::counter("anneal.apsp_resweeps")
           .add(static_cast<std::uint64_t>(out.resweeps));
+      obs::counter("anneal.early_rejects")
+          .add(static_cast<std::uint64_t>(early_rejects_));
       obs::counter("anneal.exact_rescores")
           .add(static_cast<std::uint64_t>(out.rescores));
     }
@@ -393,7 +404,20 @@ class RestartRun {
   // Replay the move's edit batch into the delta-APSP engine. Removals and
   // additions are detected against the pre-move rows (the union rule in
   // topo/delta_apsp.hpp), so the entry order is immaterial.
-  void sync_engine(const topo::DiGraph& g) {
+  //
+  // Early rejection. When the score is the hop total, the move is a pure
+  // removal (one edge or a twin pair), the graph is connected and some row
+  // is affected, every affected row grows or loses a target, so the move
+  // certainly scores worse and the Metropolis test will draw its uniform:
+  // draw it here, into *u, at the same point of the RNG stream. After each
+  // re-swept row the partial score bound (swept rows exact, each unswept
+  // one at least 1 above its old sum) is tested with the same rule; once
+  // the bound already fails it, the rest of the sweep is skipped and this
+  // returns false (the caller rolls back). A move that survives runs the
+  // ordinary test with the same *u, so every decision is the one the full
+  // sweep would make.
+  bool sync_engine(const topo::DiGraph& g, double score, double temp,
+                   double* u) {
     topo::DeltaApsp::EdgeChange ch[4];
     int c = 0;
     if (delta_.removed) {
@@ -406,7 +430,20 @@ class RestartRun {
       if (cfg_.symmetric_links)
         ch[c++] = {delta_.add.second, delta_.add.first, true};
     }
-    ws_.engine.apply(g, ch, c);
+    auto& e = ws_.engine;
+    const bool certain_loss = e.detect(g, ch, c) > 0 && hops_score_ &&
+                              !delta_.added && e.unreachable() == 0;
+    if (certain_loss) *u = rng_.uniform();
+    return e.sweep(g, [&](int unswept) {
+      if (!certain_loss) return false;
+      const long lost = e.unreachable();
+      const double bound =
+          lost > 0 ? kDisconnected * lost
+                   : std::min(kDisconnected,
+                              static_cast<double>(e.hop_sum() + unswept) *
+                                  scale_);
+      return !(*u < std::exp(-(bound - score) / temp));
+    });
   }
 
   // Hop total of the current graph from the maintained aggregates. Integer
@@ -732,12 +769,16 @@ class RestartRun {
   RestartWorkspace& ws_;
   bool landmark_;
   double scale_;  // n / k in landmark mode, 1.0 otherwise
+  // The search score is exactly hops_total(): kLatOp with no C7 penalty (a
+  // penalty may refresh the cut cache, so it has no monotone bound).
+  bool hops_score_;
   double last_hops_ = 0.0;
   double last_weighted_ = 0.0;
   double last_load_ = 0.0;
   long incumbent_updates_ = 0;  // accepted incumbents (obs flush per restart)
   long fast_rejects_ = 0;       // cheap-reject gate hits
   long exact_rescores_ = 0;     // landmark-mode full re-scores
+  long early_rejects_ = 0;      // moves rejected before a full re-sweep
   Delta delta_;
 };
 

@@ -42,7 +42,14 @@ void DeltaApsp::sweep_row(const DiGraph& g, int r) {
   unreachable_ += t.unreached - row_unreach_[static_cast<std::size_t>(r)];
   row_sum_[static_cast<std::size_t>(r)] = t.hop_sum;
   row_unreach_[static_cast<std::size_t>(r)] = t.unreached;
-  ++resweeps_;
+}
+
+void DeltaApsp::journal_and_sweep(const DiGraph& g, int r) {
+  journal_.push_back({r, row_sum_[static_cast<std::size_t>(r)],
+                      row_unreach_[static_cast<std::size_t>(r)]});
+  const int* row = &dist_(static_cast<std::size_t>(r), 0);
+  journal_rows_.insert(journal_rows_.end(), row, row + n_);
+  sweep_row(g, r);
 }
 
 void DeltaApsp::rebuild(const DiGraph& g) {
@@ -50,14 +57,20 @@ void DeltaApsp::rebuild(const DiGraph& g) {
   journal_.clear();
   journal_rows_.clear();
   pending_ = false;
-  const auto saved = resweeps_;  // rebuild sweeps are not "delta" work
   for (int r = 0; r < num_sources(); ++r) sweep_row(g, r);
-  resweeps_ = saved;
 }
 
 int DeltaApsp::apply(const DiGraph& g, const EdgeChange* changes, int count) {
+  const int affected = detect(g, changes, count);
+  sweep(g, [](int) { return false; });
+  return affected;
+}
+
+int DeltaApsp::detect(const DiGraph& g, const EdgeChange* changes,
+                      int count) {
   assert(g.num_nodes() == n_);
   assert(!pending_ && "apply() without commit()/rollback()");
+  affected_.clear();
   if (count <= 0) return 0;
 
   // The surviving-predecessor filter for removals is only proven for the
@@ -81,7 +94,6 @@ int DeltaApsp::apply(const DiGraph& g, const EdgeChange* changes, int count) {
   // edit already took reach the predecessor filter. Rows join affected_ in
   // (edit, row) order.
   std::fill(taken_.begin(), taken_.end(), 0);
-  affected_.clear();
   const int k = num_sources();
   const std::size_t stride = static_cast<std::size_t>(n_);
   for (int c = 0; c < count; ++c) {
@@ -122,21 +134,8 @@ int DeltaApsp::apply(const DiGraph& g, const EdgeChange* changes, int count) {
         affected_.push_back(w * 64 + std::countr_zero(cand));
     }
   }
-  if (affected_.empty()) {
-    pending_ = true;  // an empty journal still satisfies commit()/rollback()
-    return 0;
-  }
-
-  // Journal the rows about to be overwritten, then re-sweep them on the
-  // post-edit graph.
-  for (const int r : affected_) {
-    journal_.push_back({r, row_sum_[static_cast<std::size_t>(r)],
-                        row_unreach_[static_cast<std::size_t>(r)]});
-    const int* row = &dist_(static_cast<std::size_t>(r), 0);
-    journal_rows_.insert(journal_rows_.end(), row, row + n_);
-    sweep_row(g, r);
-  }
-  pending_ = true;
+  pending_ = true;  // an empty journal still satisfies commit()/rollback()
+  resweeps_ += static_cast<std::int64_t>(affected_.size());
   return static_cast<int>(affected_.size());
 }
 

@@ -76,10 +76,37 @@ class DeltaApsp {
   // Full sweep of every tracked row; discards any pending journal.
   void rebuild(const DiGraph& g);
 
-  // Incremental update for a batch of edge edits already applied to g.
-  // Journals overwritten rows; returns the number of rows re-swept. A
-  // previous apply() must have been committed or rolled back first.
+  // Incremental update for a batch of edge edits already applied to g:
+  // detect() + sweep() of every affected row. Journals overwritten rows;
+  // returns the number of rows re-swept. A previous apply() must have been
+  // committed or rolled back first.
   int apply(const DiGraph& g, const EdgeChange* changes, int count);
+
+  // The two halves of apply(). detect() finds the rows the batch can change
+  // (against the pre-edit rows) and returns their number; sweep() then
+  // journals and re-sweeps them in detection order on the post-edit g.
+  // After each row but the last, stop(unswept) is asked whether to skip the
+  // `unswept` rows still left; a stopped sweep returns false, leaves those
+  // rows stale and must be rolled back. Either way the pending edit ends
+  // with commit() or rollback().
+  //
+  // Early-rejection premise (tests/test_delta_apsp.cpp): for a sharp
+  // removal-only batch (one edge or a twin pair) on a graph with
+  // unreachable() == 0, every affected row either loses a target or its
+  // hop sum grows by at least 1. Removals never shorten a row, and an
+  // affected row's head v has no surviving predecessor at level D(s,v) - 1.
+  // So while no swept row has lost a target, hop_sum() + unswept is a lower
+  // bound on the post-move hop_sum().
+  int detect(const DiGraph& g, const EdgeChange* changes, int count);
+  template <class Stop>
+  bool sweep(const DiGraph& g, Stop&& stop) {
+    const std::size_t k = affected_.size();
+    for (std::size_t i = 0; i < k; ++i) {
+      journal_and_sweep(g, affected_[i]);
+      if (i + 1 < k && stop(static_cast<int>(k - i - 1))) return false;
+    }
+    return true;
+  }
 
   void commit();    // accept the last apply (drop the journal)
   void rollback();  // undo the last apply (restore journaled rows)
@@ -99,12 +126,15 @@ class DeltaApsp {
   // mode sources()[r] == r, so this is exactly apsp_bfs(g).
   const util::Matrix<int>& rows() const { return dist_; }
 
-  // Cumulative rows re-swept by apply() since init (perf accounting: the
-  // full re-sweep equivalent is num_sources() per move).
+  // Cumulative affected rows detected since init: the rows apply() re-sweeps
+  // (perf accounting: the full re-sweep equivalent is num_sources() per
+  // move). A sweep stopped early still counts every affected row, so the
+  // figure does not depend on where a caller stops.
   std::int64_t resweeps() const { return resweeps_; }
 
  private:
   void sweep_row(const DiGraph& g, int r);
+  void journal_and_sweep(const DiGraph& g, int r);
 
   int n_ = 0;
   std::vector<int> sources_;

@@ -6,7 +6,11 @@
 // same rows as the plain per-row loop it replaced. Landmark mode is checked
 // against the same oracles restricted to the sampled sources, and the
 // landmark-scored annealer is checked to only ever report exactly re-scored
-// incumbents.
+// incumbents. The split detect() + sweep() path has its own oracles: a sweep
+// cut short by its stop predicate rolls back to the pre-move rows, one never
+// stopped equals apply(), and on a connected graph every row a sharp removal
+// batch affects grows or loses a target (the annealer's early-rejection
+// premise).
 
 #include "topo/delta_apsp.hpp"
 
@@ -111,13 +115,11 @@ int scalar_affected_count(const DeltaApsp& e, const DiGraph& g,
   return count;
 }
 
-// One annealer-style step: a batch of edits applied to the graph and the
-// engine, then committed or rolled back with probability 1/2. The batch is
-// a symmetric twin-pair rewire (remove a twin pair {(u,v), (v,u)} and/or add
-// one), two unrelated removals (the batch shape without the predecessor
-// filter), or 1-2 single edits (remove and/or add). apply()'s affected-row
-// count must equal the scalar loop's. Returns false if no edit was possible.
-bool random_step(DiGraph& g, DeltaApsp& e, util::Rng& rng) {
+// One annealer-style batch of edits, applied to g and returned: a symmetric
+// twin-pair rewire (remove a twin pair {(u,v), (v,u)} and/or add one), two
+// unrelated removals (the batch shape without the predecessor filter), or
+// 1-2 single edits (remove and/or add). Empty if no edit was possible.
+std::vector<DeltaApsp::EdgeChange> random_batch(DiGraph& g, util::Rng& rng) {
   const int n = g.num_nodes();
   std::vector<DeltaApsp::EdgeChange> changes;
   const auto remove = [&](int u, int v) {
@@ -180,23 +182,47 @@ bool random_step(DiGraph& g, DeltaApsp& e, util::Rng& rng) {
       }
     }
   }
+  return changes;
+}
+
+// Reverts a batch on the graph (the engine side is rollback()).
+void undo_batch(DiGraph& g, const std::vector<DeltaApsp::EdgeChange>& changes) {
+  for (std::size_t i = changes.size(); i-- > 0;) {
+    if (changes[i].added)
+      g.remove_edge(changes[i].u, changes[i].v);
+    else
+      g.add_edge(changes[i].u, changes[i].v);
+  }
+}
+
+// One annealer-style step: a random_batch applied to the graph and the
+// engine, then committed or rolled back with probability 1/2. apply()'s
+// affected-row count must equal the scalar loop's. Returns false if no edit
+// was possible.
+bool random_step(DiGraph& g, DeltaApsp& e, util::Rng& rng) {
+  const auto changes = random_batch(g, rng);
   if (changes.empty()) return false;
   const int want = scalar_affected_count(e, g, changes);
   const int got = e.apply(g, changes.data(), static_cast<int>(changes.size()));
   EXPECT_EQ(got, want) << "affected rows for a batch of " << changes.size()
-                       << " edits, n=" << n;
+                       << " edits, n=" << g.num_nodes();
   if (rng.bernoulli(0.5)) {
     e.commit();
   } else {
     e.rollback();
-    for (std::size_t i = changes.size(); i-- > 0;) {
-      if (changes[i].added)
-        g.remove_edge(changes[i].u, changes[i].v);
-      else
-        g.add_edge(changes[i].u, changes[i].v);
-    }
+    undo_batch(g, changes);
   }
   return true;
+}
+
+// Landmark sample of the landmark tests: the boundary ids plus every fourth id from 3,
+// max(3, n/4) sources in all.
+std::vector<int> landmark_ids(int n) {
+  std::vector<int> sources{0, n - 1};
+  for (int s = 3; static_cast<int>(sources.size()) < std::max(3, n / 4);
+       s += 4)
+    sources.push_back(s);
+  return sources;
 }
 
 class DeltaApspRandom : public ::testing::TestWithParam<int> {};
@@ -222,13 +248,8 @@ TEST_P(DeltaApspRandom, EditSequenceBitExactVsApsp) {
 TEST_P(DeltaApspRandom, LandmarkRowsBitExactVsApsp) {
   const int n = GetParam();
   util::Rng rng(0x1A17D + n);
-  // A fixed sample of k = max(3, n/4) sources, including the boundary ids.
-  std::vector<int> sources{0, n - 1};
-  for (int s = 3; static_cast<int>(sources.size()) < std::max(3, n / 4);
-       s += 4)
-    sources.push_back(s);
   DiGraph g = random_graph(n, 3.0 / n, rng);
-  DeltaApsp e(n, sources);
+  DeltaApsp e(n, landmark_ids(n));
   ASSERT_FALSE(e.full());
   e.rebuild(g);
   ASSERT_TRUE(matches_oracle(e, g));
@@ -240,6 +261,171 @@ TEST_P(DeltaApspRandom, LandmarkRowsBitExactVsApsp) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeltaApspRandom,
                          ::testing::Values(7, 48, 65, 130, 260));
+
+// --- Stoppable sweeps: the early-rejection oracles -------------------------
+
+DeltaApsp make_engine(int n, bool landmark) {
+  return landmark ? DeltaApsp(n, landmark_ids(n)) : DeltaApsp(n);
+}
+
+// Strongly connected radix-style graph: a ring (both directions when
+// symmetric) plus random extra edges (twin pairs when symmetric).
+DiGraph connected_graph(int n, bool symmetric, util::Rng& rng) {
+  DiGraph g(n);
+  const auto link = [&](int u, int v) {
+    if (u == v || g.has_edge(u, v)) return;
+    g.add_edge(u, v);
+    if (symmetric) g.add_edge(v, u);
+  };
+  for (int i = 0; i < n; ++i) link(i, (i + 1) % n);
+  for (int extra = 0; extra < n; ++extra)
+    link(static_cast<int>(rng.uniform_int(0, n - 1)),
+         static_cast<int>(rng.uniform_int(0, n - 1)));
+  return g;
+}
+
+// Every sharp removal batch of g: each edge alone, and each twin pair.
+std::vector<std::vector<DeltaApsp::EdgeChange>> sharp_removals(
+    const DiGraph& g) {
+  std::vector<std::vector<DeltaApsp::EdgeChange>> batches;
+  for (const auto& [u, v] : g.edges()) {
+    batches.push_back({{u, v, false}});
+    if (u < v && g.has_edge(v, u))
+      batches.push_back({{u, v, false}, {v, u, false}});
+  }
+  return batches;
+}
+
+void apply_to_graph(DiGraph& g,
+                    const std::vector<DeltaApsp::EdgeChange>& changes) {
+  for (const auto& c : changes) {
+    if (c.added)
+      g.add_edge(c.u, c.v);
+    else
+      g.remove_edge(c.u, c.v);
+  }
+}
+
+class DeltaApspSweep : public ::testing::TestWithParam<int> {};
+
+// A sweep stopped after k rows leaves the unswept rows stale; rollback()
+// must still restore the exact pre-move rows and aggregates.
+TEST_P(DeltaApspSweep, StoppedSweepRollsBackToPreMoveRows) {
+  const int n = GetParam();
+  util::Rng rng(0x57095 + n);
+  for (const bool landmark : {false, true}) {
+    DiGraph g = random_graph(n, 3.0 / n, rng);
+    DeltaApsp e = make_engine(n, landmark);
+    e.rebuild(g);
+    int stopped = 0;
+    for (int step = 0; step < 60; ++step) {
+      const auto changes = random_batch(g, rng);
+      if (changes.empty()) continue;
+      const int affected =
+          e.detect(g, changes.data(), static_cast<int>(changes.size()));
+      const int k =
+          affected > 0 ? static_cast<int>(rng.uniform_int(1, affected)) : 0;
+      const bool done = e.sweep(
+          g, [&](int unswept) { return affected - unswept >= k; });
+      EXPECT_EQ(done, k == affected) << "n=" << n << " step=" << step;
+      stopped += !done;
+      e.rollback();
+      undo_batch(g, changes);
+      ASSERT_TRUE(matches_oracle(e, g))
+          << "n=" << n << (landmark ? " landmark" : " full")
+          << " step=" << step << " stopped after " << k << " of "
+          << affected;
+      // Keep the graph moving: re-apply and commit every other batch.
+      if (step % 2) continue;
+      apply_to_graph(g, changes);
+      e.apply(g, changes.data(), static_cast<int>(changes.size()));
+      e.commit();
+    }
+    if (n > 7) EXPECT_GT(stopped, 0) << "n=" << n;
+  }
+}
+
+// With a stop predicate that never fires, detect() + sweep() is apply():
+// same rows, aggregates, return value and resweeps(), across commits and
+// rollbacks of every batch shape.
+TEST_P(DeltaApspSweep, UnstoppedSweepEqualsApply) {
+  const int n = GetParam();
+  util::Rng rng(0xA991 + n);
+  for (const bool landmark : {false, true}) {
+    DiGraph g = random_graph(n, 3.0 / n, rng);
+    DeltaApsp split = make_engine(n, landmark);
+    DeltaApsp whole = make_engine(n, landmark);
+    split.rebuild(g);
+    whole.rebuild(g);
+    for (int step = 0; step < 60; ++step) {
+      const auto changes = random_batch(g, rng);
+      if (changes.empty()) continue;
+      const int count = static_cast<int>(changes.size());
+      const int affected = split.detect(g, changes.data(), count);
+      EXPECT_TRUE(split.sweep(g, [](int) { return false; }));
+      EXPECT_EQ(whole.apply(g, changes.data(), count), affected);
+      ASSERT_EQ(split.rows(), whole.rows()) << "n=" << n << " step=" << step;
+      EXPECT_EQ(split.hop_sum(), whole.hop_sum());
+      EXPECT_EQ(split.unreachable(), whole.unreachable());
+      EXPECT_EQ(split.resweeps(), whole.resweeps());
+      if (rng.bernoulli(0.5)) {
+        split.commit();
+        whole.commit();
+      } else {
+        split.rollback();
+        whole.rollback();
+        undo_batch(g, changes);
+      }
+    }
+    ASSERT_TRUE(matches_oracle(split, g));
+  }
+}
+
+// The annealer's bound rests on this: on a graph with no unreachable pair,
+// every row a sharp removal batch affects either loses a target or grows
+// its hop sum by at least 1. Per-row deltas are read off the aggregates
+// after each swept row.
+TEST_P(DeltaApspSweep, SharpRemovalGrowsEveryAffectedRow) {
+  const int n = GetParam();
+  util::Rng rng(0x9E0 + n);
+  for (const bool landmark : {false, true}) {
+    for (const bool symmetric : {false, true}) {
+      DiGraph g = connected_graph(n, symmetric, rng);
+      DeltaApsp e = make_engine(n, landmark);
+      e.rebuild(g);
+      ASSERT_EQ(e.unreachable(), 0);
+      long rows_seen = 0;
+      for (const auto& changes : sharp_removals(g)) {
+        apply_to_graph(g, changes);
+        std::int64_t sum = e.hop_sum();
+        long unreach = e.unreachable();
+        const auto check_row = [&] {
+          const bool lost = e.unreachable() > unreach;
+          EXPECT_TRUE(lost || e.hop_sum() >= sum + 1)
+              << "n=" << n << " edge " << changes[0].u << "->"
+              << changes[0].v << ": row sum " << sum << " -> " << e.hop_sum();
+          sum = e.hop_sum();
+          unreach = e.unreachable();
+          ++rows_seen;
+        };
+        const int affected =
+            e.detect(g, changes.data(), static_cast<int>(changes.size()));
+        e.sweep(g, [&](int) {
+          check_row();
+          return false;
+        });
+        if (affected > 0) check_row();
+        e.rollback();
+        undo_batch(g, changes);
+      }
+      EXPECT_GT(rows_seen, 0) << "n=" << n;
+      ASSERT_TRUE(matches_oracle(e, g));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DeltaApspSweep,
+                         ::testing::Values(7, 48, 65, 130));
 
 TEST(DeltaApsp, InitReusesStorageAcrossRestarts) {
   util::Rng rng(0xC0FFEE);
