@@ -769,8 +769,9 @@ class RestartRun {
   RestartWorkspace& ws_;
   bool landmark_;
   double scale_;  // n / k in landmark mode, 1.0 otherwise
-  // The search score is exactly hops_total(): kLatOp with no C7 penalty (a
-  // penalty may refresh the cut cache, so it has no monotone bound).
+  // The search score is exactly hops_total(): kLatOp with no C7 penalty.
+  // The early-rejection bound covers integer row sums only, and
+  // bandwidth_penalty() may refresh the cut cache while scoring.
   bool hops_score_;
   double last_hops_ = 0.0;
   double last_weighted_ = 0.0;

@@ -12,7 +12,10 @@ Pair i runs both sides with seed FIRST_SEED + i, base first in even pairs
 and change first in odd ones, so drift on the host falls on both sides.
 For each metric the report gives each side's median and quartiles, how
 many pairs the change won (direction from BENCHMARK.json), the median gap
-and whether that gap exceeds the base's interquartile range. A run whose
+and whether that gap exceeds the base's interquartile range. Its last line
+is one compact JSON object (workload, both SHAs, pairs, each side's
+end-to-end medians and the change's win counts), the form appended to
+BENCH_history.jsonl. A run whose
 result reads `correct: false` or counts failed operations stops the
 comparison with exit status 1.
 
@@ -65,13 +68,15 @@ def run_once(tree, workload, seed, seconds, trace):
 
 
 def directions(repo):
+    """Better-direction per metric, and the end-to-end metric names."""
     path = os.path.join(repo, "BENCHMARK.json")
     if not os.path.isfile(path):
-        return {}
+        return {}, []
     with open(path) as f:
         spec = json.load(f)
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    e2e = spec.get("end_to_end", [])
+    better = {m["name"]: m["better"] for m in e2e + spec.get("per_layer", [])}
+    return better, [m["name"] for m in e2e]
 
 
 def quartiles(xs):
@@ -79,6 +84,14 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def wins(base, change, way):
+    if way == "lower":
+        return sum(c < b for b, c in zip(base, change))
+    if way == "higher":
+        return sum(c > b for b, c in zip(base, change))
+    return None
 
 
 def report(pairs, better):
@@ -92,19 +105,32 @@ def report(pairs, better):
         change = [c[name] for _, c in pairs]
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
-        way = better.get(name)
-        if way == "lower":
-            wins = "%d/%d" % (sum(c < b for b, c in zip(base, change)), n)
-        elif way == "higher":
-            wins = "%d/%d" % (sum(c > b for b, c in zip(base, change)), n)
-        else:
-            wins = "-"
+        won = wins(base, change, better.get(name))
         gap = cmed - bmed
         rel = "%+.1f%%" % (100.0 * gap / bmed) if bmed else "-"
         print("%-32s %-30s %-30s %6s %8s %s" % (
             name, "%.6g [%.6g, %.6g]" % (bmed, bq1, bq3),
-            "%.6g [%.6g, %.6g]" % (cmed, cq1, cq3), wins, rel,
+            "%.6g [%.6g, %.6g]" % (cmed, cq1, cq3),
+            "-" if won is None else "%d/%d" % (won, n), rel,
             "yes" if abs(gap) > bq3 - bq1 else "no"))
+
+
+def history_line(args, base_sha, change_sha, pairs, better, e2e_names):
+    """One compact JSON object for BENCH_history.jsonl: the set's end-to-end
+    medians per side and how many pairs the change won on each."""
+    names = [m for m in e2e_names
+             if all(m in b and m in c for b, c in pairs)]
+    side = {k: {m: statistics.median(p[i][m] for p in pairs) for m in names}
+            for i, k in enumerate(("base", "change"))}
+    return json.dumps({
+        "workload": args.workload, "base": base_sha, "change": change_sha,
+        "pairs": len(pairs), "seconds": args.seconds,
+        "seeds": [args.first_seed, args.first_seed + len(pairs) - 1],
+        "trace": args.trace, "base_median": side["base"],
+        "change_median": side["change"],
+        "wins": {m: wins([b[m] for b, _ in pairs], [c[m] for _, c in pairs],
+                         better.get(m)) for m in names},
+    }, separators=(",", ":"))
 
 
 def main(argv):
@@ -154,7 +180,10 @@ def main(argv):
                   % (i, seed, order[0][0], wall,
                      got["base"].get(wall, float("nan")),
                      got["change"].get(wall, float("nan"))), flush=True)
-        report(pairs, directions(repo))
+        better, e2e_names = directions(repo)
+        report(pairs, better)
+        print(history_line(args, base_sha, change_sha, pairs, better,
+                           e2e_names), flush=True)
     finally:
         if not args.workdir:
             for tree in trees:
