@@ -341,7 +341,9 @@ TEST_P(DeltaApspSweep, StoppedSweepRollsBackToPreMoveRows) {
       e.apply(g, changes.data(), static_cast<int>(changes.size()));
       e.commit();
     }
-    if (n > 7) EXPECT_GT(stopped, 0) << "n=" << n;
+    if (n > 7) {
+      EXPECT_GT(stopped, 0) << "n=" << n;
+    }
   }
 }
 
