@@ -3,9 +3,15 @@
 // Table III MILP (on a reduced path set, where the in-tree solver is
 // practical) and against random path selection, and reports the LPBT
 // formulation's model-size blowup for context.
+//
+// Every number on stdout is deterministic: the exact solve runs on a branch
+// node budget, not a wall-clock cap, and the three timing columns go to a
+// stderr footer.
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "obs/clock.hpp"
 #include "routing/mclb.hpp"
@@ -22,9 +28,8 @@ int main() {
       "random selection (max flows on any channel; lower is better)\n\n");
 
   util::TablePrinter table({"topology", "random", "local search",
-                            "LS flat (ms)", "LS scan (ms)",
-                            "exact (capped paths)", "exact time (s)",
-                            "proven"});
+                            "exact (capped paths)", "proven"});
+  std::string timings;
 
   const auto cat = topologies::catalog(20);
   for (const auto* name :
@@ -48,26 +53,33 @@ int main() {
     if (ls_scan.max_flows_on_link != ls.max_flows_on_link)
       std::printf("WARNING: flat/scan divergence on %s\n", name);
 
-    // Exact MILP on a reduced path set (8 per flow) with a time cap, seeded
-    // with that path set's local-search incumbent.
+    // Exact MILP on a reduced path set (8 per flow), seeded with that path
+    // set's local-search incumbent. The budget is the root relaxation alone
+    // (no branch node): a dense-tableau LP on ~1,100 path columns takes
+    // about a second, so deeper trees cost seconds per node, and a node
+    // count, unlike a wall-clock cap, gives the same answer on every host.
     const auto capped = routing::enumerate_shortest_paths(t.graph, 8);
     const auto capped_ls = routing::mclb_local_search(capped);
     lp::MilpOptions opts;
-    opts.time_limit_s = 20.0;
-    opts.lp.time_limit_s = 20.0;
+    opts.time_limit_s = std::numeric_limits<double>::infinity();
+    opts.lp.time_limit_s = std::numeric_limits<double>::infinity();
+    opts.node_limit = 0;
     obs::WallTimer ex_timer;
     const auto exact = routing::mclb_exact(capped, opts, &capped_ls);
     const double ex_time = ex_timer.seconds();
 
     table.add_row({name, std::to_string(random_max),
                    std::to_string(ls.max_flows_on_link),
-                   util::TablePrinter::fmt(ls_time * 1e3, 2),
-                   util::TablePrinter::fmt(scan_time * 1e3, 2),
                    std::to_string(exact.max_flows_on_link),
-                   util::TablePrinter::fmt(ex_time, 2),
                    exact.proven_optimal ? "yes" : "no"});
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "[%s: LS flat %.2f ms, LS scan %.2f ms, exact %.2f s]\n",
+                  name, ls_time * 1e3, scan_time * 1e3, ex_time);
+    timings += line;
   }
   table.print(std::cout);
+  std::fputs(timings.c_str(), stderr);
 
   const auto stats20 = topologies::lpbt_model_stats(topo::Layout::noi_4x5(),
                                                     topo::LinkClass::kSmall);
@@ -80,6 +92,7 @@ int main() {
       "\nExpected shape: local search lands at (or within 1 of) the exact\n"
       "optimum in milliseconds; random selection is clearly worse. The\n"
       "paper's 20-router MCLB solves in under 5 minutes on Gurobi; the\n"
-      "in-tree exact solver handles the capped path set in seconds.\n");
+      "in-tree exact solver proves the capped path set only where its root\n"
+      "relaxation already closes the gap.\n");
   return 0;
 }

@@ -12,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/anneal.hpp"
 #include "routing/paths.hpp"
 #include "topo/builders.hpp"
 #include "topo/layout.hpp"
@@ -303,6 +307,192 @@ TEST(PathCompiler, DuplexSwapRedoesFewFlows) {
     EXPECT_LT(pc.last_recompiled_flows(), flows * 3 / 10)
         << "swap (" << a << "," << b << ") -> (" << u << "," << v << ")";
     pc.enumerate(g, topo::apsp_bfs(g), 8, out);  // rejected: back to g
+  }
+}
+
+// FNV-1a 64 over everything the shared local-search driver decides for one
+// path set, from both engines: the per-pair choice vector, the objective
+// triple (bit patterns), the improvement-round evaluation count and the
+// bottleneck flow count. The flat-vs-scan checks above cannot see a change
+// to the driver both engines share; these digests, recorded from the driver
+// before its single-path and multi-path-list shortcuts, can.
+class DriverDigest {
+ public:
+  void add(const PathSet& ps, const std::vector<double>& w, int rounds) {
+    for (const auto& r : {mclb_local_search(ps, w, rounds),
+                          mclb_local_search_scan(ps, w, rounds)}) {
+      for (const int c : r.choice) mix(c);
+      mix(r.objective.max);
+      mix(r.objective.at_max);
+      mix(r.objective.sumsq);
+      mix(r.iterations);
+      mix(r.max_flows_on_link);
+    }
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  template <class T>
+  void mix(T v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char c : bytes) {
+      h_ ^= c;
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+// Survivors pinned to their routed path, severed flows re-enumerated on the
+// degraded graph: the path set routing::repair_routes hands the driver.
+PathSet repair_shaped(const topo::DiGraph& g, const PathSet& base,
+                      const MclbResult& routed,
+                      const std::vector<std::pair<int, int>>& down) {
+  const int n = g.num_nodes();
+  topo::DiGraph degraded = g;
+  for (const auto& [u, v] : down) degraded.remove_edge(u, v);
+  const auto table = routed.table(base);
+  const auto dist = topo::apsp_bfs(degraded);
+  PathCompiler dfs;
+  dfs.set_graph(degraded);
+  PathSet ps;
+  ps.clear(n);
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      if (s == d) continue;
+      const auto p = table.path(s, d);
+      bool severed = false;
+      for (std::size_t i = 0; i + 1 < p.size(); ++i)
+        for (const auto& [u, v] : down)
+          if (p[i] == u && p[i + 1] == v) severed = true;
+      if (!severed) {
+        if (!p.empty()) ps.add_path(p);
+      } else {
+        dfs.add_flow(dist, s, d, 8, ps);
+      }
+      ps.close_flow(s, d);
+    }
+  return ps;
+}
+
+TEST(MclbGolden, DriverDigests) {
+  const int caps[] = {8, 24, 64};
+  const auto rounds_of = [](int variant) { return variant == 0 ? 64 : 8; };
+
+  // Catalog and baseline topologies at every cap, default and 8 rounds.
+  const auto catalog_digest = [&](const std::vector<topologies::NamedTopology>&
+                                      rows) {
+    DriverDigest h;
+    for (const auto& row : rows)
+      for (const int cap : caps) {
+        const auto ps = enumerate_shortest_paths(row.graph, cap);
+        for (int variant = 0; variant < 2; ++variant)
+          h.add(ps, {}, rounds_of(variant));
+      }
+    return h.hex();
+  };
+  EXPECT_EQ(catalog_digest(topologies::catalog(20)), "7cfaf374df19562d") << "catalog 20";
+  EXPECT_EQ(catalog_digest(topologies::catalog(30)), "c7a1171d7989f12d") << "catalog 30";
+  EXPECT_EQ(catalog_digest(topologies::catalog(48)), "8fa72c7c1378b2dd") << "catalog 48";
+  {
+    std::vector<topologies::NamedTopology> rows;
+    for (const int routers : {20, 30, 48})
+      for (const auto& row : topologies::baseline_catalog(routers))
+        rows.push_back(row);
+    EXPECT_EQ(catalog_digest(rows), "fa7a5b259d2543dd") << "baselines";
+  }
+
+  // The synth48 kLatLoad instance (8x6 NoI, medium links, radix 4, seed 2):
+  // the incumbent after several move budgets, routed as the annealer
+  // scores a move (8 paths per flow, 8 rounds) and with default rounds.
+  {
+    DriverDigest h;
+    for (const long moves : {25L, 100L, 300L}) {
+      core::SynthesisConfig cfg;
+      cfg.layout = topo::Layout{8, 6, 2.0};
+      cfg.link_class = topo::LinkClass::kMedium;
+      cfg.radix = 4;
+      cfg.objective = core::Objective::kLatLoad;
+      cfg.time_limit_s = 600.0;
+      cfg.restarts = 1;
+      cfg.seed = 2;
+      cfg.max_moves = moves;
+      const auto g = core::anneal_synthesize(cfg).graph;
+      const auto ps = enumerate_shortest_paths(g, core::kAnnealPathsPerFlow);
+      h.add(ps, {}, core::kAnnealMclbRounds);
+      h.add(ps, {}, 64);
+    }
+    EXPECT_EQ(h.hex(), "4fc5f481c5b64981") << "synth48 latload";
+  }
+
+  // Repair-shaped sets: each 48-router catalog design routed at cap 8, then
+  // the duplex link under its first bottleneck channel cut.
+  {
+    DriverDigest h;
+    for (const auto& row : topologies::catalog(48)) {
+      const auto base = enumerate_shortest_paths(row.graph, 8);
+      const auto routed = mclb_local_search(base);
+      const auto loads = loads_of_choice(base, routed.choice, {});
+      int e = 0;
+      while (loads[e] != routed.objective.max) ++e;
+      const int u = base.edge_src[e], v = base.edge_dst[e];
+      std::vector<std::pair<int, int>> down = {{u, v}};
+      if (row.graph.has_edge(v, u)) down.emplace_back(v, u);
+      h.add(repair_shaped(row.graph, base, routed, down), {}, 64);
+    }
+    EXPECT_EQ(h.hex(), "d596d7b969376471") << "repair";
+  }
+
+  // Weighted searches (ordered-bucket evaluator): dyadic random weights on
+  // random graphs, the 2x6 mesh funnel and the extreme-span diamond.
+  {
+    DriverDigest h;
+    util::Rng wrng(0xBADBEEF);
+    for (int iter = 0; iter < 12; ++iter) {
+      util::Rng rng(1000 + iter);
+      const topo::Layout lay{4, 5, 2.0};
+      const auto g = topo::build_random(lay, topo::LinkClass::kMedium,
+                                        3 + iter % 2, rng);
+      const int n = lay.n();
+      std::vector<double> w(static_cast<std::size_t>(n) * n, 0.0);
+      for (int s = 0; s < n; ++s)
+        for (int d = 0; d < n; ++d)
+          if (s != d)
+            w[static_cast<std::size_t>(s) * n + d] =
+                0.5 * static_cast<double>(wrng.uniform_int(1, 6));
+      const auto ps = enumerate_shortest_paths(g, 64);
+      h.add(ps, w, 64);
+      h.add(ps, w, 8);
+    }
+    {
+      const auto g = topo::build_mesh(topo::Layout{2, 6, 2.0});
+      const int n = 12;
+      std::vector<double> w(static_cast<std::size_t>(n) * n, 1.0);
+      w[0 * n + (n - 1)] = 8.0;
+      w[(n - 1) * n + 0] = 8.0;
+      for (int d = 1; d < n; d += 3) w[0 * n + d] = 0.5;
+      h.add(enumerate_shortest_paths(g), w, 64);
+    }
+    {
+      topo::DiGraph g(4);
+      g.add_duplex(0, 1);
+      g.add_duplex(0, 2);
+      g.add_duplex(1, 3);
+      g.add_duplex(2, 3);
+      std::vector<double> w(16, 1.0);
+      w[0 * 4 + 3] = 1e6;
+      w[3 * 4 + 0] = 1e6;
+      w[1 * 4 + 2] = 1e-6;
+      w[2 * 4 + 1] = 1e-6;
+      h.add(enumerate_shortest_paths(g), w, 64);
+    }
+    EXPECT_EQ(h.hex(), "8a871aeeb74a6c41") << "weighted";
   }
 }
 
