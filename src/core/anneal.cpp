@@ -349,6 +349,7 @@ class RestartRun {
         if (delta <= 0.0 ||
             (u >= 0.0 ? u : rng_.uniform()) < std::exp(-delta / temp)) {
           ws_.engine.commit();
+          ws_.path_compiler.commit();
           score = cand;
           ++out.accepted;
           ++accepts_since_refresh;

@@ -127,6 +127,7 @@ class FlatEvaluator {
     const int len = ps_.path_length(p);
     if (w == 0.0 || len == 0) return obj_;
     const std::int32_t* e = ps_.edges_of(p);
+    if (unit_) return eval_add_unit(e, len);
     LoadObjective o = obj_;
     // A shortest path never repeats an edge, so the per-edge deltas below
     // are independent.
@@ -164,6 +165,33 @@ class FlatEvaluator {
   }
 
  private:
+  // eval_add for w == 1.0 on the integer levels. Every load and sum of
+  // squares is an integer below 2^53 here, so summing the (l+1)^2 - l^2 =
+  // 2l+1 deltas as integers and adding them once gives the same double as
+  // the edge-by-edge update, and the level compares are the double ones.
+  LoadObjective eval_add_unit(const std::int32_t* e, int len) const {
+    long delta = 0;
+    int top = 0;
+    for (int i = 0; i < len; ++i) {
+      const int l = level_[e[i]];
+      delta += 2L * l + 1;
+      top = std::max(top, l + 1);
+    }
+    LoadObjective o = obj_;
+    o.sumsq += static_cast<double>(delta);
+    if (top >= max_level_) {
+      int c = 0;
+      for (int i = 0; i < len; ++i) c += level_[e[i]] + 1 == top;
+      if (top > max_level_) {
+        o.max = static_cast<double>(top);
+        o.at_max = c;
+      } else {
+        o.at_max += c;
+      }
+    }
+    return o;
+  }
+
   void add(int e, double w) {
     const double old = loads_[e];
     const double nv = old + w;
@@ -248,24 +276,31 @@ MclbResult run_local_search(const PathSet& ps,
     for (int f = 0; f < f_count; ++f) order[start[max_len - len(f)]++] = f;
   }
 
+  // A single-path flow has no decision to make: it is placed without an
+  // evaluation (eval_add is pure, so skipping it changes no state) but still
+  // counted as a candidate considered. Only flows with two or more paths can
+  // move in the improvement rounds, so those walk a list of them.
   long greedy_evals = 0;
+  std::vector<int> multi;
   for (int f : order) {
     const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
+    greedy_evals += pe - pb;
     int best_k = 0;
-    LoadObjective best;
-    bool first = true;
-    for (int p = pb; p < pe; ++p) {
-      ++greedy_evals;
-      const auto obj = ev.eval_add(p, w[f]);
-      if (first || obj.better_than(best, eps)) {
-        best = obj;
-        best_k = p - pb;
-        first = false;
+    if (pe - pb > 1) {
+      LoadObjective best = ev.eval_add(pb, w[f]);
+      for (int p = pb + 1; p < pe; ++p) {
+        const auto obj = ev.eval_add(p, w[f]);
+        if (obj.better_than(best, eps)) {
+          best = obj;
+          best_k = p - pb;
+        }
       }
     }
     choice[f] = best_k;
     ev.apply(pb + best_k, w[f]);
   }
+  for (int f = 0; f < f_count; ++f)
+    if (ps.paths_of(f) > 1) multi.push_back(f);
 
   // Improvement: reroute flows crossing maximally loaded channels; accept
   // only lexicographic improvements of the load profile, so it terminates.
@@ -275,9 +310,8 @@ MclbResult run_local_search(const PathSet& ps,
     ++rounds_run;
     bool improved = false;
     LoadObjective cur = ev.current();
-    for (int f = 0; f < f_count; ++f) {
+    for (const int f : multi) {
       const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
-      if (pe - pb < 2) continue;
       const int curp = pb + choice[f];
       const std::int32_t* ce = ps.edges_of(curp);
       const int clen = ps.path_length(curp);

@@ -1,6 +1,7 @@
 #include "routing/paths.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "topo/metrics.hpp"
 
@@ -22,16 +23,19 @@ void PathSet::clear(int routers) {
   path_nodes.clear();
 }
 
-void PathSet::add_path(std::span<const int> nodes) {
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    int& id = edge_id[static_cast<std::size_t>(nodes[i]) * n + nodes[i + 1]];
-    if (id < 0) {
-      id = num_edges++;
-      edge_src.push_back(nodes[i]);
-      edge_dst.push_back(nodes[i + 1]);
-    }
-    path_edges.push_back(id);
+int PathSet::intern_edge(int u, int v) {
+  int& id = edge_id[static_cast<std::size_t>(u) * n + v];
+  if (id < 0) {
+    id = num_edges++;
+    edge_src.push_back(u);
+    edge_dst.push_back(v);
   }
+  return id;
+}
+
+void PathSet::add_path(std::span<const int> nodes) {
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
+    path_edges.push_back(intern_edge(nodes[i], nodes[i + 1]));
   edge_begin.push_back(static_cast<std::int32_t>(path_edges.size()));
   path_nodes.insert(path_nodes.end(), nodes.begin(), nodes.end());
 }
@@ -85,8 +89,8 @@ void PathCompiler::dfs(const util::Matrix<int>& dist, int d, int cap,
 
 void PathCompiler::set_graph(const topo::DiGraph& g) {
   sort_adjacency(g);
-  removed_.clear();
   n_ = 0;
+  pending_ = nullptr;
 }
 
 int PathCompiler::add_flow(const util::Matrix<int>& dist, int s, int d,
@@ -98,21 +102,122 @@ int PathCompiler::add_flow(const util::Matrix<int>& dist, int s, int d,
   return emitted_;
 }
 
-// The three-condition test from the header, for a pair reachable now.
-bool PathCompiler::paths_survive(const util::Matrix<int>& dist, int s,
-                                 int d) const {
-  const std::size_t k = static_cast<std::size_t>(s) * n_ + d;
-  const int len = dist(s, d);
-  if (prev_dist_[k] != len) return false;
-  for (const auto& [u, v] : added_)
-    if (dist(s, u) + 1 + dist(v, d) == len) return false;
-  if (removed_.empty()) return true;
-  for (int p = node_begin_[k]; p < node_begin_[k + 1]; p += len + 1)
-    for (int i = p; i < p + len; ++i)
-      if (removed_mask_[static_cast<std::size_t>(nodes_[i]) * n_ +
-                        nodes_[i + 1]])
-        return false;
-  return true;
+// Users of every base edge, deduplicated per flow (a flow's paths share
+// edges): a count pass and a fill pass over the base's path edges.
+void PathCompiler::index_users() {
+  const int m = base_.num_edges;
+  user_begin_.assign(static_cast<std::size_t>(m) + 1, 0);
+  std::vector<int>& last = remap_;  // free until the copy pass
+  for (int pass = 0; pass < 2; ++pass) {
+    last.assign(m, -1);
+    for (int f = 0; f < base_.num_flows(); ++f) {
+      const int k = base_.flow_s[f] * n_ + base_.flow_d[f];
+      const int eb = base_.edge_begin[base_.path_begin[f]];
+      const int ee = base_.edge_begin[base_.path_begin[f + 1]];
+      for (int i = eb; i < ee; ++i) {
+        const int e = base_.path_edges[i];
+        if (last[e] == f) continue;
+        last[e] = f;
+        if (pass == 0)
+          ++user_begin_[e + 1];
+        else
+          users_[user_begin_[e]++] = k;
+      }
+    }
+    if (pass == 0) {
+      std::inclusive_scan(user_begin_.begin(), user_begin_.end(),
+                          user_begin_.begin());
+      users_.resize(user_begin_[m]);
+    }
+  }
+  // The fill pass advanced each begin to the next edge's; shift back.
+  for (int e = m; e > 0; --e) user_begin_[e] = user_begin_[e - 1];
+  user_begin_[0] = 0;
+  users_ready_ = true;
+}
+
+// redo_[s*n+d] = 1 for every pair meeting condition (1), (2) or (3) of the
+// header against the base. R and A come from a merge of each router's base
+// and current sorted out-lists.
+void PathCompiler::mark_diff(const util::Matrix<int>& dist) {
+  const int n = n_;
+  redo_.assign(static_cast<std::size_t>(n) * n, 0);
+  for (int s = 0; s < n; ++s) {
+    const int* row = &dist(s, 0);
+    const int* base = base_dist_.data() + static_cast<std::size_t>(s) * n;
+    if (std::equal(row, row + n, base)) continue;
+    std::uint8_t* r = redo_.data() + static_cast<std::size_t>(s) * n;
+    for (int d = 0; d < n; ++d) r[d] |= row[d] != base[d];
+  }
+  const auto removed = [&](int u, int v) {
+    const int e = base_.lookup_edge(u, v);
+    if (e < 0) return;
+    if (!users_ready_) index_users();
+    for (int i = user_begin_[e]; i < user_begin_[e + 1]; ++i)
+      redo_[users_[i]] = 1;
+  };
+  const auto added = [&](int u, int v) {
+    const int* dv = &dist(v, 0);
+    for (int s = 0; s < n; ++s) {
+      if (dist(s, u) >= topo::kUnreachable) continue;
+      const int a = dist(s, u) + 1;
+      const int* ds = &dist(s, 0);
+      std::uint8_t* r = redo_.data() + static_cast<std::size_t>(s) * n;
+      for (int d = 0; d < n; ++d) r[d] |= a + dv[d] == ds[d];
+    }
+  };
+  for (int u = 0; u < n; ++u) {
+    const auto& a = base_adj_[u];
+    const auto& b = adj_[u];
+    std::size_t i = 0, j = 0;
+    while (i < a.size() || j < b.size()) {
+      if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+        removed(u, a[i++]);
+      } else if (i == a.size() || b[j] < a[i]) {
+        added(u, b[j++]);
+      } else {
+        ++i;
+        ++j;
+      }
+    }
+  }
+}
+
+// Appends base flows [fb, fe) to out: their CSR rows shifted to out's
+// offsets, router sequences copied, and edge ids remapped through remap_,
+// which interns a base edge the first time the output meets it.
+void PathCompiler::copy_run(int fb, int fe, PathSet& out) {
+  if (fb >= fe) return;
+  const int pb = base_.path_begin[fb], pe = base_.path_begin[fe];
+  const int eb = base_.edge_begin[pb], ee = base_.edge_begin[pe];
+  const int path_shift = out.num_paths() - pb;
+  const int edge_shift = static_cast<int>(out.path_edges.size()) - eb;
+  const auto grow = [](auto& v, std::size_t by) {
+    v.resize(v.size() + by);
+    return v.data() + v.size() - by;
+  };
+  int* fs = grow(out.flow_s, fe - fb);
+  int* fd = grow(out.flow_d, fe - fb);
+  int* fp = grow(out.path_begin, fe - fb);
+  for (int f = fb, next = out.num_flows() - (fe - fb); f < fe; ++f, ++next) {
+    const int s = base_.flow_s[f], d = base_.flow_d[f];
+    out.flow_of_pair[static_cast<std::size_t>(s) * out.n + d] = next;
+    *fs++ = s;
+    *fd++ = d;
+    *fp++ = base_.path_begin[f + 1] + path_shift;
+  }
+  std::int32_t* ep = grow(out.edge_begin, pe - pb);
+  for (int p = pb + 1; p <= pe; ++p) *ep++ = base_.edge_begin[p] + edge_shift;
+  std::int32_t* id = grow(out.path_edges, ee - eb);
+  for (int i = eb; i < ee; ++i) {
+    const int e = base_.path_edges[i];
+    if (remap_[e] < 0)
+      remap_[e] = out.intern_edge(base_.edge_src[e], base_.edge_dst[e]);
+    *id++ = remap_[e];
+  }
+  out.path_nodes.insert(out.path_nodes.end(),
+                        base_.path_nodes.begin() + eb + pb,
+                        base_.path_nodes.begin() + ee + pe);
 }
 
 void PathCompiler::enumerate(const topo::DiGraph& g,
@@ -121,60 +226,64 @@ void PathCompiler::enumerate(const topo::DiGraph& g,
   const int n = g.num_nodes();
   const std::size_t nn = static_cast<std::size_t>(n) * n;
   const bool full = n != n_ || max_paths_per_flow != cap_;
-  adj_.swap(prev_adj_);
   sort_adjacency(g);
+  out.clear(n);
+  recompiled_ = 0;
 
-  // R and A: a merge of each router's old and new sorted out-lists.
-  for (const auto& [u, v] : removed_)
-    removed_mask_[static_cast<std::size_t>(u) * n_ + v] = 0;
-  removed_.clear();
-  added_.clear();
   if (full) {
+    for (int s = 0; s < n; ++s)
+      for (int d = 0; d < n; ++d) {
+        if (s == d || dist(s, d) >= topo::kUnreachable) continue;
+        ++recompiled_;
+        add_flow(dist, s, d, max_paths_per_flow, out);
+        out.close_flow(s, d);
+      }
     n_ = n;
     cap_ = max_paths_per_flow;
-    removed_mask_.assign(nn, 0);
-  } else {
-    for (int u = 0; u < n; ++u) {
-      const auto& a = prev_adj_[u];
-      const auto& b = adj_[u];
-      std::size_t i = 0, j = 0;
-      while (i < a.size() || j < b.size()) {
-        if (j == b.size() || (i < a.size() && a[i] < b[j])) {
-          removed_.emplace_back(u, a[i]);
-          removed_mask_[static_cast<std::size_t>(u) * n + a[i++]] = 1;
-        } else if (i == a.size() || b[j] < a[i]) {
-          added_.emplace_back(u, b[j++]);
-        } else {
-          ++i;
-          ++j;
-        }
-      }
-    }
+    base_ = out;
+    base_adj_ = adj_;
+    base_dist_.assign(dist.data(), dist.data() + nn);
+    users_ready_ = false;
+    pending_ = nullptr;
+    return;
   }
 
-  out.clear(n);
-  next_node_begin_.resize(nn + 1);
-  recompiled_ = 0;
+  mark_diff(dist);
+  remap_.assign(base_.num_edges, -1);
+  int run_b = 0, run_e = 0;  // base flows waiting to be copied
   for (int s = 0; s < n; ++s) {
     for (int d = 0; d < n; ++d) {
       const std::size_t k = static_cast<std::size_t>(s) * n + d;
-      next_node_begin_[k] = static_cast<int>(out.path_nodes.size());
       if (s == d || dist(s, d) >= topo::kUnreachable) continue;
-      if (!full && paths_survive(dist, s, d)) {
-        const int len = dist(s, d) + 1;
-        for (int i = node_begin_[k]; i < node_begin_[k + 1]; i += len)
-          out.add_path({nodes_.data() + i, static_cast<std::size_t>(len)});
-      } else {
-        ++recompiled_;
-        add_flow(dist, s, d, max_paths_per_flow, out);
+      if (!redo_[k]) {
+        const int f = base_.flow_of_pair[k];
+        if (f < 0) continue;  // cap 0: no paths here or in the base
+        if (f != run_e) {
+          copy_run(run_b, run_e, out);
+          run_b = f;
+        }
+        run_e = f + 1;
+        continue;
       }
+      copy_run(run_b, run_e, out);
+      run_b = run_e = 0;
+      ++recompiled_;
+      add_flow(dist, s, d, max_paths_per_flow, out);
       out.close_flow(s, d);
     }
   }
-  next_node_begin_[nn] = static_cast<int>(out.path_nodes.size());
-  nodes_.assign(out.path_nodes.begin(), out.path_nodes.end());
-  node_begin_.swap(next_node_begin_);
-  prev_dist_.assign(dist.data(), dist.data() + nn);
+  copy_run(run_b, run_e, out);
+  dist_.assign(dist.data(), dist.data() + nn);
+  pending_ = &out;
+}
+
+void PathCompiler::commit() {
+  if (pending_ == nullptr) return;
+  base_ = *pending_;
+  base_adj_.swap(adj_);
+  base_dist_.swap(dist_);
+  users_ready_ = false;
+  pending_ = nullptr;
 }
 
 bool is_shortest_path(const topo::DiGraph& g, const util::Matrix<int>& dist,

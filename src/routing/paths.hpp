@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -82,6 +81,8 @@ struct PathSet {
   void clear(int routers);
   void add_path(std::span<const int> nodes);
   void close_flow(int s, int d);
+  // Id of the link u -> v, interned on first use.
+  int intern_edge(int u, int v);
 };
 
 // The first max_paths_per_flow shortest paths of every flow, in
@@ -94,35 +95,43 @@ PathSet enumerate_shortest_paths(const topo::DiGraph& g,
 // The one shortest-path DFS, with scratch reused across calls. enumerate()
 // fills a whole path set from a caller-provided APSP matrix (dist(i, j) =
 // hop count, topo::kUnreachable when disconnected); this is what the
-// annealer's route-aware objectives run once per scored move, so it is
-// incremental against its previous call: a flow's paths are the
-// lexicographically first `cap` shortest paths, and they are still exactly
-// that after a graph change unless
-//   (1) dist(s, d) changed,
-//   (2) one of its emitted paths crosses a removed edge, or
-//   (3) an added edge (u, v) lies on a shortest s->d path, i.e.
+// annealer's route-aware objectives run once per scored move, so it diffs
+// each call against a committed base (graph, distances and path set), as
+// topo::DeltaApsp does. A flow's paths are the lexicographically first `cap`
+// shortest paths, and they are still exactly the base's unless
+//   (1) dist(s, d) differs from the base's,
+//   (2) one of the base's paths for it crosses an edge the graph lost, or
+//   (3) an edge (u, v) the graph gained lies on a shortest s->d path, i.e.
 //       dist(s, u) + 1 + dist(v, d) == dist(s, d) under the new distances.
-// Without (1) and (3) the new shortest-path set is a subset of the old one;
-// without (2) it still holds every emitted path, which therefore stay the
-// lexicographically first. (1) is implied by the other two (a shorter or
-// newly possible route needs an added edge; a longer one breaks every
-// emitted path) and is tested first as the cheapest. Only flows meeting a
-// condition are re-DFSed; the rest keep their paths, and the set is
-// re-interned in row-major order so edge ids match a fresh enumeration. The
-// first call, and any call that changes n or cap, is a full pass.
+// Without (1) and (3) the new shortest-path set is a subset of the base's;
+// without (2) it still holds every base path, which therefore stay the
+// lexicographically first. The flows to redo come from the diff: rows whose
+// distances changed, the users of each removed edge (an edge -> flows index
+// kept with the base) and the added-edge test. Only those are re-DFSed;
+// every other flow is copied from the base as runs of its CSR rows, with
+// base edge ids remapped to output ids in first-use order, so the output
+// equals a fresh enumeration field for field, edge ids included.
+//
+// commit() makes the set the last enumerate() wrote (which the caller must
+// not have changed since) the base of the calls after it; without a commit
+// every call diffs against the same base, so a rejected candidate costs the
+// next call nothing. A call with no base (the first, or one that changes n
+// or cap) is a full pass and becomes the base. Output never depends on
+// when, or whether, commit() runs: any base is some graph's exact set.
 //
 // set_graph() + add_flow() is the per-flow entry for callers that need a
 // few flows rather than all n^2 (route repair re-enumerates only the flows
-// a fault severed): set_graph sorts g's adjacency once, and each add_flow
-// appends the first max_paths_per_flow shortest paths of (s, d) to the
-// flow `out` is building. The next enumerate() is then a full pass.
+// a fault severed): set_graph sorts g's adjacency once and drops the base,
+// and each add_flow appends the first max_paths_per_flow shortest paths of
+// (s, d) to the flow `out` is building.
 class PathCompiler {
  public:
   void enumerate(const topo::DiGraph& g, const util::Matrix<int>& dist,
                  int max_paths_per_flow, PathSet& out);
+  void commit();
 
-  // Flows the last enumerate() call ran the DFS for; every other flow kept
-  // the paths of the call before.
+  // Flows the last enumerate() call ran the DFS for; every other flow was
+  // copied from the base.
   int last_recompiled_flows() const { return recompiled_; }
 
   void set_graph(const topo::DiGraph& g);
@@ -132,18 +141,25 @@ class PathCompiler {
 
  private:
   void sort_adjacency(const topo::DiGraph& g);
-  bool paths_survive(const util::Matrix<int>& dist, int s, int d) const;
   void dfs(const util::Matrix<int>& dist, int d, int cap, PathSet& out);
+  void mark_diff(const util::Matrix<int>& dist);
+  void index_users();
+  void copy_run(int fb, int fe, PathSet& out);
 
-  int n_ = 0, cap_ = -1;  // shape of the previous call (n_ == 0: none)
-  std::vector<std::vector<int>> adj_, prev_adj_;  // presorted out-neighbours
-  std::vector<int> prev_dist_;                    // previous call's dist
-  std::vector<std::pair<int, int>> removed_, added_;  // R and A
-  std::vector<char> removed_mask_;                    // R as an n*n mask
-  // The previous call's paths as router sequences, dist(s, d) + 1 routers
-  // each: pair s*n+d owns nodes_[node_begin_[s*n+d], node_begin_[s*n+d+1]).
-  // next_node_begin_ is filled by the current call and swapped in at its end.
-  std::vector<int> nodes_, node_begin_, next_node_begin_;
+  int n_ = 0, cap_ = -1;  // shape of the base (n_ == 0: no base)
+  std::vector<std::vector<int>> adj_;  // presorted out-neighbours, this call
+  std::vector<int> dist_;              // this call's dist, row-major
+  // The base: sorted adjacency, distances and path set.
+  std::vector<std::vector<int>> base_adj_;
+  std::vector<int> base_dist_;
+  PathSet base_;
+  // Users of base edge e: pairs s*n+d whose base paths cross it, as
+  // users_[user_begin_[e], user_begin_[e+1]); built on first need.
+  std::vector<int> user_begin_, users_;
+  bool users_ready_ = false;
+  const PathSet* pending_ = nullptr;  // last output, not yet committed
+  std::vector<std::uint8_t> redo_;    // per pair: re-DFS on this call
+  std::vector<int> remap_;            // base edge id -> output id, or -1
   std::vector<int> prefix_;
   int emitted_ = 0;  // paths emitted for the current flow
   int recompiled_ = 0;

@@ -60,10 +60,11 @@ RepairResult repair_routes(const topo::DiGraph& base_graph,
     return r;
   }
 
-  // Candidate sets: incumbent path only for survivors (pins them — MCLB's
-  // choice-0 initial state is then exactly the pre-fault routing, so the
-  // search starts at the incumbent load profile and only moves severed
-  // flows), fresh degraded-graph shortest paths for the affected flows.
+  // Candidate sets: incumbent path only for survivors (pins them: MCLB can
+  // only choose that path, so only severed flows move), fresh degraded-
+  // graph shortest paths for the affected flows. The greedy places flows
+  // longest first, so a severed flow is placed against the partial load
+  // profile of the flows placed before it, not the full incumbent one.
   const util::Matrix<int> dist = topo::apsp_bfs(degraded);
   PathCompiler dfs;
   dfs.set_graph(degraded);

@@ -229,10 +229,14 @@ topo::DiGraph random_move(const topo::DiGraph& g, util::Rng& rng) {
   return h;
 }
 
-// Walks `steps` related graphs from g with one long-lived compiler. A third
-// of the moves are rejected: the next call returns to the graph before the
-// move, as the annealer's undo does. Halfway through, the cap changes.
-// Returns the number of steps whose graph had an unreachable pair.
+// Walks `steps` related graphs from g with one long-lived compiler, as the
+// annealer drives it: every candidate is enumerated, and commit() runs only
+// when it is accepted; a third are rejected, and the walk goes on from the
+// graph before the move. Halfway through, the cap changes (a full pass).
+// Each candidate re-runs the DFS for no more flows than a fresh compiler
+// diffing it against the committed graph, so a rejected candidate leaves
+// nothing for the next one to redo. Returns the number of steps whose
+// graph had an unreachable pair.
 int walk(topo::DiGraph g, std::uint64_t seed, int steps,
          const std::string& tag) {
   util::Rng rng(seed);
@@ -249,11 +253,16 @@ int walk(topo::DiGraph g, std::uint64_t seed, int steps,
     }
     const auto h = random_move(g, rng);
     check_step(pc, out, h, cap, at);
+    PathCompiler diff;
+    PathSet scratch;
+    diff.enumerate(g, topo::apsp_bfs(g), cap, scratch);
+    diff.enumerate(h, topo::apsp_bfs(h), cap, scratch);
+    EXPECT_LE(pc.last_recompiled_flows(), diff.last_recompiled_flows()) << at;
     if (!topo::strongly_connected(h)) ++disconnected;
-    if (rng.uniform_int(0, 2) == 0)
-      check_step(pc, out, g, cap, at + " rejected");
-    else
+    if (rng.uniform_int(0, 2) != 0) {
+      pc.commit();
       g = h;
+    }
   }
   return disconnected;
 }
@@ -271,6 +280,38 @@ TEST(PathCompiler, IncrementalWalksMatchFreshCompiles) {
     disconnected += walk(g, 500 + iter, 40, "random 4x5 #" + std::to_string(iter));
   }
   EXPECT_GT(disconnected, 0);  // the walks did reach unreachable pairs
+}
+
+TEST(PathCompiler, OutputDoesNotDependOnWhenCommitRuns) {
+  // The annealer commits every accepted move, including one whose candidate
+  // never reached enumerate() (a disconnected graph scores without
+  // routing); commit() then adopts whatever set the last call wrote, even a
+  // rejected candidate's. Any base is some graph's exact set, so every
+  // later call still equals a fresh compile.
+  util::Rng rng(77);
+  const auto g0 = topo::build_random(topo::Layout{4, 5, 2.0},
+                                     topo::LinkClass::kMedium, 4, rng);
+  PathCompiler pc;
+  PathSet out;
+  check_step(pc, out, g0, 8, "start");
+
+  topo::DiGraph g1 = g0;  // scored and rejected: no commit
+  const auto [a, b] = g0.edges().front();
+  g1.remove_edge(a, b);
+  check_step(pc, out, g1, 8, "rejected candidate");
+
+  topo::DiGraph g2 = g0;  // cut off router 0, never enumerated, accepted
+  for (const int v : g0.out_neighbors(0)) g2.remove_edge(0, v);
+  ASSERT_FALSE(topo::strongly_connected(g2));
+  pc.commit();  // adopts g1's set, the last one written
+
+  topo::DiGraph g3 = g2;  // reconnected, scored and accepted
+  g3.add_edge(0, g0.out_neighbors(0).front());
+  check_step(pc, out, g3, 8, "after a commit of a stale candidate");
+  pc.commit();
+  pc.commit();  // nothing enumerated since the last commit: a no-op
+  check_step(pc, out, g0, 8, "back to the start graph");
+  check_step(pc, out, g2, 8, "disconnected, now scored");
 }
 
 TEST(PathCompiler, DuplexSwapRedoesFewFlows) {
