@@ -282,6 +282,7 @@ MclbResult run_local_search(const PathSet& ps,
   // move in the improvement rounds, so those walk a list of them.
   long greedy_evals = 0;
   std::vector<int> multi;
+  multi.reserve(f_count);
   for (int f : order) {
     const int pb = ps.path_begin[f], pe = ps.path_begin[f + 1];
     greedy_evals += pe - pb;

@@ -48,10 +48,33 @@ void PathSet::close_flow(int s, int d) {
   path_begin.push_back(num_paths());
 }
 
+namespace {
+
+// Every flow of a compiler whose adjacency is sorted: the full pass. Returns
+// the number of flows it ran the DFS for.
+int add_all_flows(PathCompiler& pc, const util::Matrix<int>& dist, int n,
+                  int max_paths_per_flow, PathSet& out) {
+  int flows = 0;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d) {
+      if (s == d || dist(s, d) >= topo::kUnreachable) continue;
+      ++flows;
+      pc.add_flow(dist, s, d, max_paths_per_flow, out);
+      out.close_flow(s, d);
+    }
+  return flows;
+}
+
+}  // namespace
+
+// One-shot: the full pass through the per-flow entry, so no base is kept.
 PathSet enumerate_shortest_paths(const topo::DiGraph& g,
                                  int max_paths_per_flow) {
+  PathCompiler pc;
+  pc.set_graph(g);
   PathSet ps;
-  PathCompiler().enumerate(g, topo::apsp_bfs(g), max_paths_per_flow, ps);
+  ps.clear(g.num_nodes());
+  add_all_flows(pc, topo::apsp_bfs(g), g.num_nodes(), max_paths_per_flow, ps);
   return ps;
 }
 
@@ -107,7 +130,7 @@ int PathCompiler::add_flow(const util::Matrix<int>& dist, int s, int d,
 void PathCompiler::index_users() {
   const int m = base_.num_edges;
   user_begin_.assign(static_cast<std::size_t>(m) + 1, 0);
-  std::vector<int>& last = remap_;  // free until the copy pass
+  std::vector<int> last;  // the flow that last touched each edge
   for (int pass = 0; pass < 2; ++pass) {
     last.assign(m, -1);
     for (int f = 0; f < base_.num_flows(); ++f) {
@@ -231,13 +254,7 @@ void PathCompiler::enumerate(const topo::DiGraph& g,
   recompiled_ = 0;
 
   if (full) {
-    for (int s = 0; s < n; ++s)
-      for (int d = 0; d < n; ++d) {
-        if (s == d || dist(s, d) >= topo::kUnreachable) continue;
-        ++recompiled_;
-        add_flow(dist, s, d, max_paths_per_flow, out);
-        out.close_flow(s, d);
-      }
+    recompiled_ = add_all_flows(*this, dist, n, max_paths_per_flow, out);
     n_ = n;
     cap_ = max_paths_per_flow;
     base_ = out;
