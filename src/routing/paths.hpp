@@ -113,10 +113,11 @@ PathSet enumerate_shortest_paths(const topo::DiGraph& g,
 // equals a fresh enumeration field for field, edge ids included.
 //
 // commit() makes the set the last enumerate() wrote (which the caller must
-// not have changed since) the base of the calls after it; without a commit
-// every call diffs against the same base, so a rejected candidate costs the
-// next call nothing. A call with no base (the first, or one that changes n
-// or cap) is a full pass and becomes the base. Output never depends on
+// keep, unchanged, until then) the base of the calls after it, and is a
+// no-op when no incremental call ran since the last commit; without a
+// commit every call diffs against the same base, so a rejected candidate
+// costs the next call nothing. A call with no base (the first, or one that
+// changes n or cap) is a full pass and becomes the base. Output never depends on
 // when, or whether, commit() runs: any base is some graph's exact set.
 //
 // set_graph() + add_flow() is the per-flow entry for callers that need a
