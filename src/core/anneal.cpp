@@ -349,7 +349,7 @@ class RestartRun {
         if (delta <= 0.0 ||
             (u >= 0.0 ? u : rng_.uniform()) < std::exp(-delta / temp)) {
           ws_.engine.commit();
-          ws_.path_compiler.commit();
+          ws_.path_compiler.commit(ws_.paths);
           score = cand;
           ++out.accepted;
           ++accepts_since_refresh;

@@ -1,6 +1,7 @@
 #include "routing/paths.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "topo/metrics.hpp"
@@ -113,7 +114,7 @@ void PathCompiler::dfs(const util::Matrix<int>& dist, int d, int cap,
 void PathCompiler::set_graph(const topo::DiGraph& g) {
   sort_adjacency(g);
   n_ = 0;
-  pending_ = nullptr;
+  pending_ = false;
 }
 
 int PathCompiler::add_flow(const util::Matrix<int>& dist, int s, int d,
@@ -126,7 +127,9 @@ int PathCompiler::add_flow(const util::Matrix<int>& dist, int s, int d,
 }
 
 // Users of every base edge, deduplicated per flow (a flow's paths share
-// edges): a count pass and a fill pass over the base's path edges.
+// edges): a count pass and a fill pass over the base's path edges. Built
+// once per base and shared by every candidate diffed against it, which is
+// why it beats re-scanning the base's path edges for removed ones per call.
 void PathCompiler::index_users() {
   const int m = base_.num_edges;
   user_begin_.assign(static_cast<std::size_t>(m) + 1, 0);
@@ -261,7 +264,7 @@ void PathCompiler::enumerate(const topo::DiGraph& g,
     base_adj_ = adj_;
     base_dist_.assign(dist.data(), dist.data() + nn);
     users_ready_ = false;
-    pending_ = nullptr;
+    pending_ = false;
     return;
   }
 
@@ -291,16 +294,17 @@ void PathCompiler::enumerate(const topo::DiGraph& g,
   }
   copy_run(run_b, run_e, out);
   dist_.assign(dist.data(), dist.data() + nn);
-  pending_ = &out;
+  pending_ = true;
 }
 
-void PathCompiler::commit() {
-  if (pending_ == nullptr) return;
-  base_ = *pending_;
+void PathCompiler::commit(const PathSet& last) {
+  if (!pending_) return;
+  assert(last.n == n_);
+  base_ = last;
   base_adj_.swap(adj_);
   base_dist_.swap(dist_);
   users_ready_ = false;
-  pending_ = nullptr;
+  pending_ = false;
 }
 
 bool is_shortest_path(const topo::DiGraph& g, const util::Matrix<int>& dist,

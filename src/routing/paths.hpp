@@ -112,13 +112,13 @@ PathSet enumerate_shortest_paths(const topo::DiGraph& g,
 // base edge ids remapped to output ids in first-use order, so the output
 // equals a fresh enumeration field for field, edge ids included.
 //
-// commit() makes the set the last enumerate() wrote (which the caller must
-// keep, unchanged, until then) the base of the calls after it, and is a
-// no-op when no incremental call ran since the last commit; without a
-// commit every call diffs against the same base, so a rejected candidate
-// costs the next call nothing. A call with no base (the first, or one that
-// changes n or cap) is a full pass and becomes the base. Output never depends on
-// when, or whether, commit() runs: any base is some graph's exact set.
+// commit(last) makes `last`, which must be the set the last enumerate()
+// wrote, the base of the calls after it, and is a no-op when no incremental
+// call ran since the last commit; without a commit every call diffs against
+// the same base, so a rejected candidate costs the next call nothing. A call
+// with no base (the first, or one that changes n or cap) is a full pass and
+// becomes the base. Output never depends on when, or whether, commit() runs:
+// any base is some graph's exact set.
 //
 // set_graph() + add_flow() is the per-flow entry for callers that need a
 // few flows rather than all n^2 (route repair re-enumerates only the flows
@@ -129,7 +129,7 @@ class PathCompiler {
  public:
   void enumerate(const topo::DiGraph& g, const util::Matrix<int>& dist,
                  int max_paths_per_flow, PathSet& out);
-  void commit();
+  void commit(const PathSet& last);
 
   // Flows the last enumerate() call ran the DFS for; every other flow was
   // copied from the base.
@@ -158,7 +158,7 @@ class PathCompiler {
   // users_[user_begin_[e], user_begin_[e+1]); built on first need.
   std::vector<int> user_begin_, users_;
   bool users_ready_ = false;
-  const PathSet* pending_ = nullptr;  // last output, not yet committed
+  bool pending_ = false;              // an incremental call, not committed
   std::vector<std::uint8_t> redo_;    // per pair: re-DFS on this call
   std::vector<int> remap_;            // base edge id -> output id, or -1
   std::vector<int> prefix_;

@@ -231,8 +231,10 @@ topo::DiGraph random_move(const topo::DiGraph& g, util::Rng& rng) {
 
 // Walks `steps` related graphs from g with one long-lived compiler, as the
 // annealer drives it: every candidate is enumerated, and commit() runs only
-// when it is accepted; a third are rejected, and the walk goes on from the
-// graph before the move. Halfway through, the cap changes (a full pass).
+// when it is accepted; a third are rejected, and the walk re-scores the
+// graph before the move (the committed base, every flow copied, as when the
+// annealer re-scores its incumbent) and goes on from it. Halfway through,
+// the cap changes (a full pass).
 // Each candidate re-runs the DFS for no more flows than a fresh compiler
 // diffing it against the committed graph, so a rejected candidate leaves
 // nothing for the next one to redo. Returns the number of steps whose
@@ -259,8 +261,11 @@ int walk(topo::DiGraph g, std::uint64_t seed, int steps,
     diff.enumerate(h, topo::apsp_bfs(h), cap, scratch);
     EXPECT_LE(pc.last_recompiled_flows(), diff.last_recompiled_flows()) << at;
     if (!topo::strongly_connected(h)) ++disconnected;
-    if (rng.uniform_int(0, 2) != 0) {
-      pc.commit();
+    if (rng.uniform_int(0, 2) == 0) {
+      check_step(pc, out, g, cap, at + " rejected");
+      EXPECT_EQ(pc.last_recompiled_flows(), 0) << at;  // g is the base
+    } else {
+      pc.commit(out);
       g = h;
     }
   }
@@ -303,13 +308,13 @@ TEST(PathCompiler, OutputDoesNotDependOnWhenCommitRuns) {
   topo::DiGraph g2 = g0;  // cut off router 0, never enumerated, accepted
   for (const int v : g0.out_neighbors(0)) g2.remove_edge(0, v);
   ASSERT_FALSE(topo::strongly_connected(g2));
-  pc.commit();  // adopts g1's set, the last one written
+  pc.commit(out);  // adopts g1's set, the last one written
 
   topo::DiGraph g3 = g2;  // reconnected, scored and accepted
   g3.add_edge(0, g0.out_neighbors(0).front());
   check_step(pc, out, g3, 8, "after a commit of a stale candidate");
-  pc.commit();
-  pc.commit();  // nothing enumerated since the last commit: a no-op
+  pc.commit(out);
+  pc.commit(out);  // nothing enumerated since the last commit: a no-op
   check_step(pc, out, g0, 8, "back to the start graph");
   check_step(pc, out, g2, 8, "disconnected, now scored");
 }
