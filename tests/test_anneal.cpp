@@ -317,6 +317,9 @@ TEST(AnnealGolden, MultiRestartDigests) {
        0x1f9ffdc9e2ab26c8ull},
       {"16x16 landmark latop 1x1500", with(grid1616, 1, 1500, 64),
        0x1bd92f4915deba3eull},
+      {"8x6 latop 2x3000", with(grid86, 2, 3000, 0), 0xe81ab34efa3ef162ull},
+      {"16x16 latop 1x1500", with(grid1616, 1, 1500, 0),
+       0xba37370ba9598b1cull},
   };
   for (const auto& c : cases) {
     const auto r = anneal_synthesize(c.cfg);
@@ -364,6 +367,9 @@ TEST(AnnealGolden, PatternAndCutDigests) {
       {"8x6 landmark shuffle pattern 1x3000",
        cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000, 12),
        0xad0498f7223b6abfull},
+      {"8x6 shuffle pattern 1x3000",
+       cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000, 0),
+       0xa7e66eec76c3bc1full},
       {"4x5 scop 1x6000",
        cfg_for(topo::Layout::noi_4x5(), Objective::kSCOp, 6000, 0),
        0x0244dd2a5ca634faull},
