@@ -1,17 +1,17 @@
 // Scaling study: synthesis + simulation throughput and quality at
-// n = 48 .. 1024 routers. This is the figure behind the delta-APSP /
-// landmark-estimation work: one latency-optimized synthesis per grid size
-// (move-budgeted, bit-reproducible), planned with a bounded MCLB budget and
-// swept under coherence traffic, all through the declarative Study API.
+// n = 48 .. 1024 routers. This is the figure behind the delta-APSP work:
+// one latency-optimized synthesis per grid size (move-budgeted,
+// bit-reproducible), planned with a bounded MCLB budget and swept under
+// coherence traffic, all through the declarative Study API.
 //
 // Usage: fig_scale [--smoke] [--n N]
 //   --smoke  CI budget: only n = {48, 256}, reduced move/sweep windows
 //            (the n = 256 point finishes well under two minutes)
 //   --n N    run a single grid size from the table (48|128|256|512|1024)
 //
-// Synthesis at n >= 256 uses landmark objective estimation (64 sampled
-// sources) — incumbents are exactly re-scored, so the reported objective is
-// the true average hop count (see DESIGN.md, "Scaling to n = 1024").
+// Every move is scored exactly on the delta-APSP engine at every n, so the
+// reported objective is the true average hop count (see DESIGN.md,
+// "Scaling to n = 1024").
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,15 +28,14 @@ namespace {
 
 struct Point {
   int n, rows, cols;
-  long moves;          // full-run move budget
-  int landmarks;       // 0 = full per-move scoring
+  long moves;  // full-run move budget
 };
 
-constexpr Point kPoints[] = {{48, 8, 6, 20000, 0},
-                             {128, 16, 8, 8000, 0},
-                             {256, 16, 16, 6000, 64},
-                             {512, 32, 16, 3000, 64},
-                             {1024, 32, 32, 2000, 64}};
+constexpr Point kPoints[] = {{48, 8, 6, 20000},
+                             {128, 16, 8, 8000},
+                             {256, 16, 16, 6000},
+                             {512, 32, 16, 3000},
+                             {1024, 32, 32, 2000}};
 
 }  // namespace
 
@@ -55,10 +54,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "NetSmith scaling study — synthesis + simulation at n = 48 .. 1024\n"
-      "Latency-optimized (latop) synthesis per grid size; landmark objective\n"
-      "estimation from n = 256 up, exact incumbents throughout.\n\n");
+      "Latency-optimized (latop) synthesis per grid size, every move scored\n"
+      "exactly on the delta-APSP engine.\n\n");
 
-  util::TablePrinter table({"n", "grid", "moves", "lm", "avg hops", "diam",
+  util::TablePrinter table({"n", "grid", "moves", "avg hops", "diam",
                             "synth (s)", "moves/s", "lat@0 (ns)",
                             "sat (pkt/node/ns)", "total (s)"});
   obs::WallTimer total;
@@ -78,7 +77,6 @@ int main(int argc, char** argv) {
     t.synth_seed = 9;
     t.restarts = 1;
     t.max_moves = smoke ? std::min(pt.moves, 3000L) : pt.moves;
-    t.landmark_sources = pt.landmarks;
     spec.topologies = {t};
     // Bounded routing + sweep windows: the point of this figure is the
     // throughput curve vs n, not saturation-sweep fidelity. The longer
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
     table.add_row(
         {std::to_string(pt.n),
          std::to_string(pt.rows) + "x" + std::to_string(pt.cols),
-         std::to_string(row.moves), std::to_string(pt.landmarks),
+         std::to_string(row.moves),
          util::TablePrinter::fmt(row.avg_hops, 3),
          std::to_string(row.diameter), util::TablePrinter::fmt(synth_s, 2),
          util::TablePrinter::fmt(

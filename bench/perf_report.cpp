@@ -69,6 +69,28 @@ double time_ns_per_op(double budget_s, Fn&& fn) {
   return timer.seconds() * 1e9 / static_cast<double>(iters);
 }
 
+// Fastest of repeated runs of a deterministic workload: at least
+// kMinSamples runs, and more until the runs add up to kMinSampleSeconds.
+// A run of a few ms read far apart across reports of one binary when it got
+// only one or two samples.
+constexpr int kMinSamples = 5;
+constexpr double kMinSampleSeconds = 0.2;
+
+template <class Fn>
+double fastest_seconds(Fn&& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  double spent = 0.0;
+  for (int samples = 0; samples < kMinSamples || spent < kMinSampleSeconds;
+       ++samples) {
+    obs::WallTimer t;
+    fn();
+    const double s = t.seconds();
+    spent += s;
+    best = std::min(best, s);
+  }
+  return best;
+}
+
 // One arm of an interleaved A/B timing: work units done, seconds spent.
 struct ArmTime {
   long units = 0;
@@ -131,7 +153,6 @@ struct Report {
     int n = 0;
     double synth_moves_per_sec = 0.0;
     double apsp_rows_per_move = 0.0;  // delta-engine re-sweeps per move
-    int landmark_sources = 0;         // 0 = full per-move scoring
     double sim_cycles_per_sec = 0.0;
   };
   std::vector<ScalePoint> scaling;
@@ -159,7 +180,6 @@ void write_json(const Report& r, const std::string& path) {
         {"n", JsonValue::integer(p.n)},
         {"synth_moves_per_sec", fixed(p.synth_moves_per_sec, 1)},
         {"apsp_rows_per_move", fixed(p.apsp_rows_per_move, 2)},
-        {"landmark_sources", JsonValue::integer(p.landmark_sources)},
         {"sim_cycles_per_sec", fixed(p.sim_cycles_per_sec, 1)},
     }));
   // v4: adds "delta_apsp" (incremental-APSP move engine vs full re-sweep)
@@ -497,8 +517,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Synthesis + simulation throughput vs n (the scaling curve). --------
-  // Move-budgeted kLatOp synthesis (landmark estimation from n = 256 up) and
-  // a bounded coherence-traffic simulation of the synthesized fabric.
+  // Move-budgeted kLatOp synthesis and a bounded coherence-traffic
+  // simulation of the synthesized fabric.
   {
     struct Pt {
       int n, rows, cols;
@@ -521,21 +541,10 @@ int main(int argc, char** argv) {
       cfg.restarts = 1;
       cfg.seed = 9;
       cfg.max_moves = rep.smoke ? std::min(pt.moves, 1500L) : pt.moves;
-      cfg.landmark_sources = pt.n >= 256 ? 64 : 0;
-      sp.landmark_sources = cfg.landmark_sources;
-      obs::WallTimer synth_t;
-      const auto r = core::anneal_synthesize(cfg);
-      double synth_s = synth_t.seconds();
-      // Short runs (a few ms at n = 48 and 128) read far apart across
-      // reports of one binary: repeat the same move-budgeted (deterministic)
-      // synthesis until the samples add up to 0.2 s and keep the fastest.
-      for (double spent = synth_s; spent < 0.2;) {
-        obs::WallTimer rerun_t;
-        core::anneal_synthesize(cfg);
-        const double s = rerun_t.seconds();
-        spent += s;
-        synth_s = std::min(synth_s, s);
-      }
+      // The synthesis is move-budgeted, so every sample returns this result.
+      core::SynthesisResult r;
+      const double synth_s =
+          fastest_seconds([&] { r = core::anneal_synthesize(cfg); });
       sp.synth_moves_per_sec = static_cast<double>(r.moves) / synth_s;
       sp.apsp_rows_per_move =
           r.moves > 0
@@ -565,10 +574,10 @@ int main(int argc, char** argv) {
       }
       sp.sim_cycles_per_sec = static_cast<double>(cycles) / sim_s;
       rep.scaling.push_back(sp);
-      std::printf("  n_scaling n=%-5d synth %.0f moves/s (%.1f rows/move, "
-                  "lm=%d) | sim %.2e cyc/s\n",
+      std::printf("  n_scaling n=%-5d synth %.0f moves/s (%.1f rows/move) | "
+                  "sim %.2e cyc/s\n",
                   sp.n, sp.synth_moves_per_sec, sp.apsp_rows_per_move,
-                  sp.landmark_sources, sp.sim_cycles_per_sec);
+                  sp.sim_cycles_per_sec);
     }
   }
 
@@ -591,9 +600,9 @@ int main(int argc, char** argv) {
 
   // --- Route-aware move throughput (kLatLoad, the synth48 instance). ------
   // Every scored move enumerates the shortest-path set and runs the MCLB
-  // local search on it. 300 moves take tens of ms, so the same (move-
-  // budgeted, deterministic) synthesis is repeated until the samples add up
-  // to 0.2 s and the fastest is kept, as in n_scaling.
+  // local search on it. 300 moves take tens of ms, so the fastest of
+  // repeated runs of the same (move-budgeted, deterministic) synthesis is
+  // kept, as in n_scaling.
   {
     core::SynthesisConfig cfg;
     cfg.layout = topo::Layout{8, 6, 2.0};
@@ -604,15 +613,9 @@ int main(int argc, char** argv) {
     cfg.restarts = 1;
     cfg.seed = 2;
     cfg.max_moves = 300;
-    double best_s = std::numeric_limits<double>::infinity();
     long moves = 0;
-    for (double spent = 0.0; spent < 0.2;) {
-      obs::WallTimer t;
-      moves = core::anneal_synthesize(cfg).moves;
-      const double s = t.seconds();
-      spent += s;
-      best_s = std::min(best_s, s);
-    }
+    const double best_s =
+        fastest_seconds([&] { moves = core::anneal_synthesize(cfg).moves; });
     rep.anneal_latload_moves_per_sec = static_cast<double>(moves) / best_s;
   }
 

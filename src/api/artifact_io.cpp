@@ -74,7 +74,6 @@ std::string topology_artifact_payload(const TopologyArtifact& t,
     s.set("moves", JsonValue::integer(t.synth.moves));
     s.set("accepted", JsonValue::integer(t.synth.accepted));
     s.set("apsp_resweeps", JsonValue::integer(t.synth.apsp_resweeps));
-    s.set("exact_rescores", JsonValue::integer(t.synth.exact_rescores));
     JsonValue trace = JsonValue::array();
     for (const auto& pt : t.synth.trace) {
       JsonValue p = JsonValue::object();
@@ -123,7 +122,6 @@ bool restore_topology_artifact(const std::string& payload, bool analytic,
       t.synth.moves = s.at("moves").as_int();
       t.synth.accepted = s.at("accepted").as_int();
       t.synth.apsp_resweeps = s.at("apsp_resweeps").as_int();
-      t.synth.exact_rescores = s.at("exact_rescores").as_int();
       t.synth.trace.clear();
       for (const auto& pt : s.at("trace").items()) {
         core::ProgressPoint p;

@@ -204,11 +204,15 @@ void validate(const TopologySpec& t, const std::string& at) {
     throw std::invalid_argument("spec: radix must be >= 1 in " + at);
   if (t.restarts < 1)
     throw std::invalid_argument("spec: restarts must be >= 1 in " + at);
-  if (t.time_limit_s < 0 || t.max_moves < 0 || t.landmark_sources < 0 ||
-      t.min_cut_bandwidth < 0 || t.diameter_bound < 0)
+  if (t.time_limit_s < 0 || t.max_moves < 0 || t.min_cut_bandwidth < 0 ||
+      t.diameter_bound < 0)
     throw std::invalid_argument(
-        "spec: time_limit_s, max_moves, landmark_sources, min_cut_bandwidth "
-        "and diameter_bound must be >= 0 in " + at);
+        "spec: time_limit_s, max_moves, min_cut_bandwidth and diameter_bound "
+        "must be >= 0 in " + at);
+  if (t.landmark_sources != 0)
+    throw std::invalid_argument(
+        "spec: landmark_sources is reserved and must be 0 (landmark scoring "
+        "was removed; every synthesis scores all sources) in " + at);
 
   // Per-source structural validation.
   switch (t.source) {

@@ -70,9 +70,9 @@ struct TopologySpec {
   // > 0: move-budgeted deterministic annealing (bit-reproducible reports);
   // 0: wall-clock budget (time_limit_s).
   long max_moves = 0;
-  // > 0: landmark objective estimation — score moves from this many sampled
-  // sources (hop-based objectives only; incumbents stay exact). 0 = full
-  // per-move scoring. See core::SynthesisConfig::landmark_sources.
+  // Reserved, must be 0: the retired landmark scoring mode's sample size.
+  // Kept so reports still embed it and synthesized topology keys keep their
+  // `;lm=0` suffix; validate() rejects any other value.
   int landmark_sources = 0;
 
   bool operator==(const TopologySpec&) const = default;

@@ -256,7 +256,6 @@ void Study::expand() {
           cfg.seed = ts.synth_seed;
           cfg.restarts = ts.restarts;
           cfg.max_moves = ts.max_moves;
-          cfg.landmark_sources = ts.landmark_sources;
           art.key = "synth:obj=" + obj + ";grid=" + std::to_string(rows) +
                     "x" + std::to_string(cols) + ";class=" + ts.link_class +
                     ";radix=" + std::to_string(ts.radix) +

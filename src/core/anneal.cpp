@@ -123,43 +123,11 @@ struct EdgePool {
 // 4 MB, so re-allocating it (plus the BFS bitsets and the flat path-set
 // arrays) per restart churns the allocator for nothing.
 struct RestartWorkspace {
-  topo::DeltaApsp engine;        // maintained distance rows + hop aggregates
-  topo::BitBfs bfs{0};           // exact-re-score sweeps (landmark mode)
-  int bfs_n = 0;
-  util::Matrix<int> exact_dist;  // full APSP scratch for exact re-scores
+  topo::DeltaApsp engine;  // maintained distance rows + hop aggregates
   routing::PathCompiler path_compiler;
   routing::PathSet paths;
   EdgePool pool;
-
-  void ensure_exact(int n) {
-    if (bfs_n != n) {
-      bfs = topo::BitBfs(n);
-      bfs_n = n;
-    }
-    if (static_cast<int>(exact_dist.rows()) != n)
-      exact_dist = util::Matrix<int>(static_cast<std::size_t>(n),
-                                     static_cast<std::size_t>(n), 0);
-  }
 };
-
-// Deterministic k-subset of sources for landmark estimation: a dedicated RNG
-// stream keyed on (seed, restart), so enabling landmarks never perturbs the
-// move RNG sequence.
-std::vector<int> landmark_sample(int n, int k, std::uint64_t seed,
-                                 int restart) {
-  std::vector<int> ids(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
-  util::Rng rng(seed * 0xC2B2AE3D27D4EB4FULL +
-                0x165667B19E3779F9ULL * (static_cast<std::uint64_t>(restart) + 1));
-  for (int i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(
-        i + rng.uniform_int(0, static_cast<std::int64_t>(n) - 1 - i));
-    std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
-  }
-  ids.resize(static_cast<std::size_t>(k));
-  std::sort(ids.begin(), ids.end());  // ascending = cache-friendly sweeps
-  return ids;
-}
 
 // Shared, immutable search inputs (candidate link set, analytic bound).
 struct SearchContext {
@@ -167,16 +135,8 @@ struct SearchContext {
   int n = 0;
   std::vector<std::vector<int>> out_cand;  // candidate link set L (C3)
   double bound = 0.0;
-  // Landmark estimation is only wired to the hop-based objectives: SCOp
-  // scores through the cut cache, and the route-aware objectives need the
-  // full distance matrix for path enumeration anyway.
-  int landmarks = 0;  // 0 = exact full-row scoring
 
   explicit SearchContext(const SynthesisConfig& c) : cfg(c), n(c.layout.n()) {
-    if (cfg.landmark_sources > 0 && cfg.landmark_sources < n &&
-        (cfg.objective == Objective::kLatOp ||
-         cfg.objective == Objective::kPattern))
-      landmarks = cfg.landmark_sources;
     out_cand.resize(n);
     for (const auto& [i, j] : topo::valid_links(cfg.layout, cfg.link_class)) {
       if (cfg.symmetric_links && i > j) continue;
@@ -242,7 +202,7 @@ struct RestartOutcome {
   };
   std::vector<TracePt> trace;
   long moves = 0, accepted = 0;
-  long resweeps = 0, rescores = 0;
+  long resweeps = 0;
   double duration_s = 0.0;
 };
 
@@ -265,8 +225,6 @@ class RestartRun {
         rng_(cfg_.seed * 0x9E3779B9 + restart * 1234567 + 1),
         cuts_(n_, kCutCacheSize),
         ws_(ws),
-        landmark_(ctx.landmarks > 0),
-        scale_(landmark_ ? static_cast<double>(ctx.n) / ctx.landmarks : 1.0),
         hops_score_(cfg_.objective == Objective::kLatOp &&
                     cfg_.min_cut_bandwidth <= 0.0) {}
 
@@ -283,12 +241,12 @@ class RestartRun {
                                            cfg_.radix, rng_)
             : topo::build_random(cfg_.layout, cfg_.link_class, cfg_.radix, rng_);
     // The greedy radix fill can strand a node with no out-links on large
-    // grids (its candidates' in-degrees all saturated). A full-mode search
-    // recovers through the unreachability penalty, but a landmark-scored run
-    // is blind to pairs outside its sample and would then never produce an
-    // exactly-verified incumbent. Redraw until strongly connected — two BFS
-    // per check, and the extra rng_ draws only happen in the (rare)
-    // disconnected case, so existing trajectories are untouched.
+    // grids (its candidates' in-degrees all saturated). The search would
+    // recover through the unreachability penalty, but starting connected
+    // gives it a scored incumbent from the first accepted move. Redraw until
+    // strongly connected: two BFS per check, and the extra rng_ draws happen
+    // only in the (rare) disconnected case. The redraws are part of every
+    // recorded trajectory that starts disconnected, so they stay.
     for (int redraw = 0; redraw < 32 && !topo::strongly_connected(g); ++redraw)
       g = cfg_.symmetric_links
               ? topo::build_random_symmetric(cfg_.layout, cfg_.link_class,
@@ -296,13 +254,7 @@ class RestartRun {
               : topo::build_random(cfg_.layout, cfg_.link_class, cfg_.radix,
                                    rng_);
     ws_.pool.rebuild(g, cfg_.symmetric_links);
-    if (landmark_) {
-      ws_.engine.init(
-          n_, landmark_sample(n_, ctx_.landmarks, cfg_.seed, restart_));
-      ws_.ensure_exact(n_);  // incumbent re-scores need a full APSP
-    } else {
-      ws_.engine.init(n_);
-    }
+    ws_.engine.init(n_);
     ws_.engine.rebuild(g);
 
     const double budget_s = cfg_.time_limit_s / std::max(1, cfg_.restarts);
@@ -311,14 +263,6 @@ class RestartRun {
 
     double score = search_score(g);
     long accepts_since_refresh = 0;
-
-    // Landmark mode: seed the incumbent with the (connected) start graph
-    // through the exact re-score path. Estimate-accepted moves can be
-    // invisibly disconnected outside the sampled sources, so without this a
-    // short large-n run may finish with no exactly-verified incumbent at
-    // all. Full mode keeps its original behavior (first accepted connected
-    // state wins), so existing trajectories are untouched.
-    if (landmark_) maybe_update_incumbent(g, out, timer, &score);
 
     for (;;) {
       double frac;
@@ -375,7 +319,6 @@ class RestartRun {
     }
     out.duration_s = timer.seconds();
     out.resweeps = static_cast<long>(ws_.engine.resweeps());
-    out.rescores = exact_rescores_;
     span.arg("moves", out.moves);
     span.arg("accepted", out.accepted);
     span.arg("incumbents", incumbent_updates_);
@@ -395,8 +338,6 @@ class RestartRun {
           .add(static_cast<std::uint64_t>(out.resweeps));
       obs::counter("anneal.early_rejects")
           .add(static_cast<std::uint64_t>(early_rejects_));
-      obs::counter("anneal.exact_rescores")
-          .add(static_cast<std::uint64_t>(out.rescores));
     }
     return out;
   }
@@ -441,20 +382,18 @@ class RestartRun {
       const double bound =
           lost > 0 ? kDisconnected * lost
                    : std::min(kDisconnected,
-                              static_cast<double>(e.hop_sum() + unswept) *
-                                  scale_);
+                              static_cast<double>(e.hop_sum() + unswept));
       return !(*u < std::exp(-(bound - score) / temp));
     });
   }
 
   // Hop total of the current graph from the maintained aggregates. Integer
-  // row sums are associative, so in full mode this is bit-identical to the
-  // old per-move n-source re-sweep; in landmark mode it is the sampled sum
-  // scaled by n/k (an estimate — never stored in an incumbent).
+  // row sums are associative, so this is bit-identical to the old per-move
+  // n-source re-sweep.
   double hops_total() const {
     const long unreach = ws_.engine.unreachable();
     if (unreach > 0) return kDisconnected * unreach;
-    return static_cast<double>(ws_.engine.hop_sum()) * scale_;
+    return static_cast<double>(ws_.engine.hop_sum());
   }
 
   // C7 penalty: shortfall against the minimum sparsest-cut bandwidth,
@@ -484,8 +423,7 @@ class RestartRun {
         // unplaced.
         last_hops_ = hops_total();
         if (last_hops_ >= kDisconnected) return last_hops_;
-        last_weighted_ = topo::weighted_hops(ws_.engine.rows(), cfg_.pattern,
-                                             ws_.engine.sources());
+        last_weighted_ = topo::weighted_hops(ws_.engine.rows(), cfg_.pattern);
         return last_weighted_ * static_cast<double>(n_) * (n_ - 1) +
                0.05 * last_hops_ + bandwidth_penalty(g);
       }
@@ -524,8 +462,7 @@ class RestartRun {
   }
 
   // MCLB max normalized channel load of g, routed over the maintained
-  // shortest-path matrix (route-aware objectives always run the engine in
-  // full mode). The compiler enumerates straight into the persistent path
+  // shortest-path matrix. The compiler enumerates straight into the persistent path
   // set, so the enumeration half of the per-move pipeline reuses its arrays
   // instead of reallocating them every move.
   double route_max_load(const topo::DiGraph& g) {
@@ -537,8 +474,7 @@ class RestartRun {
 
   // True when the accepted move's already-computed scores prove it cannot
   // beat this restart's incumbent (the fast path the expensive incumbent
-  // verification never runs for). In landmark mode `avg` is the sampled
-  // estimate — a gate only; survivors are exactly re-scored below.
+  // verification never runs for).
   bool cheap_reject(const topo::DiGraph& g, const RestartOutcome& out,
                     double avg) const {
     switch (cfg_.objective) {
@@ -561,71 +497,26 @@ class RestartRun {
     return false;
   }
 
-  // Landmark mode: full APSP of the candidate into ws_.exact_dist. Returns
-  // false when any pair is unreachable — the sampled estimate cannot see
-  // disconnection among non-sampled sources, so this is also the incumbent's
-  // connectivity check. On success *exact_avg (and for kPattern
-  // *exact_weighted, the same topo::weighted_hops a full-mode move scores
-  // with) hold the exact objective values.
-  bool exact_rescore(const topo::DiGraph& g, double* exact_avg,
-                     double* exact_weighted) {
-    // Every partial sum is an integer below 2^53, so adding row totals
-    // gives the same double as adding entry by entry.
-    double total = 0.0;
-    long unreachable = 0;
-    for (int s = 0; s < n_; ++s) {
-      const auto t = ws_.bfs.distances(
-          g, s, &ws_.exact_dist(static_cast<std::size_t>(s), 0));
-      total += static_cast<double>(t.hop_sum);
-      unreachable += t.unreached;
-    }
-    if (unreachable > 0) return false;
-    *exact_avg = total / (static_cast<double>(n_) * (n_ - 1));
-    if (cfg_.objective == Objective::kPattern)
-      *exact_weighted = topo::weighted_hops(ws_.exact_dist, cfg_.pattern);
-    return true;
-  }
-
   void maybe_update_incumbent(const topo::DiGraph& g, RestartOutcome& out,
                               const obs::WallTimer& timer, double* score) {
-    // last_hops_ is the maintained hop total of the accepted move (sampled
-    // estimate in landmark mode): no all-pairs traversal here.
+    // last_hops_ is the maintained hop total of the accepted move: no
+    // all-pairs traversal here.
     const double hops = last_hops_;
     if (hops >= kDisconnected) return;
     const double avg = hops / (static_cast<double>(n_) * (n_ - 1));
 
-    // Cheap reject: skip the diameter / exact-cut / exact-re-score work
-    // whenever the accepted score cannot beat this restart's incumbent.
+    // Cheap reject: skip the diameter / exact-cut work whenever the
+    // accepted score cannot beat this restart's incumbent.
     if (out.have && cheap_reject(g, out, avg)) {
       ++fast_rejects_;
       return;
     }
 
-    // Landmark mode: the estimate above only gates. Exactly re-score before
-    // anything is compared against or stored in the incumbent, so the
-    // outcome (and the best-of reduction) is identical to what an
-    // exact-scoring run would keep for this graph.
-    double exact_avg = avg, exact_weighted = last_weighted_;
-    if (landmark_) {
-      if (!exact_rescore(g, &exact_avg, &exact_weighted)) return;
-      ++exact_rescores_;
-      if (out.have) {
-        const bool lose = cfg_.objective == Objective::kPattern
-                              ? exact_weighted >= out.primary
-                              : exact_avg >= out.primary;
-        if (lose) {
-          ++fast_rejects_;
-          return;
-        }
-      }
-    }
-
-    if (cfg_.diameter_bound > 0) {
-      // Connectivity was already established, so the max entry of the
-      // maintained (or just re-scored) matrix is the graph diameter.
-      const auto& d = landmark_ ? ws_.exact_dist : ws_.engine.rows();
-      if (topo::diameter(d) > cfg_.diameter_bound) return;
-    }
+    // Connectivity was already established, so the max entry of the
+    // maintained matrix is the graph diameter.
+    if (cfg_.diameter_bound > 0 &&
+        topo::diameter(ws_.engine.rows()) > cfg_.diameter_bound)
+      return;
     double verified_bw = -1.0;  // exact cut from the C7 check, if it ran
     if (cfg_.min_cut_bandwidth > 0.0) {
       // The cached bandwidth upper-bounds the exact sparsest cut, so a
@@ -653,8 +544,8 @@ class RestartRun {
       primary = verified_bw >= 0.0 ? verified_bw : cuts_.refresh(g);
       secondary = avg;
     } else if (cfg_.objective == Objective::kPattern) {
-      primary = exact_weighted;
-      secondary = exact_avg;
+      primary = last_weighted_;
+      secondary = avg;
     } else if (cfg_.objective == Objective::kChannelLoad) {
       primary = last_load_;
       secondary = avg;
@@ -662,8 +553,8 @@ class RestartRun {
       primary = avg + cfg_.load_weight * last_load_;
       secondary = avg;
     } else {
-      primary = exact_avg;
-      secondary = exact_avg;
+      primary = avg;
+      secondary = avg;
     }
 
     if (!out.have || ctx_.better(primary, secondary, out.primary, out.secondary)) {
@@ -768,8 +659,6 @@ class RestartRun {
   util::Rng rng_;
   CutCache cuts_;
   RestartWorkspace& ws_;
-  bool landmark_;
-  double scale_;  // n / k in landmark mode, 1.0 otherwise
   // The search score is exactly hops_total(): kLatOp with no C7 penalty.
   // The early-rejection bound covers integer row sums only, and
   // bandwidth_penalty() may refresh the cut cache while scoring.
@@ -779,7 +668,6 @@ class RestartRun {
   double last_load_ = 0.0;
   long incumbent_updates_ = 0;  // accepted incumbents (obs flush per restart)
   long fast_rejects_ = 0;       // cheap-reject gate hits
-  long exact_rescores_ = 0;     // landmark-mode full re-scores
   long early_rejects_ = 0;      // moves rejected before a full re-sweep
   Delta delta_;
 };
@@ -812,7 +700,6 @@ SynthesisResult anneal_synthesize(const SynthesisConfig& cfg) {
     result.moves += out.moves;
     result.accepted += out.accepted;
     result.apsp_resweeps += out.resweeps;
-    result.exact_rescores += out.rescores;
     if (out.have &&
         (!have || ctx.better(out.primary, out.secondary, bp, bs))) {
       have = true;

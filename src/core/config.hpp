@@ -44,16 +44,6 @@ struct SynthesisConfig {
   // Per-restart move budget; 0 = wall-clock budget (time_limit_s /
   // restarts per restart, not bit-reproducible across runs).
   long max_moves = 0;
-  // Landmark objective estimation for large-n synthesis: when > 0 and
-  // smaller than n, the hop-based objectives (kLatOp, kPattern) score moves
-  // from this many sampled sources instead of all n. The sample is a
-  // deterministic function of (seed, restart index), so move-budgeted runs
-  // stay bit-identical across runs. Estimates only steer the search: every
-  // incumbent candidate is exactly re-scored (full APSP) before being
-  // compared or stored, so objective_value and the returned graph are
-  // always exact. SCOp and the route-aware objectives (which need the full
-  // distance matrix anyway) ignore this knob.
-  int landmark_sources = 0;
 };
 
 struct ProgressPoint {
@@ -80,12 +70,9 @@ struct SynthesisResult {
   long accepted = 0;
   // Delta-APSP accounting: distance-matrix rows re-swept by the incremental
   // engine across all scored moves. The full re-sweep equivalent is
-  // (sources tracked) x (scored moves); the ratio is the per-move APSP
-  // saving (bench/fig_scale.cpp reports it per n).
+  // n x (scored moves); the ratio is the per-move APSP saving
+  // (bench/fig_scale.cpp reports it per n).
   long apsp_resweeps = 0;
-  // Landmark mode only: exact full-APSP re-scores of incumbent candidates
-  // (0 when landmark estimation is off).
-  long exact_rescores = 0;
 };
 
 }  // namespace netsmith::core

@@ -8,25 +8,17 @@
 namespace netsmith::topo {
 
 void DeltaApsp::init(int n) {
-  std::vector<int> all(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
-  init(n, std::move(all));
-}
-
-void DeltaApsp::init(int n, std::vector<int> sources) {
   assert(n >= 0);
-  const bool regrow =
-      n != n_ || sources.size() != sources_.size();
-  n_ = n;
-  sources_ = std::move(sources);
-  const std::size_t k = sources_.size();
-  if (regrow) {
-    dist_ = util::Matrix<int>(k, static_cast<std::size_t>(n_), kUnreachable);
+  if (n != n_) {
+    n_ = n;
+    dist_ = util::Matrix<int>(static_cast<std::size_t>(n_),
+                              static_cast<std::size_t>(n_), kUnreachable);
     bfs_ = BitBfs(n_);
   }
-  row_sum_.assign(k, 0);
-  row_unreach_.assign(k, 0);
-  taken_.assign((k + 63) / 64, 0);
+  const auto rows = static_cast<std::size_t>(n_);
+  row_sum_.assign(rows, 0);
+  row_unreach_.assign(rows, 0);
+  taken_.assign((rows + 63) / 64, 0);
   hop_sum_ = 0;
   unreachable_ = 0;
   journal_.clear();
@@ -36,8 +28,7 @@ void DeltaApsp::init(int n, std::vector<int> sources) {
 }
 
 void DeltaApsp::sweep_row(const DiGraph& g, int r) {
-  const auto t = bfs_.distances(g, sources_[static_cast<std::size_t>(r)],
-                                &dist_(static_cast<std::size_t>(r), 0));
+  const auto t = bfs_.distances(g, r, &dist_(static_cast<std::size_t>(r), 0));
   hop_sum_ += t.hop_sum - row_sum_[static_cast<std::size_t>(r)];
   unreachable_ += t.unreached - row_unreach_[static_cast<std::size_t>(r)];
   row_sum_[static_cast<std::size_t>(r)] = t.hop_sum;
@@ -57,7 +48,7 @@ void DeltaApsp::rebuild(const DiGraph& g) {
   journal_.clear();
   journal_rows_.clear();
   pending_ = false;
-  for (int r = 0; r < num_sources(); ++r) sweep_row(g, r);
+  for (int r = 0; r < n_; ++r) sweep_row(g, r);
 }
 
 int DeltaApsp::apply(const DiGraph& g, const EdgeChange* changes, int count) {
@@ -94,14 +85,13 @@ int DeltaApsp::detect(const DiGraph& g, const EdgeChange* changes,
   // edit already took reach the predecessor filter. Rows join affected_ in
   // (edit, row) order.
   std::fill(taken_.begin(), taken_.end(), 0);
-  const int k = num_sources();
   const std::size_t stride = static_cast<std::size_t>(n_);
   for (int c = 0; c < count; ++c) {
     const int u = changes[c].u, v = changes[c].v;
     const bool added = changes[c].added;
     const auto& preds = g.in_neighbors(v);  // post-edit: u already absent
-    for (int w = 0; w * 64 < k; ++w) {
-      const int lanes = std::min(64, k - w * 64);
+    for (int w = 0; w * 64 < n_; ++w) {
+      const int lanes = std::min(64, n_ - w * 64);
       const int* base =
           dist_.data() + static_cast<std::size_t>(w) * 64 * stride;
       std::uint64_t cand = 0;

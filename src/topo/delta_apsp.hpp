@@ -22,8 +22,8 @@
 //    annealer emits — and apply() falls back to the plain on-some-shortest-
 //    path rule for any other batch.
 // Detection works on words of 64 rows: for each edit, one branch-free pass
-// over columns u and v of the k tracked rows sets a candidate bit per row
-// (ceil(k/64) words), and the predecessor filter then visits only the
+// over columns u and v of the n rows sets a candidate bit per row
+// (ceil(n/64) words), and the predecessor filter then visits only the
 // candidate rows. Each re-swept row's hop sum and unreached count come back
 // from the same BitBfs::distances call that writes the row.
 // For a batch of edits applied together (the annealer's remove+add rewire
@@ -38,12 +38,6 @@
 // Each apply() journals the previous contents of the re-swept rows, so a
 // rejected annealer move rolls back with a handful of row memcpys instead of
 // re-running BFS.
-//
-// The engine also powers landmark estimation: constructed with a subset of
-// sources it maintains only those rows (a k x n matrix), and hop_sum() over
-// the sample scaled by n/k estimates the full total — the annealer's cheap
-// move score at large n (exact re-scoring of incumbents stays with the
-// caller; see core/anneal.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -63,17 +57,14 @@ class DeltaApsp {
   };
 
   DeltaApsp() = default;
-  // Full mode: one row per source, rows() is the complete APSP matrix.
+  // One row per source: rows() is the complete APSP matrix.
   explicit DeltaApsp(int n) { init(n); }
-  // Landmark mode: rows only for the listed sources (order preserved).
-  DeltaApsp(int n, std::vector<int> sources) { init(n, std::move(sources)); }
 
-  // Re-initialize, reusing existing storage where shapes match (the annealer
-  // hoists one engine per worker thread across restarts).
+  // Re-initialize, reusing existing storage when n is unchanged (the
+  // annealer hoists one engine across restarts).
   void init(int n);
-  void init(int n, std::vector<int> sources);
 
-  // Full sweep of every tracked row; discards any pending journal.
+  // Full sweep of every row; discards any pending journal.
   void rebuild(const DiGraph& g);
 
   // Incremental update for a batch of edge edits already applied to g:
@@ -111,24 +102,20 @@ class DeltaApsp {
   void commit();    // accept the last apply (drop the journal)
   void rollback();  // undo the last apply (restore journaled rows)
 
-  // Aggregates over the tracked rows, maintained incrementally. hop_sum is
+  // Aggregates over all rows, maintained incrementally. hop_sum is
   // the sum of finite distances; unreachable counts (source, target) pairs
   // with no path (target != source).
   std::int64_t hop_sum() const { return hop_sum_; }
   long unreachable() const { return unreachable_; }
 
   int num_nodes() const { return n_; }
-  int num_sources() const { return static_cast<int>(sources_.size()); }
-  bool full() const { return num_sources() == n_; }
-  const std::vector<int>& sources() const { return sources_; }
 
-  // k x n distance matrix; row r holds distances from sources()[r]. In full
-  // mode sources()[r] == r, so this is exactly apsp_bfs(g).
+  // n x n distance matrix; row r holds distances from r, so this is exactly
+  // apsp_bfs(g).
   const util::Matrix<int>& rows() const { return dist_; }
 
   // Cumulative affected rows detected since init: the rows apply() re-sweeps
-  // (perf accounting: the full re-sweep equivalent is num_sources() per
-  // move). A sweep stopped early still counts every affected row, so the
+  // (perf accounting: the full re-sweep equivalent is n per move). A sweep stopped early still counts every affected row, so the
   // figure does not depend on where a caller stops.
   std::int64_t resweeps() const { return resweeps_; }
 
@@ -137,8 +124,7 @@ class DeltaApsp {
   void journal_and_sweep(const DiGraph& g, int r);
 
   int n_ = 0;
-  std::vector<int> sources_;
-  util::Matrix<int> dist_;            // k x n
+  util::Matrix<int> dist_;            // n x n
   std::vector<std::int64_t> row_sum_; // finite distances per row
   std::vector<int> row_unreach_;      // unreachable targets per row
   std::int64_t hop_sum_ = 0;
@@ -147,7 +133,7 @@ class DeltaApsp {
   BitBfs bfs_{0};
 
   // Rows already affected by an earlier edit of one apply(), one bit per
-  // row in ceil(k / 64) words, and those rows in (edit, row) order.
+  // row in ceil(n / 64) words, and those rows in (edit, row) order.
   std::vector<std::uint64_t> taken_;
   std::vector<int> affected_;
 

@@ -271,20 +271,16 @@ bool strongly_connected(const DiGraph& g) {
 }
 
 double weighted_hops(const util::Matrix<int>& dist,
-                     const util::Matrix<double>& weight,
-                     std::span<const int> sources) {
-  assert(sources.empty() || sources.size() == dist.rows());
-  assert(dist.cols() == weight.cols());
+                     const util::Matrix<double>& weight) {
+  assert(dist.rows() == weight.rows() && dist.cols() == weight.cols());
   double total = 0.0, wsum = 0.0;
-  for (std::size_t r = 0; r < dist.rows(); ++r) {
-    const std::size_t s =
-        sources.empty() ? r : static_cast<std::size_t>(sources[r]);
+  for (std::size_t s = 0; s < dist.rows(); ++s) {
     for (std::size_t j = 0; j < dist.cols(); ++j) {
       if (j == s) continue;
       const double w = weight(s, j);
       if (w <= 0.0) continue;
-      assert(dist(r, j) < kUnreachable);
-      total += w * dist(r, j);
+      assert(dist(s, j) < kUnreachable);
+      total += w * dist(s, j);
       wsum += w;
     }
   }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -55,14 +54,12 @@ int diameter(const DiGraph& g);
 bool strongly_connected(const DiGraph& g);
 
 // Traffic-weighted average hops: sum_{s,d} w(s,d) * D(s,d) / sum w over
-// pairs s != d with w(s,d) > 0, accumulated source-major. Row r of `dist`
-// holds the distances from sources[r], or from r when `sources` is empty
-// (a full APSP matrix); a landmark-sampled k x n matrix passes its k source
-// ids. Every weighted pair must be reachable: callers check connectivity
-// first. Used for pattern-optimized synthesis (paper SV-E, shuffle).
+// pairs s != d with w(s,d) > 0, accumulated source-major over the full APSP
+// matrix `dist`. Every weighted pair must be reachable: callers check
+// connectivity first. Used for pattern-optimized synthesis (paper SV-E,
+// shuffle).
 double weighted_hops(const util::Matrix<int>& dist,
-                     const util::Matrix<double>& weight,
-                     std::span<const int> sources = {});
+                     const util::Matrix<double>& weight);
 
 // Reusable word-parallel BFS engine: allocates the frontier/visited scratch
 // once and amortizes it across calls. This is what the annealer's objective

@@ -248,11 +248,11 @@ TEST(AnnealGolden, RouteAwareSynthesisDigests) {
   }
 }
 
-// synthesis_digest continued over the engine counters: delta-APSP row
-// re-sweeps and landmark-mode exact re-scores.
+// synthesis_digest continued over the delta-APSP row re-sweeps, then a zero
+// word in the place of a retired counter, so every recorded digest holds.
 std::uint64_t restart_digest(const SynthesisResult& r) {
   std::uint64_t h = synthesis_digest(r);
-  for (const long v : {r.apsp_resweeps, r.exact_rescores})
+  for (const long v : {r.apsp_resweeps, 0L})
     for (int i = 0; i < 8; ++i) {
       h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
       h *= 1099511628211ull;
@@ -265,11 +265,9 @@ std::uint64_t restart_digest(const SynthesisResult& r) {
 // outcome, so the winner, the summed counters and the merged trace are all
 // pinned here.
 TEST(AnnealGolden, MultiRestartDigests) {
-  const auto with = [](SynthesisConfig cfg, int restarts, long moves,
-                       int landmarks) {
+  const auto with = [](SynthesisConfig cfg, int restarts, long moves) {
     cfg.restarts = restarts;
     cfg.max_moves = moves;
-    cfg.landmark_sources = landmarks;
     return cfg;
   };
   SynthesisConfig grid86 = small_cfg(Objective::kLatOp);
@@ -291,34 +289,30 @@ TEST(AnnealGolden, MultiRestartDigests) {
     SynthesisConfig cfg;
     std::uint64_t digest;
   } cases[] = {
-      {"2x3 latop 4x3000", with(small_cfg(Objective::kLatOp), 4, 3000, 0),
+      {"2x3 latop 4x3000", with(small_cfg(Objective::kLatOp), 4, 3000),
        0x5fa91a7208835e12ull},
-      {"2x3 scop 3x1500", with(small_cfg(Objective::kSCOp), 3, 1500, 0),
+      {"2x3 scop 3x1500", with(small_cfg(Objective::kSCOp), 3, 1500),
        0x6ea1dfb48d37ad58ull},
       {"2x3 channel-load 3x1200",
-       with(small_cfg(Objective::kChannelLoad), 3, 1200, 0),
+       with(small_cfg(Objective::kChannelLoad), 3, 1200),
        0xb464b360c94eb66eull},
-      {"8x6 landmark latop 2x3000", with(grid86, 2, 3000, 12),
-       0x1e02826f6be66783ull},
       // Full-mode delta-APSP rows: n = 48 fits one 64-bit word per row set,
       // n = 80 needs two (and the multi-word BFS), and the symmetric row
       // removes twin pairs.
-      {"8x6 latop 1x20000", with(grid86, 1, 20000, 0),
+      {"8x6 latop 1x20000", with(grid86, 1, 20000),
        0x01021264a9a579beull},
-      {"10x8 latop 1x3000", with(grid108, 1, 3000, 0),
+      {"10x8 latop 1x3000", with(grid108, 1, 3000),
        0x3e285e513ffcec36ull},
-      {"8x6 symmetric latop 1x5000", with(grid86_sym, 1, 5000, 0),
+      {"8x6 symmetric latop 1x5000", with(grid86_sym, 1, 5000),
        0x762a49d9a225f200ull},
-      // kLatOp under a C7 penalty (scored through the cut cache), the
-      // multi-word full-mode rows at n = 128, and landmark rows at n = 256.
-      {"8x6 latop min-cut 1x3000", with(grid86_c7, 1, 3000, 0),
+      // kLatOp under a C7 penalty (scored through the cut cache), then
+      // multi-restart and multi-word rows at n = 48, 128 and 256.
+      {"8x6 latop min-cut 1x3000", with(grid86_c7, 1, 3000),
        0xd62d2c919fc357a1ull},
-      {"16x8 latop 1x3000", with(grid168, 1, 3000, 0),
+      {"16x8 latop 1x3000", with(grid168, 1, 3000),
        0x1f9ffdc9e2ab26c8ull},
-      {"16x16 landmark latop 1x1500", with(grid1616, 1, 1500, 64),
-       0x1bd92f4915deba3eull},
-      {"8x6 latop 2x3000", with(grid86, 2, 3000, 0), 0xe81ab34efa3ef162ull},
-      {"16x16 latop 1x1500", with(grid1616, 1, 1500, 0),
+      {"8x6 latop 2x3000", with(grid86, 2, 3000), 0xe81ab34efa3ef162ull},
+      {"16x16 latop 1x1500", with(grid1616, 1, 1500),
        0xba37370ba9598b1cull},
   };
   for (const auto& c : cases) {
@@ -330,13 +324,12 @@ TEST(AnnealGolden, MultiRestartDigests) {
 
 // Recorded goldens for the pattern-weighted and sparsest-cut objectives on
 // paper-scale layouts. kPattern scores every move with weighted hops over
-// the maintained rows (full mode) or the sampled rows plus an exact re-score
-// of each surviving candidate (landmark mode); the mixed-weight row makes
+// the maintained rows; the mixed-weight row makes
 // every partial sum inexact, so it pins the accumulation order too. kSCOp at
 // n = 20 runs the exact cut enumerator on every cache refresh.
 TEST(AnnealGolden, PatternAndCutDigests) {
   const auto cfg_for = [](topo::Layout layout, Objective objective,
-                          long moves, int landmarks) {
+                          long moves) {
     SynthesisConfig cfg;
     cfg.layout = layout;
     cfg.link_class = topo::LinkClass::kMedium;
@@ -345,12 +338,11 @@ TEST(AnnealGolden, PatternAndCutDigests) {
     cfg.restarts = 1;
     cfg.seed = 23;
     cfg.max_moves = moves;
-    cfg.landmark_sources = landmarks;
     if (objective == Objective::kPattern)
       cfg.pattern = shuffle_pattern(layout.n());
     return cfg;
   };
-  auto mixed = cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000, 0);
+  auto mixed = cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000);
   const auto tornado = tornado_pattern(20);
   for (int s = 0; s < 20; ++s)
     for (int d = 0; d < 20; ++d)
@@ -361,22 +353,18 @@ TEST(AnnealGolden, PatternAndCutDigests) {
     std::uint64_t digest;
   } cases[] = {
       {"4x5 shuffle pattern 1x6000",
-       cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000, 0),
+       cfg_for(topo::Layout::noi_4x5(), Objective::kPattern, 6000),
        0x2f8c92463f0ccd6eull},
       {"4x5 mixed pattern 1x6000", mixed, 0xd7c1306558acfe18ull},
-      {"8x6 landmark shuffle pattern 1x3000",
-       cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000, 12),
-       0xad0498f7223b6abfull},
       {"8x6 shuffle pattern 1x3000",
-       cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000, 0),
+       cfg_for(topo::Layout::noi_8x6(), Objective::kPattern, 3000),
        0xa7e66eec76c3bc1full},
       {"4x5 scop 1x6000",
-       cfg_for(topo::Layout::noi_4x5(), Objective::kSCOp, 6000, 0),
+       cfg_for(topo::Layout::noi_4x5(), Objective::kSCOp, 6000),
        0x0244dd2a5ca634faull},
   };
   for (const auto& c : cases) {
     const auto r = anneal_synthesize(c.cfg);
-    if (c.cfg.landmark_sources > 0) EXPECT_GT(r.exact_rescores, 0) << c.name;
     EXPECT_EQ(restart_digest(r), c.digest)
         << c.name << ": 0x" << std::hex << restart_digest(r);
   }

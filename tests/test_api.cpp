@@ -41,7 +41,6 @@ ExperimentSpec full_spec() {
   synth.synth_seed = 99;
   synth.restarts = 2;
   synth.max_moves = 500;
-  synth.landmark_sources = 4;
   TopologySpec base;
   base.source = TopologySource::kBaseline;
   base.baseline = "folded_torus:rows=3,cols=4";
@@ -174,6 +173,27 @@ TEST(SpecParse, RejectsMalformed) {
       std::invalid_argument);
   // Not JSON at all.
   EXPECT_THROW(parse_spec("not json"), std::invalid_argument);
+}
+
+// A retired option stays in the schema as a reserved field that must be 0,
+// so reports keep embedding the spec unchanged; any other value fails with
+// a message that names the field.
+TEST(SpecParse, ReservedFieldMustBeZero) {
+  const auto spec_with = [](int v) {
+    return R"({"topologies": [{"source": "synthesize", "landmark_sources": )" +
+           std::to_string(v) + "}]}";
+  };
+  EXPECT_NO_THROW(parse_spec(spec_with(0)));
+  for (const int v : {4, -1}) {
+    try {
+      parse_spec(spec_with(v));
+      ADD_FAILURE() << "value " << v << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("landmark_sources"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // One synthesis per unique topology key, however often the grid references

@@ -3,10 +3,8 @@
 // distance rows must stay bit-identical to a from-scratch apsp_bfs after
 // every commit AND every rollback, across the one-word/multi-word BitBfs
 // boundary, and apply()'s word-parallel affected-row scan must count the
-// same rows as the plain per-row loop it replaced. Landmark mode is checked
-// against the same oracles restricted to the sampled sources, and the
-// landmark-scored annealer is checked to only ever report exactly re-scored
-// incumbents. The split detect() + sweep() path has its own oracles: a sweep
+// same rows as the plain per-row loop it replaced. The split detect() +
+// sweep() path has its own oracles: a sweep
 // cut short by its stop predicate rolls back to the pre-move rows, one never
 // stopped equals apply(), and on a connected graph every row a sharp removal
 // batch affects grows or loses a target (the annealer's early-rejection
@@ -43,10 +41,9 @@ DiGraph random_graph(int n, double p, util::Rng& rng) {
   const auto oracle = apsp_bfs(g);
   std::int64_t sum = 0;
   long unreach = 0;
-  for (int r = 0; r < e.num_sources(); ++r) {
-    const int s = e.sources()[static_cast<std::size_t>(r)];
+  for (int s = 0; s < e.num_nodes(); ++s) {
     for (int j = 0; j < e.num_nodes(); ++j) {
-      const int got = e.rows()(static_cast<std::size_t>(r),
+      const int got = e.rows()(static_cast<std::size_t>(s),
                                static_cast<std::size_t>(j));
       const int want = oracle(static_cast<std::size_t>(s),
                               static_cast<std::size_t>(j));
@@ -89,7 +86,7 @@ int scalar_affected_count(const DeltaApsp& e, const DiGraph& g,
        changes[static_cast<std::size_t>(r0)].v ==
            changes[static_cast<std::size_t>(r1)].u);
   const auto& d = e.rows();
-  std::vector<char> mark(static_cast<std::size_t>(e.num_sources()), 0);
+  std::vector<char> mark(static_cast<std::size_t>(e.num_nodes()), 0);
   int count = 0;
   for (const auto& ch : changes) {
     const auto& preds = g.in_neighbors(ch.v);
@@ -215,16 +212,6 @@ bool random_step(DiGraph& g, DeltaApsp& e, util::Rng& rng) {
   return true;
 }
 
-// Landmark sample of the landmark tests: the boundary ids plus every fourth id from 3,
-// max(3, n/4) sources in all.
-std::vector<int> landmark_ids(int n) {
-  std::vector<int> sources{0, n - 1};
-  for (int s = 3; static_cast<int>(sources.size()) < std::max(3, n / 4);
-       s += 4)
-    sources.push_back(s);
-  return sources;
-}
-
 class DeltaApspRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeltaApspRandom, EditSequenceBitExactVsApsp) {
@@ -245,28 +232,10 @@ TEST_P(DeltaApspRandom, EditSequenceBitExactVsApsp) {
   }
 }
 
-TEST_P(DeltaApspRandom, LandmarkRowsBitExactVsApsp) {
-  const int n = GetParam();
-  util::Rng rng(0x1A17D + n);
-  DiGraph g = random_graph(n, 3.0 / n, rng);
-  DeltaApsp e(n, landmark_ids(n));
-  ASSERT_FALSE(e.full());
-  e.rebuild(g);
-  ASSERT_TRUE(matches_oracle(e, g));
-  for (int step = 0; step < 80; ++step) {
-    if (!random_step(g, e, rng)) continue;
-    ASSERT_TRUE(matches_oracle(e, g)) << "n=" << n << " step=" << step;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, DeltaApspRandom,
                          ::testing::Values(7, 48, 65, 130, 260));
 
 // --- Stoppable sweeps: the early-rejection oracles -------------------------
-
-DeltaApsp make_engine(int n, bool landmark) {
-  return landmark ? DeltaApsp(n, landmark_ids(n)) : DeltaApsp(n);
-}
 
 // Strongly connected radix-style graph: a ring (both directions when
 // symmetric) plus random extra edges (twin pairs when symmetric).
@@ -313,37 +282,34 @@ class DeltaApspSweep : public ::testing::TestWithParam<int> {};
 TEST_P(DeltaApspSweep, StoppedSweepRollsBackToPreMoveRows) {
   const int n = GetParam();
   util::Rng rng(0x57095 + n);
-  for (const bool landmark : {false, true}) {
-    DiGraph g = random_graph(n, 3.0 / n, rng);
-    DeltaApsp e = make_engine(n, landmark);
-    e.rebuild(g);
-    int stopped = 0;
-    for (int step = 0; step < 60; ++step) {
-      const auto changes = random_batch(g, rng);
-      if (changes.empty()) continue;
-      const int affected =
-          e.detect(g, changes.data(), static_cast<int>(changes.size()));
-      const int k =
-          affected > 0 ? static_cast<int>(rng.uniform_int(1, affected)) : 0;
-      const bool done = e.sweep(
-          g, [&](int unswept) { return affected - unswept >= k; });
-      EXPECT_EQ(done, k == affected) << "n=" << n << " step=" << step;
-      stopped += !done;
-      e.rollback();
-      undo_batch(g, changes);
-      ASSERT_TRUE(matches_oracle(e, g))
-          << "n=" << n << (landmark ? " landmark" : " full")
-          << " step=" << step << " stopped after " << k << " of "
-          << affected;
-      // Keep the graph moving: re-apply and commit every other batch.
-      if (step % 2) continue;
-      apply_to_graph(g, changes);
-      e.apply(g, changes.data(), static_cast<int>(changes.size()));
-      e.commit();
-    }
-    if (n > 7) {
-      EXPECT_GT(stopped, 0) << "n=" << n;
-    }
+  DiGraph g = random_graph(n, 3.0 / n, rng);
+  DeltaApsp e(n);
+  e.rebuild(g);
+  int stopped = 0;
+  for (int step = 0; step < 60; ++step) {
+    const auto changes = random_batch(g, rng);
+    if (changes.empty()) continue;
+    const int affected =
+        e.detect(g, changes.data(), static_cast<int>(changes.size()));
+    const int k =
+        affected > 0 ? static_cast<int>(rng.uniform_int(1, affected)) : 0;
+    const bool done =
+        e.sweep(g, [&](int unswept) { return affected - unswept >= k; });
+    EXPECT_EQ(done, k == affected) << "n=" << n << " step=" << step;
+    stopped += !done;
+    e.rollback();
+    undo_batch(g, changes);
+    ASSERT_TRUE(matches_oracle(e, g))
+        << "n=" << n << " step=" << step << " stopped after " << k << " of "
+        << affected;
+    // Keep the graph moving: re-apply and commit every other batch.
+    if (step % 2) continue;
+    apply_to_graph(g, changes);
+    e.apply(g, changes.data(), static_cast<int>(changes.size()));
+    e.commit();
+  }
+  if (n > 7) {
+    EXPECT_GT(stopped, 0) << "n=" << n;
   }
 }
 
@@ -353,34 +319,32 @@ TEST_P(DeltaApspSweep, StoppedSweepRollsBackToPreMoveRows) {
 TEST_P(DeltaApspSweep, UnstoppedSweepEqualsApply) {
   const int n = GetParam();
   util::Rng rng(0xA991 + n);
-  for (const bool landmark : {false, true}) {
-    DiGraph g = random_graph(n, 3.0 / n, rng);
-    DeltaApsp split = make_engine(n, landmark);
-    DeltaApsp whole = make_engine(n, landmark);
-    split.rebuild(g);
-    whole.rebuild(g);
-    for (int step = 0; step < 60; ++step) {
-      const auto changes = random_batch(g, rng);
-      if (changes.empty()) continue;
-      const int count = static_cast<int>(changes.size());
-      const int affected = split.detect(g, changes.data(), count);
-      EXPECT_TRUE(split.sweep(g, [](int) { return false; }));
-      EXPECT_EQ(whole.apply(g, changes.data(), count), affected);
-      ASSERT_EQ(split.rows(), whole.rows()) << "n=" << n << " step=" << step;
-      EXPECT_EQ(split.hop_sum(), whole.hop_sum());
-      EXPECT_EQ(split.unreachable(), whole.unreachable());
-      EXPECT_EQ(split.resweeps(), whole.resweeps());
-      if (rng.bernoulli(0.5)) {
-        split.commit();
-        whole.commit();
-      } else {
-        split.rollback();
-        whole.rollback();
-        undo_batch(g, changes);
-      }
+  DiGraph g = random_graph(n, 3.0 / n, rng);
+  DeltaApsp split(n);
+  DeltaApsp whole(n);
+  split.rebuild(g);
+  whole.rebuild(g);
+  for (int step = 0; step < 60; ++step) {
+    const auto changes = random_batch(g, rng);
+    if (changes.empty()) continue;
+    const int count = static_cast<int>(changes.size());
+    const int affected = split.detect(g, changes.data(), count);
+    EXPECT_TRUE(split.sweep(g, [](int) { return false; }));
+    EXPECT_EQ(whole.apply(g, changes.data(), count), affected);
+    ASSERT_EQ(split.rows(), whole.rows()) << "n=" << n << " step=" << step;
+    EXPECT_EQ(split.hop_sum(), whole.hop_sum());
+    EXPECT_EQ(split.unreachable(), whole.unreachable());
+    EXPECT_EQ(split.resweeps(), whole.resweeps());
+    if (rng.bernoulli(0.5)) {
+      split.commit();
+      whole.commit();
+    } else {
+      split.rollback();
+      whole.rollback();
+      undo_batch(g, changes);
     }
-    ASSERT_TRUE(matches_oracle(split, g));
   }
+  ASSERT_TRUE(matches_oracle(split, g));
 }
 
 // The annealer's bound rests on this: on a graph with no unreachable pair,
@@ -390,39 +354,37 @@ TEST_P(DeltaApspSweep, UnstoppedSweepEqualsApply) {
 TEST_P(DeltaApspSweep, SharpRemovalGrowsEveryAffectedRow) {
   const int n = GetParam();
   util::Rng rng(0x9E0 + n);
-  for (const bool landmark : {false, true}) {
-    for (const bool symmetric : {false, true}) {
-      DiGraph g = connected_graph(n, symmetric, rng);
-      DeltaApsp e = make_engine(n, landmark);
-      e.rebuild(g);
-      ASSERT_EQ(e.unreachable(), 0);
-      long rows_seen = 0;
-      for (const auto& changes : sharp_removals(g)) {
-        apply_to_graph(g, changes);
-        std::int64_t sum = e.hop_sum();
-        long unreach = e.unreachable();
-        const auto check_row = [&] {
-          const bool lost = e.unreachable() > unreach;
-          EXPECT_TRUE(lost || e.hop_sum() >= sum + 1)
-              << "n=" << n << " edge " << changes[0].u << "->"
-              << changes[0].v << ": row sum " << sum << " -> " << e.hop_sum();
-          sum = e.hop_sum();
-          unreach = e.unreachable();
-          ++rows_seen;
-        };
-        const int affected =
-            e.detect(g, changes.data(), static_cast<int>(changes.size()));
-        e.sweep(g, [&](int) {
-          check_row();
-          return false;
-        });
-        if (affected > 0) check_row();
-        e.rollback();
-        undo_batch(g, changes);
-      }
-      EXPECT_GT(rows_seen, 0) << "n=" << n;
-      ASSERT_TRUE(matches_oracle(e, g));
+  for (const bool symmetric : {false, true}) {
+    DiGraph g = connected_graph(n, symmetric, rng);
+    DeltaApsp e(n);
+    e.rebuild(g);
+    ASSERT_EQ(e.unreachable(), 0);
+    long rows_seen = 0;
+    for (const auto& changes : sharp_removals(g)) {
+      apply_to_graph(g, changes);
+      std::int64_t sum = e.hop_sum();
+      long unreach = e.unreachable();
+      const auto check_row = [&] {
+        const bool lost = e.unreachable() > unreach;
+        EXPECT_TRUE(lost || e.hop_sum() >= sum + 1)
+            << "n=" << n << " edge " << changes[0].u << "->" << changes[0].v
+            << ": row sum " << sum << " -> " << e.hop_sum();
+        sum = e.hop_sum();
+        unreach = e.unreachable();
+        ++rows_seen;
+      };
+      const int affected =
+          e.detect(g, changes.data(), static_cast<int>(changes.size()));
+      e.sweep(g, [&](int) {
+        check_row();
+        return false;
+      });
+      if (affected > 0) check_row();
+      e.rollback();
+      undo_batch(g, changes);
     }
+    EXPECT_GT(rows_seen, 0) << "n=" << n;
+    ASSERT_TRUE(matches_oracle(e, g));
   }
 }
 
@@ -462,42 +424,22 @@ TEST(DeltaApsp, ResweepsFarBelowFullSweepEquivalent) {
 }  // namespace
 }  // namespace topo
 
-// --- Landmark-scored annealing: incumbents must be exact -------------------
+// --- The annealer's delta-APSP accounting ----------------------------------
 
 namespace netsmith::core {
 namespace {
 
-SynthesisConfig scale_cfg(Objective obj, int rows, int cols) {
+TEST(DeltaApspAnneal, ReportsResweepAccounting) {
   SynthesisConfig cfg;
-  cfg.layout = topo::Layout{rows, cols, 2.0};
+  cfg.layout = topo::Layout{2, 3, 2.0};
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.radix = 4;
-  cfg.objective = obj;
+  cfg.objective = Objective::kLatOp;
   cfg.time_limit_s = 60.0;  // move budget terminates first
   cfg.restarts = 2;
   cfg.seed = 23;
-  return cfg;
-}
-
-TEST(LandmarkAnneal, IncumbentObjectiveIsExact) {
-  auto cfg = scale_cfg(Objective::kLatOp, 8, 6);
-  cfg.max_moves = 4000;
-  cfg.landmark_sources = 12;
-  const auto r = anneal_synthesize(cfg);
-  // The estimate only steers: the reported objective must equal the exact
-  // average hops of the returned graph to the last bit, and the incumbent
-  // path must actually have taken the exact-re-score branch.
-  EXPECT_EQ(r.objective_value, topo::average_hops(r.graph));
-  EXPECT_TRUE(topo::strongly_connected(r.graph));
-  EXPECT_GT(r.exact_rescores, 0);
-}
-
-TEST(LandmarkAnneal, FullModeReportsResweepAccounting) {
-  auto cfg = scale_cfg(Objective::kLatOp, 2, 3);
   cfg.max_moves = 1500;
-  const auto r = anneal_synthesize(cfg);
-  EXPECT_GT(r.apsp_resweeps, 0);
-  EXPECT_EQ(r.exact_rescores, 0);  // no landmark mode, no re-score path
+  EXPECT_GT(anneal_synthesize(cfg).apsp_resweeps, 0);
 }
 
 }  // namespace

@@ -76,26 +76,6 @@ TEST(WeightedHops, UniformEqualsAverage) {
   EXPECT_NEAR(weighted_hops(d, w), average_hops(d), 1e-12);
 }
 
-// Landmark-sampled rows with their source ids score the same as the full
-// matrix with the weight of every other source zeroed, to the last bit.
-TEST(WeightedHops, SampledRowsTakeTheirSourceIds) {
-  const auto g = build_mesh(Layout::noi_4x5());
-  const auto d = apsp_bfs(g);
-  const std::vector<int> sources = {2, 7, 13, 19};
-  util::Matrix<int> rows(sources.size(), 20, 0);
-  util::Matrix<double> w(20, 20, 0.0), w_sampled(20, 20, 0.0);
-  for (int s = 0; s < 20; ++s)
-    for (int j = 0; j < 20; ++j) w(s, j) = 0.1 * ((3 * s + j) % 7);
-  for (std::size_t r = 0; r < sources.size(); ++r) {
-    const auto s = static_cast<std::size_t>(sources[r]);
-    for (std::size_t j = 0; j < 20; ++j) {
-      rows(r, j) = d(s, j);
-      w_sampled(s, j) = w(s, j);
-    }
-  }
-  EXPECT_EQ(weighted_hops(rows, w, sources), weighted_hops(d, w_sampled));
-}
-
 TEST(WeightedHops, SingleFlow) {
   const auto g = build_mesh(Layout{1, 4, 2.0});
   const auto d = apsp_bfs(g);
