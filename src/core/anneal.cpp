@@ -242,11 +242,11 @@ class RestartRun {
             : topo::build_random(cfg_.layout, cfg_.link_class, cfg_.radix, rng_);
     // The greedy radix fill can strand a node with no out-links on large
     // grids (its candidates' in-degrees all saturated). The search would
-    // recover through the unreachability penalty, but starting connected
-    // gives it a scored incumbent from the first accepted move. Redraw until
-    // strongly connected: two BFS per check, and the extra rng_ draws happen
-    // only in the (rare) disconnected case. The redraws are part of every
-    // recorded trajectory that starts disconnected, so they stay.
+    // climb out through the unreachability penalty; a connected start skips
+    // that detour. Redraw until strongly connected: two BFS per check, and
+    // the extra rng_ draws happen only in the (rare) disconnected case.
+    // Every recorded trajectory that starts disconnected includes the
+    // redraws, so removing them would change those results.
     for (int redraw = 0; redraw < 32 && !topo::strongly_connected(g); ++redraw)
       g = cfg_.symmetric_links
               ? topo::build_random_symmetric(cfg_.layout, cfg_.link_class,
@@ -462,9 +462,9 @@ class RestartRun {
   }
 
   // MCLB max normalized channel load of g, routed over the maintained
-  // shortest-path matrix. The compiler enumerates straight into the persistent path
-  // set, so the enumeration half of the per-move pipeline reuses its arrays
-  // instead of reallocating them every move.
+  // shortest-path matrix. The compiler enumerates straight into the
+  // persistent path set, so the enumeration half of the per-move pipeline
+  // reuses its arrays instead of reallocating them every move.
   double route_max_load(const topo::DiGraph& g) {
     ws_.path_compiler.enumerate(g, ws_.engine.rows(),
                                 kAnnealPathsPerFlow, ws_.paths);

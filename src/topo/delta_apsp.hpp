@@ -115,8 +115,9 @@ class DeltaApsp {
   const util::Matrix<int>& rows() const { return dist_; }
 
   // Cumulative affected rows detected since init: the rows apply() re-sweeps
-  // (perf accounting: the full re-sweep equivalent is n per move). A sweep stopped early still counts every affected row, so the
-  // figure does not depend on where a caller stops.
+  // (perf accounting: the full re-sweep equivalent is n per move). A sweep
+  // stopped early still counts every affected row, so the figure does not
+  // depend on where a caller stops.
   std::int64_t resweeps() const { return resweeps_; }
 
  private:
