@@ -296,7 +296,7 @@ TEST(AnnealGolden, MultiRestartDigests) {
       {"2x3 channel-load 3x1200",
        with(small_cfg(Objective::kChannelLoad), 3, 1200),
        0xb464b360c94eb66eull},
-      // Full-mode delta-APSP rows: n = 48 fits one 64-bit word per row set,
+      // Delta-APSP rows: n = 48 fits one 64-bit word per row set,
       // n = 80 needs two (and the multi-word BFS), and the symmetric row
       // removes twin pairs.
       {"8x6 latop 1x20000", with(grid86, 1, 20000),
@@ -324,9 +324,9 @@ TEST(AnnealGolden, MultiRestartDigests) {
 
 // Recorded goldens for the pattern-weighted and sparsest-cut objectives on
 // paper-scale layouts. kPattern scores every move with weighted hops over
-// the maintained rows; the mixed-weight row makes
-// every partial sum inexact, so it pins the accumulation order too. kSCOp at
-// n = 20 runs the exact cut enumerator on every cache refresh.
+// the maintained rows; the mixed-weight row makes every partial sum
+// inexact, so it pins the accumulation order too. kSCOp at n = 20 runs the
+// exact cut enumerator on every cache refresh.
 TEST(AnnealGolden, PatternAndCutDigests) {
   const auto cfg_for = [](topo::Layout layout, Objective objective,
                           long moves) {
